@@ -9,8 +9,8 @@
 
 import dataclasses
 
+from repro.core.config import baseline_config
 from repro.core.experiment import run_experiment
-from repro.core.sweep import baseline_config
 
 
 def _with_host(config, **changes):

@@ -14,8 +14,8 @@ Four "looking forward" what-ifs at the most congested operating point
 
 import dataclasses
 
+from repro.core.config import baseline_config
 from repro.core.experiment import run_experiment
-from repro.core.sweep import baseline_config
 
 
 def _congested_base():

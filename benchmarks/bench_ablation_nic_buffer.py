@@ -9,8 +9,8 @@ Swift regains control; a smaller buffer makes drops worse.
 
 import dataclasses
 
+from repro.core.config import baseline_config
 from repro.core.experiment import run_experiment
-from repro.core.sweep import baseline_config
 
 
 def _run_with_buffer(buffer_bytes: int):

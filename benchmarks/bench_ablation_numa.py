@@ -10,8 +10,8 @@ NIC throughput without throttling the antagonist.
 
 import dataclasses
 
+from repro.core.config import baseline_config
 from repro.core.experiment import run_experiment
-from repro.core.sweep import baseline_config
 
 
 def _placement(local: int, remote: int):

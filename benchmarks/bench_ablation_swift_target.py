@@ -9,8 +9,8 @@ IOMMU-ON operating point and shows drops persist across targets.
 
 import dataclasses
 
+from repro.core.config import baseline_config
 from repro.core.experiment import run_experiment
-from repro.core.sweep import baseline_config
 
 
 def _run_with_target(host_target: float):

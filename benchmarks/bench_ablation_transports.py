@@ -11,8 +11,8 @@ point (12 cores, IOMMU ON).
 
 import dataclasses
 
+from repro.core.config import baseline_config
 from repro.core.experiment import run_experiment
-from repro.core.sweep import baseline_config
 
 
 def _run_with_transport(transport: str):

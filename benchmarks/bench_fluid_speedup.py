@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import time
 
-from repro.core.scenario import load_bundled
-from repro.core.sweep import run_sweep
+from repro.core.scenario import load_bundled, run_configs
 
 #: Floor on paired CPU-time speedup (packet CPU / fluid CPU) over the
 #: figure-3 quick grid.  Measured ~100-300x; 25x leaves room for
@@ -34,7 +33,7 @@ def _grid(fidelity: str):
 
 def _cpu_time(configs) -> float:
     start = time.process_time()
-    run_sweep(configs)
+    run_configs(configs)
     return time.process_time() - start
 
 
@@ -42,7 +41,7 @@ def test_fluid_speedup_figure3(benchmark):
     packet_cpu = _cpu_time(_grid("packet"))
     fluid_configs = _grid("fluid")
 
-    table = benchmark(run_sweep, fluid_configs)
+    table = benchmark(run_configs, fluid_configs)
     assert len(table) == len(fluid_configs)
 
     fluid_cpu = max(_cpu_time(fluid_configs), 1e-9)

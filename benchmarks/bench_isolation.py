@@ -10,7 +10,7 @@ reads; the bench compares victim tail latency between a lightly-loaded
 host and the paper's congested baseline (12 cores, IOMMU on).
 """
 
-from repro.core.sweep import baseline_config
+from repro.core.config import baseline_config
 from repro.workload.isolation import congested_vs_uncongested
 
 

@@ -15,7 +15,8 @@ import time
 
 import pytest
 
-from repro.core.sweep import baseline_config, sweep_receiver_cores
+from repro.core.config import baseline_config
+from repro.core.scenario import ScenarioSpec, SweepAxis, run_configs
 
 CORES = (2, 4, 6, 8)
 
@@ -23,9 +24,10 @@ _serial_wall: dict = {}
 
 
 def _sweep(workers):
-    base = baseline_config(warmup=1e-3, duration=2e-3)
-    return sweep_receiver_cores(cores=CORES, iommu_states=(True,),
-                                base=base, workers=workers)
+    spec = ScenarioSpec(name="cores",
+                        axes=(SweepAxis("host.cpu.cores", CORES),))
+    configs = spec.expand(base=baseline_config(warmup=1e-3, duration=2e-3))
+    return run_configs(configs, workers=workers)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])

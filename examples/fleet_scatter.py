@@ -25,9 +25,10 @@ def main() -> None:
 
     sampler = FleetSampler(seed=args.seed, warmup=3e-3, duration=6e-3)
     print(f"simulating {args.hosts} heterogeneous hosts...")
-    samples = sampler.run(
-        args.hosts,
-        progress=lambda i, n: print(f"  host {i}/{n}", end="\r"))
+    samples = []
+    for sample in sampler.stream(args.hosts):
+        samples.append(sample)
+        print(f"  host {len(samples)}/{args.hosts}", end="\r")
     print()
 
     points = [(s.link_utilization, s.drop_rate) for s in samples]

@@ -9,7 +9,7 @@ the NIC queue, the drops, and the retransmissions of their neighbours.
     python examples/isolation_study.py
 """
 
-from repro.core.sweep import baseline_config
+from repro.core.config import baseline_config
 from repro.workload.isolation import congested_vs_uncongested
 
 

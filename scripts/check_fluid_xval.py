@@ -5,7 +5,8 @@ Runs each bundled scenario at both fidelities (quick quality where the
 spec defines presets) and checks the contracts declared in
 :mod:`repro.analysis.xval`: per-point throughput within tolerance,
 drop-onset knees within one grid position, isolation winners, and
-fleet/day shape agreement.  Writes the full agreement report as JSON
+fleet/day shape agreement.  Specs that plot the analytical model line
+also hold their packet leg to the model (``xval.compare_model``).  Writes the full agreement report as JSON
 (the CI artifact) and exits 1 with a table naming every disagreeing
 spec and axis point.
 
@@ -38,6 +39,14 @@ def _x_key(spec: ScenarioSpec) -> str:
         if render.panels:
             return render.panels[0].x
     return "cores"
+
+
+def _plots_model(spec: ScenarioSpec) -> bool:
+    """Whether the spec draws the Little's-law model overlay, i.e.
+    claims the model agrees with its packet runs."""
+    return spec.render is not None and any(
+        series.kind == "model" for panel in spec.render.panels
+        for series in panel.series)
 
 
 def _quality(spec: ScenarioSpec, requested: Optional[str]):
@@ -79,12 +88,18 @@ def cross_validate(spec: ScenarioSpec, quality: Optional[str],
     if spec.driver == "sweep":
         report = xval.compare_sweep(spec.name, packet, fluid,
                                     _x_key(spec))
+        extra = []
         claim = xval.ROUTING_CLAIMS.get(spec.name)
         if claim is not None:
-            routing = xval.compare_routing_sweep(
-                spec.name, packet, fluid, _x_key(spec), claim)
-            report.checks += routing.checks
-            report.disagreements.extend(routing.disagreements)
+            extra.append(xval.compare_routing_sweep(
+                spec.name, packet, fluid, _x_key(spec), claim))
+        if _plots_model(spec):
+            extra.append(xval.compare_model(
+                spec.name, spec.expand(quality, fidelity="packet"),
+                packet))
+        for other in extra:
+            report.checks += other.checks
+            report.disagreements.extend(other.disagreements)
         return report
     if spec.driver == "day":
         return xval.compare_day(spec.name, packet, fluid)
@@ -134,6 +149,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             "drop_onset_threshold": xval.DROP_ONSET_THRESHOLD,
             "onset_position_tolerance": xval.ONSET_POSITION_TOLERANCE,
             "day_cumulative_rtol": xval.DAY_CUMULATIVE_RTOL,
+            "model_rtol": xval.MODEL_RTOL,
+            "model_mean_rtol": xval.MODEL_MEAN_RTOL,
         },
         "scenarios": [report.to_dict() for report in reports],
     }

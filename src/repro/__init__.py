@@ -22,6 +22,7 @@ Figure regeneration::
     print(fig.render())
 """
 
+from repro.core.cache import ResultCache
 from repro.core.config import (
     CpuConfig,
     DdioConfig,
@@ -35,8 +36,8 @@ from repro.core.config import (
     SimConfig,
     SwiftConfig,
     WorkloadConfig,
+    baseline_config,
 )
-from repro.core.cache import ResultCache
 from repro.core.experiment import ExperimentHandle, run_experiment
 from repro.core.model import ThroughputModel, modeled_app_throughput_bps
 from repro.core.parallel import SweepRunError
@@ -47,14 +48,7 @@ from repro.core.scenario import (
     SweepAxis,
     bundled_scenarios,
     find_scenario,
-)
-from repro.core.sweep import (
-    baseline_config,
-    run_sweep,
-    sweep_antagonist_cores,
-    sweep_receiver_cores,
-    sweep_receivers,
-    sweep_region_size,
+    run_configs,
 )
 from repro.core.topology import GraphBuilder, Topology
 from repro.obs import MetricsRegistry, SimProfiler, write_trace
@@ -92,11 +86,7 @@ __all__ = [
     "bundled_scenarios",
     "find_scenario",
     "modeled_app_throughput_bps",
+    "run_configs",
     "run_experiment",
-    "run_sweep",
-    "sweep_antagonist_cores",
-    "sweep_receiver_cores",
-    "sweep_receivers",
-    "sweep_region_size",
     "write_trace",
 ]

@@ -17,19 +17,12 @@ from repro.analysis.figures import (
 from repro.analysis.sensitivity import Elasticity, sensitivity_analysis
 from repro.analysis.series import Series, series_from_table
 from repro.analysis.text_plots import line_plot, scatter_plot
-from repro.analysis.validation import (
-    ValidationPoint,
-    ValidationReport,
-    validate_model,
-)
 
 __all__ = [
     "Elasticity",
     "FigureData",
     "SawtoothMetrics",
     "Series",
-    "ValidationPoint",
-    "ValidationReport",
     "convergence_time",
     "figure1",
     "figure3",
@@ -41,5 +34,4 @@ __all__ = [
     "scatter_plot",
     "sensitivity_analysis",
     "series_from_table",
-    "validate_model",
 ]

@@ -1,4 +1,5 @@
-"""Cross-fidelity agreement checks: fluid vs packet.
+"""Agreement checks: fluid vs packet, and the analytical model vs
+packet.
 
 The fluid engine earns its keep only while it reproduces the packet
 kernel's *shapes and crossover points* — the paper's claims are about
@@ -32,6 +33,14 @@ This module declares those contracts and checks them:
   heavy-drop bin and then burst, while the deterministic fluid drains
   immediately — so a drain can land one bin apart while total
   delivered bytes agree within a few percent.
+- **Model vs simulation** — the Little's-law model
+  (:mod:`repro.core.model`), fed each packet run's measured IOTLB miss
+  rate and memory utilization, predicts app throughput within
+  :data:`MODEL_RTOL` at every point and :data:`MODEL_MEAN_RTOL` on
+  average.  The model and the packet kernel are independent
+  implementations of the same physics, so this is the repository's
+  internal consistency check (the paper's "observed throughput closely
+  matches the above model").
 
 Each check either passes or yields a :class:`Disagreement` naming the
 scenario, the check, and the axis point — the row format the
@@ -40,14 +49,19 @@ scenario, the check, and the axis point — the row format the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.config import ExperimentConfig
+from repro.core.model import modeled_app_throughput_bps
 from repro.core.results import FailedRun, ResultTable
 
 __all__ = [
     "DAY_CUMULATIVE_RTOL",
     "DROP_ONSET_THRESHOLD",
+    "MODEL_MEAN_RTOL",
+    "MODEL_RTOL",
     "ONSET_POSITION_TOLERANCE",
     "ROUTING_CLAIMS",
     "THROUGHPUT_RTOL",
@@ -58,6 +72,7 @@ __all__ = [
     "compare_fleet_aggregate",
     "compare_fleet_backends",
     "compare_isolation",
+    "compare_model",
     "compare_routing_sweep",
     "compare_sweep",
     "drop_onset",
@@ -79,6 +94,12 @@ _THROUGHPUT_ATOL_GBPS = 1.0
 #: this close — backlog-drain timing skew, not a capacity error (see
 #: module docstring).
 DAY_CUMULATIVE_RTOL = 0.05
+#: Per-point relative error budget of the model against measured app
+#: throughput.  Blind-spot operating points carry CC-induced
+#: underutilization the model does not capture, hence the slack.
+MODEL_RTOL = 0.25
+#: Mean relative model error over a grid (much tighter than per point).
+MODEL_MEAN_RTOL = 0.10
 
 
 @dataclass(frozen=True)
@@ -318,6 +339,56 @@ def compare_routing_sweep(
             p_winner == "flowlet", "routing-winner", "top load",
             f"flowlet must win the top-load throughput in the packet "
             f"engine, got {p_winner!r}")
+    return report
+
+
+def compare_model(
+    scenario: str,
+    configs: Sequence[ExperimentConfig],
+    table: ResultTable,
+    *,
+    rtol: float = MODEL_RTOL,
+    mean_rtol: float = MODEL_MEAN_RTOL,
+) -> AgreementReport:
+    """Cross-validate the analytical model against a packet sweep.
+
+    ``table`` is the result of running ``configs`` (same order).  The
+    model is fed each row's *measured* miss rate and memory
+    utilization: it predicts throughput given translation behaviour,
+    not the translation behaviour itself.  The relative error is
+    ``|model - measured| / measured``; a zero measured throughput is an
+    infinite error.
+    """
+    report = AgreementReport(scenario=f"{scenario}/model")
+    report.check(len(configs) == len(table), "row-count", "-",
+                 f"{len(configs)} configs vs {len(table)} rows")
+    if len(configs) != len(table):
+        return report
+    errors: List[float] = []
+    for config, row in zip(configs, table):
+        point = ", ".join(f"{k}={row.params.get(k)}" for k in
+                          ("cores", "iommu", "antagonist_cores"))
+        if isinstance(row, FailedRun):
+            report.check(False, "failed-run", point,
+                         "the packet run produced a FAILED row")
+            continue
+        measured = row.metrics["app_throughput_gbps"]
+        predicted = modeled_app_throughput_bps(
+            config, row.metrics["iotlb_misses_per_packet"],
+            row.metrics["memory_utilization"]) / 1e9
+        error = (abs(predicted - measured) / measured if measured
+                 else math.inf)
+        errors.append(error)
+        report.check(error < rtol, "model-throughput", point,
+                     f"measured {measured:.1f} Gbps vs model "
+                     f"{predicted:.1f} Gbps: {error:.1%} error "
+                     f"(rtol {rtol})")
+    if errors:
+        mean = sum(errors) / len(errors)
+        report.check(mean < mean_rtol, "model-mean-error",
+                     f"{len(errors)} points",
+                     f"mean error {mean:.1%} (budget {mean_rtol:.0%}), "
+                     f"worst {max(errors):.1%}")
     return report
 
 

@@ -4,7 +4,7 @@ Commands:
 
 - ``run``      — one experiment at a chosen operating point, print gauges
 - ``sweep``    — sweep cores / region size / antagonists / receiver
-  hosts, print a table
+  hosts from the paper baseline (an in-memory scenario), print a table
 - ``scenario`` — list, validate, or run declarative scenario specs
   (bundled ``repro.scenarios`` or ``.toml``/``.json`` files)
 - ``figure``   — regenerate one paper figure (ASCII + CSV + shape checks)
@@ -63,17 +63,12 @@ from repro.core.config import (
     IommuConfig,
     SimConfig,
     WorkloadConfig,
+    baseline_config,
 )
 from repro.core.experiment import run_experiment
 from repro.core.model import ThroughputModel
 from repro.core.results import FailedRun
-from repro.core.sweep import (
-    baseline_config,
-    sweep_antagonist_cores,
-    sweep_receiver_cores,
-    sweep_receivers,
-    sweep_region_size,
-)
+from repro.core.scenario import ScenarioSpec, SweepAxis, run_configs
 
 __all__ = ["build_parser", "main"]
 
@@ -165,6 +160,12 @@ class _Telemetry:
             self.ledger.close(ok=ok)
             print(f"ledger: {self.ledger.path}")
 
+    def __enter__(self) -> "_Telemetry":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.finish(ok=exc_type is None)
+
 
 def _transport_choices() -> tuple:
     from repro.transport.registry import available
@@ -221,9 +222,45 @@ def _host_args(parser: argparse.ArgumentParser) -> None:
                         help="fat-tree arity, even (default 4)")
     parser.add_argument("--trunk-links", type=int, default=2,
                         help="dumbbell trunk link count (default 2)")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--warmup-ms", type=float, default=5.0)
-    parser.add_argument("--duration-ms", type=float, default=10.0)
+
+
+#: ``_shared_args(fidelity=...)`` default: no ``--fidelity`` flag.
+_OMIT = object()
+
+
+def _shared_args(parser: argparse.ArgumentParser, *,
+                 sim: Optional[tuple] = (1, 5.0, 10.0),
+                 fidelity=_OMIT, metrics_out: Optional[str] = None,
+                 table: bool = False) -> None:
+    """The flags ``run``, ``sweep``, ``scenario run`` and ``fleet``
+    share.
+
+    ``sim`` holds the ``--seed/--warmup-ms/--duration-ms`` defaults
+    (None omits them: a scenario spec sets its own); ``fidelity`` is
+    the ``--fidelity`` default (None defers to the spec or sampler);
+    ``metrics_out`` is the ``--metrics-out`` help text; ``table`` adds
+    the result-table flags ``--csv`` and ``--timeout-s``.
+    """
+    if sim is not None:
+        seed, warmup_ms, duration_ms = sim
+        parser.add_argument("--seed", type=int, default=seed)
+        parser.add_argument("--warmup-ms", type=float, default=warmup_ms)
+        parser.add_argument("--duration-ms", type=float,
+                            default=duration_ms)
+    if fidelity is not _OMIT:
+        parser.add_argument(
+            "--fidelity", default=fidelity, choices=_fidelity_choices(),
+            help="simulation engine: packet-level kernel or rate-based "
+                 "fluid solver (default "
+                 f"{fidelity or 'the scenario spec, else packet'})")
+    if metrics_out is not None:
+        parser.add_argument("--metrics-out", help=metrics_out)
+    if table:
+        parser.add_argument("--csv",
+                            help="also write the result table to CSV")
+        parser.add_argument("--timeout-s", type=float, default=None,
+                            help="per-run wall-clock budget; over-budget "
+                                 "runs become FAILED rows, not aborts")
 
 
 def _config_from_args(args: argparse.Namespace,
@@ -239,14 +276,15 @@ def _config_from_args(args: argparse.Namespace,
             rx_region_bytes=args.region_mb * 2**20,
         ),
         workload=WorkloadConfig(senders=args.senders,
-                                receivers=getattr(args, "receivers", 1)),
+                                receivers=args.receivers),
         transport=args.transport,
         fabric=FabricConfig(
-            topology=getattr(args, "topology", "star"),
-            routing=getattr(args, "routing", "static"),
-            fattree_k=getattr(args, "fattree_k", 4),
-            trunk_links=getattr(args, "trunk_links", 2),
+            topology=args.topology,
+            routing=args.routing,
+            fattree_k=args.fattree_k,
+            trunk_links=args.trunk_links,
         ),
+        # trace and profile have no --fidelity flag: packet only.
         fidelity=getattr(args, "fidelity", "packet"),
         sim=SimConfig(warmup=args.warmup_ms * 1e-3,
                       duration=args.duration_ms * 1e-3,
@@ -323,42 +361,9 @@ def _print_sweep_table(table, x_key: str) -> None:
               f"{m['memory_total_GBps']:>9.1f}")
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    base = baseline_config(
-        warmup=args.warmup_ms * 1e-3,
-        duration=args.duration_ms * 1e-3,
-        seed=args.seed,
-        fidelity=args.fidelity,
-    )
-    snapshots: Optional[list] = [] if args.metrics_out else None
-    cache = _cache_from_args(args)
-    telemetry = _Telemetry(args, label=f"sweep-{args.axis}")
-    run_opts = dict(base=base, snapshots_out=snapshots,
-                    workers=args.workers, timeout=args.timeout_s,
-                    cache=cache, events=telemetry.sink,
-                    failures="keep" if args.keep_failed else "raise")
-    try:
-        if args.axis == "cores":
-            table = sweep_receiver_cores(cores=tuple(args.values),
-                                         **run_opts)
-            x_key = "cores"
-        elif args.axis == "region":
-            table = sweep_region_size(
-                region_mb=tuple(int(v) for v in args.values), **run_opts)
-            x_key = "rx_region_mb"
-        elif args.axis == "receivers":
-            table = sweep_receivers(
-                receivers=tuple(int(v) for v in args.values), **run_opts)
-            x_key = "receivers"
-        else:
-            table = sweep_antagonist_cores(
-                antagonists=tuple(int(v) for v in args.values),
-                **run_opts)
-            x_key = "antagonist_cores"
-    except BaseException:
-        telemetry.finish(ok=False)
-        raise
-    telemetry.finish()
+def _report_sweep(args: argparse.Namespace, table, x_key: str, cache,
+                  snapshots: Optional[list]) -> int:
+    """Print a sweep's table and write its ``--csv``/``--metrics-out``."""
     _print_sweep_table(table, x_key)
     if cache is not None and cache.hits:
         print(f"cache: {cache.hits} hit(s), {cache.misses} miss(es)")
@@ -368,6 +373,48 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.metrics_out:
         _write_metrics(args.metrics_out, snapshots)
     return 0
+
+
+#: ``repro sweep <axis>``: the swept config path, its unit scale, the
+#: IOMMU states iterated outside it (empty: no IOMMU axis), and the
+#: table's x column.  The IOMMU order is each paper figure's loop order,
+#: which fixes the row order of the table and CSV.
+SWEEP_AXES = {
+    "cores": ("host.cpu.cores", 1, (True, False), "cores"),
+    "region": ("host.rx_region_bytes", 2**20, (True, False),
+               "rx_region_mb"),
+    "antagonists": ("host.antagonist_cores", 1, (False, True),
+                    "antagonist_cores"),
+    "receivers": ("workload.receivers", 1, (), "receivers"),
+}
+
+
+def sweep_configs(args: argparse.Namespace) -> List[ExperimentConfig]:
+    """The configs ``repro sweep`` runs: an in-memory scenario over the
+    chosen axis, expanded from the paper baseline."""
+    path, scale, iommu_states, _ = SWEEP_AXES[args.axis]
+    axes = (SweepAxis(path, tuple(args.values), scale=scale),)
+    if iommu_states:
+        axes = (SweepAxis("host.iommu.enabled", iommu_states),) + axes
+    spec = ScenarioSpec(name=f"sweep-{args.axis}", axes=axes,
+                        source=f"<sweep {args.axis}>")
+    base = baseline_config(warmup=args.warmup_ms * 1e-3,
+                           duration=args.duration_ms * 1e-3,
+                           seed=args.seed)
+    return spec.expand(base=base, fidelity=args.fidelity)
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    configs = sweep_configs(args)
+    snapshots: Optional[list] = [] if args.metrics_out else None
+    cache = _cache_from_args(args)
+    with _Telemetry(args, label=f"sweep-{args.axis}") as telemetry:
+        table = run_configs(
+            configs, snapshots_out=snapshots, workers=args.workers,
+            timeout=args.timeout_s, cache=cache, events=telemetry.sink,
+            failures="keep" if args.keep_failed else "raise")
+    return _report_sweep(args, table, SWEEP_AXES[args.axis][3], cache,
+                         snapshots)
 
 
 def _scenario_specs(args: argparse.Namespace):
@@ -436,27 +483,33 @@ def _run_scenario(spec, args: argparse.Namespace) -> int:
     from repro.analysis.figures import figure_from_scenario
 
     render = spec.render
-    fidelity = getattr(args, "fidelity", None)
+    fidelity = args.fidelity
     print(f"scenario {spec.name} ({spec.source}): driver {spec.driver}"
           + f", fidelity {fidelity or spec.fidelity}"
           + (f", quality {args.quality}" if args.quality else ""))
-    telemetry = _Telemetry(args, label=f"scenario-{spec.name}")
     failures = "keep" if args.keep_failed else "raise"
+    figure = (spec.driver in ("sweep", "fleet") and render is not None
+              and render.style in ("panels", "scatter")
+              and not args.metrics_out)
+    cache = _cache_from_args(args) if spec.driver == "sweep" else None
+    snapshots: Optional[list] = [] if args.metrics_out else None
 
-    if spec.driver in ("sweep", "fleet") and render is not None \
-            and render.style in ("panels", "scatter") \
-            and not args.metrics_out:
-        cache = _cache_from_args(args) if spec.driver == "sweep" else None
-        try:
+    # Only sweep and fleet drivers emit lifecycle events; for the others
+    # the block just seals any ledger the flags opened.
+    with _Telemetry(args, label=f"scenario-{spec.name}") as telemetry:
+        if figure:
             fig = figure_from_scenario(spec, quality=args.quality,
                                        workers=args.workers, cache=cache,
                                        fidelity=fidelity,
                                        events=telemetry.sink,
                                        failures=failures)
-        except BaseException:
-            telemetry.finish(ok=False)
-            raise
-        telemetry.finish()
+        elif spec.driver == "sweep":
+            table = spec.run(quality=args.quality, workers=args.workers,
+                             timeout=args.timeout_s, cache=cache,
+                             snapshots_out=snapshots, fidelity=fidelity,
+                             events=telemetry.sink, failures=failures)
+
+    if figure:
         print(fig.render())
         if cache is not None and cache.hits:
             print(f"cache: {cache.hits} hit(s), {cache.misses} miss(es)")
@@ -469,31 +522,8 @@ def _run_scenario(spec, args: argparse.Namespace) -> int:
         return 0
 
     if spec.driver == "sweep":
-        cache = _cache_from_args(args)
-        snapshots: Optional[list] = [] if args.metrics_out else None
-        try:
-            table = spec.run(quality=args.quality, workers=args.workers,
-                             timeout=args.timeout_s, cache=cache,
-                             snapshots_out=snapshots, fidelity=fidelity,
-                             events=telemetry.sink, failures=failures)
-        except BaseException:
-            telemetry.finish(ok=False)
-            raise
-        telemetry.finish()
         x_key = render.x if render is not None and render.x else "seed"
-        _print_sweep_table(table, x_key)
-        if cache is not None and cache.hits:
-            print(f"cache: {cache.hits} hit(s), {cache.misses} miss(es)")
-        if args.csv:
-            table.to_csv(args.csv)
-            print(f"wrote {args.csv}")
-        if args.metrics_out:
-            _write_metrics(args.metrics_out, snapshots)
-        return 0
-
-    # Remaining drivers emit no lifecycle events; seal any ledger the
-    # flags opened so it is not left dangling.
-    telemetry.finish()
+        return _report_sweep(args, table, x_key, cache, snapshots)
 
     if spec.driver == "day":
         bins = spec.run(quality=args.quality, fidelity=fidelity)
@@ -595,9 +625,8 @@ def cmd_fleet(args: argparse.Namespace) -> int:
                            fidelity=args.fidelity or "packet")
     backend = sampler.resolve_backend(args.backend)
     checkpoint = _fleet_checkpoint_path(args)
-    telemetry = _Telemetry(args, label="fleet")
     start = time.perf_counter()
-    try:
+    with _Telemetry(args, label="fleet") as telemetry:
         aggregate = sampler.run_aggregate(
             args.hosts, shards=_fleet_shards(args),
             shard_index=args.shard_index, workers=args.workers,
@@ -605,10 +634,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             resume=args.resume, checkpoint_every=args.checkpoint_every,
             stop_after_shard=args.stop_after_shard,
             backend=backend, batch_size=args.batch_size)
-    except BaseException:
-        telemetry.finish(ok=False)
-        raise
-    telemetry.finish()
     elapsed = time.perf_counter() - start
     hosts_per_s = aggregate.hosts / elapsed if elapsed > 0 else 0.0
     print(scatter_plot(aggregate.scatter_points(),
@@ -842,31 +867,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one experiment")
     _host_args(p_run)
-    p_run.add_argument("--fidelity", default="packet",
-                       choices=_fidelity_choices(),
-                       help="simulation engine: packet-level kernel or "
-                            "rate-based fluid solver (default packet)")
-    p_run.add_argument("--metrics-out",
-                       help="write the full metrics snapshot as JSON")
+    _shared_args(p_run, fidelity="packet",
+                 metrics_out="write the full metrics snapshot as JSON")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="sweep one axis")
-    p_sweep.add_argument("axis", choices=("cores", "region",
-                                          "antagonists", "receivers"))
+    p_sweep.add_argument("axis", choices=tuple(SWEEP_AXES))
     p_sweep.add_argument("values", type=int, nargs="+")
-    p_sweep.add_argument("--csv", help="also write results to CSV")
-    p_sweep.add_argument("--metrics-out",
-                         help="write per-run metrics snapshots as JSON")
-    p_sweep.add_argument("--seed", type=int, default=1)
-    p_sweep.add_argument("--warmup-ms", type=float, default=5.0)
-    p_sweep.add_argument("--duration-ms", type=float, default=10.0)
-    p_sweep.add_argument("--fidelity", default="packet",
-                         choices=_fidelity_choices(),
-                         help="simulation engine for every point "
-                              "(default packet)")
-    p_sweep.add_argument("--timeout-s", type=float, default=None,
-                         help="per-run wall-clock budget; over-budget "
-                              "runs become FAILED rows, not aborts")
+    _shared_args(p_sweep, fidelity="packet", table=True,
+                 metrics_out="write per-run metrics snapshots as JSON")
     _parallel_args(p_sweep)
     _telemetry_args(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
@@ -898,19 +907,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_scen_run.add_argument("--quality", default=None,
                             help="quality preset (default: the spec's "
                                  "default_quality)")
-    p_scen_run.add_argument("--fidelity", default=None,
-                            choices=_fidelity_choices(),
-                            help="override the spec's engine choice "
-                                 "(default: the spec's fidelity)")
-    p_scen_run.add_argument("--csv",
-                            help="write the result table to CSV")
     p_scen_run.add_argument("--out",
                             help="directory for rendered-figure CSVs")
-    p_scen_run.add_argument("--timeout-s", type=float, default=None,
-                            help="per-run wall-clock budget")
-    p_scen_run.add_argument("--metrics-out",
-                            help="write per-run metrics snapshots as "
-                                 "JSON (sweep drivers)")
+    _shared_args(p_scen_run, sim=None, fidelity=None, table=True,
+                 metrics_out="write per-run metrics snapshots as JSON "
+                             "(sweep drivers)")
     _parallel_args(p_scen_run)
     _telemetry_args(p_scen_run)
     p_scen_run.set_defaults(func=cmd_scenario)
@@ -918,6 +919,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace = sub.add_parser(
         "trace", help="run one traced experiment, export Perfetto JSON")
     _host_args(p_trace)
+    _shared_args(p_trace)
     p_trace.add_argument("--out", default="trace.json",
                          help="trace-event JSON path (default trace.json)")
     p_trace.add_argument("--max-records", type=int, default=1_000_000,
@@ -933,6 +935,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof = sub.add_parser(
         "profile", help="run one experiment under the simulation profiler")
     _host_args(p_prof)
+    _shared_args(p_prof)
     p_prof.add_argument("--out", help="also write the report as JSON")
     p_prof.add_argument("--include-warmup", action="store_true",
                         help="profile the warmup window too")
@@ -960,13 +963,7 @@ def build_parser() -> argparse.ArgumentParser:
                                help="write the merged aggregate JSON")
     p_fleet_merge.set_defaults(func=cmd_fleet_merge)
     p_fleet.add_argument("--hosts", type=int, default=30)
-    p_fleet.add_argument("--seed", type=int, default=7)
-    p_fleet.add_argument("--warmup-ms", type=float, default=3.0)
-    p_fleet.add_argument("--duration-ms", type=float, default=6.0)
-    p_fleet.add_argument("--fidelity", default=None,
-                         choices=_fidelity_choices(),
-                         help="engine for every host (fluid scales to "
-                              "millions; default packet)")
+    _shared_args(p_fleet, sim=(7, 3.0, 6.0), fidelity=None)
     p_fleet.add_argument("--backend", default="auto",
                          choices=("auto", "batched", "scalar"),
                          help="fleet execution backend (auto = "

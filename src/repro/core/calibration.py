@@ -102,9 +102,24 @@ ACK_STAGING_PAGES = 2
 #: and state span several 4 KB pages accessed with little locality.
 CONN_STATE_PAGES = 4
 
+#: 4 KB and 2 MB page sizes: control pages and non-hugepage data
+#: mappings, and hugepage data mappings.
+PAGE_4K = 4096
+PAGE_2M = 2 * 2**20
+
+#: Hot ring pages per thread in the active IOTLB working set: one page
+#: each of the rx descriptor, rx completion, tx descriptor, and tx
+#: completion rings.
+HOT_RING_PAGES = 4
+
 # --------------------------------------------------------------------------
 # Memory subsystem (paper §3, §3.2)
 # --------------------------------------------------------------------------
+
+#: Memory-bus utilization below which queueing delay is negligible.
+QUEUE_KNEE = 0.55
+#: Convexity of the load-latency curve above the knee.
+QUEUE_GAMMA = 3.0
 
 #: "theoretical maximum memory bus bandwidth of 115.2GBps per NUMA node".
 MEMORY_BW_THEORETICAL_BPS = 115.2e9  # bytes/s
@@ -157,6 +172,10 @@ CORE_PROCESSING_GBPS = 11.5
 
 #: Rx descriptor ring size per receive queue (typical driver default).
 RX_RING_DESCRIPTORS = 1024
+
+#: Descriptor + completion-entry bytes the NIC writes to memory per
+#: packet.
+NIC_CONTROL_WRITE_BYTES = 96
 
 # --------------------------------------------------------------------------
 # Swift congestion control (paper §3.1; Kumar et al., SIGCOMM'20)

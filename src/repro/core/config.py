@@ -28,6 +28,7 @@ __all__ = [
     "SimConfig",
     "SwiftConfig",
     "WorkloadConfig",
+    "baseline_config",
 ]
 
 
@@ -489,3 +490,19 @@ class ExperimentConfig:
             "offered_load": self.workload.offered_load,
             "seed": self.sim.seed,
         }
+
+
+def baseline_config(
+    warmup: float = 6e-3,
+    duration: float = 12e-3,
+    seed: int = 1,
+    fidelity: str = "packet",
+    **host_overrides,
+) -> ExperimentConfig:
+    """The paper's §3 baseline: 40 senders, 12 receiver cores, IOMMU on,
+    hugepages on, 12 MB regions, Swift."""
+    return ExperimentConfig(
+        host=HostConfig(cpu=CpuConfig(cores=12), **host_overrides),
+        sim=SimConfig(warmup=warmup, duration=duration, seed=seed),
+        fidelity=fidelity,
+    )

@@ -1,14 +1,12 @@
-"""Metric helpers: percentiles, summaries, and time-series probing."""
+"""Metric helpers: percentiles and summaries."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence
+from typing import Dict, Sequence
 
-from repro.sim.engine import Simulator
-
-__all__ = ["percentile", "summarize", "Summary", "TimeSeriesRecorder"]
+__all__ = ["percentile", "summarize", "Summary"]
 
 
 def percentile(values: Sequence[float], p: float) -> float:
@@ -67,58 +65,3 @@ def summarize(values: Sequence[float]) -> Summary:
         p99=percentile(values, 99),
         maximum=max(values),
     )
-
-
-class TimeSeriesRecorder:
-    """Samples a probe callable at a fixed simulated interval.
-
-    ``probe()`` returns a dict of floats; each sample is stored with its
-    timestamp.  Used for convergence plots and debugging.
-
-    Ticks are scheduled at *absolute* times (``start + k * interval``)
-    rather than by chaining relative delays, so floating-point error
-    cannot accumulate into scheduling drift over long runs.
-    """
-
-    def __init__(self, sim: Simulator, interval: float,
-                 probe: Callable[[], Dict[str, float]]):
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval}")
-        self.sim = sim
-        self.interval = interval
-        self.probe = probe
-        self.times: List[float] = []
-        self.samples: List[Dict[str, float]] = []
-        self._running = False
-        self._epoch = 0.0
-        self._tick_index = 0
-
-    def start(self) -> None:
-        if not self._running:
-            self._running = True
-            self._epoch = self.sim.now
-            self._tick_index = 0
-            self.sim.at(self._next_tick_time(), self._tick)
-
-    def stop(self) -> None:
-        """Stop sampling.  The already-scheduled tick is disarmed: it
-        fires once as a no-op (the engine has no event removal) and
-        does not record or reschedule, so the heap drains."""
-        self._running = False
-
-    def _next_tick_time(self) -> float:
-        return self._epoch + (self._tick_index + 1) * self.interval
-
-    def _tick(self) -> None:
-        if not self._running:
-            return
-        self._tick_index += 1
-        self.times.append(self.sim.now)
-        self.samples.append(self.probe())
-        self.sim.at(self._next_tick_time(), self._tick)
-
-    def series(self, key: str) -> List[float]:
-        return [sample[key] for sample in self.samples]
-
-    def __len__(self) -> int:
-        return len(self.samples)

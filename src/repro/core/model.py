@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.calibration import HOT_RING_PAGES, PAGE_2M, PAGE_4K
 from repro.core.config import ExperimentConfig, HostConfig, MemoryConfig
-from repro.host.addressing import PAGE_2M, PAGE_4K
 from repro.host.memory import queue_delay_for
 
 __all__ = [
@@ -81,9 +81,8 @@ def iotlb_working_set(config: HostConfig) -> WorkingSet:
     data_page = PAGE_2M if config.hugepages else PAGE_4K
     data_pages = -(-config.rx_region_bytes // data_page)
     nic = config.nic
-    hot_ring_pages = 4  # rx desc, rx cq, tx desc, tx cq (one hot each)
     per_thread = (data_pages + nic.conn_state_pages
-                  + nic.ack_staging_pages + hot_ring_pages)
+                  + nic.ack_staging_pages + HOT_RING_PAGES)
     payload_pages = 1 if config.hugepages else 2
     accesses = payload_pages + 2 + 2 + 3  # payload, conn×2, rx×2, tx×3
     return WorkingSet(

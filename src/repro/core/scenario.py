@@ -19,13 +19,12 @@ A :class:`ScenarioSpec` describes an experiment *as data*:
   not code.
 
 Specs load from TOML or JSON files with schema validation that names
-the offending key and its location, or are built programmatically (the
-``sweep_*`` helpers in :mod:`repro.core.sweep` are thin wrappers that
-construct in-memory specs).  However a spec is built, execution flows
-through :func:`run_configs` — the same parallel executor and on-disk
-result cache as every other entry point, so ``workers=``, per-run
-timeouts, ``FailedRun`` rows, and config-digest memoization come for
-free.
+the offending key and its location, or are built programmatically
+(``repro sweep <axis>`` builds an in-memory spec).  However a spec is
+built, execution flows through :func:`run_configs` — the same parallel
+executor and on-disk result cache as every other entry point, so
+``workers=``, per-run timeouts, ``FailedRun`` rows, and config-digest
+memoization come for free.
 
 Drivers other than the default config sweep expose the workload studies
 as specs too: ``driver = "fleet"`` samples a heterogeneous fleet
@@ -618,7 +617,8 @@ class ScenarioSpec:
     def _run_fleet(self, quality, base, fidelity=None, *,
                    workers: Workers = None, events=None):
         sampler, n_hosts = self.fleet_sampler(quality, base, fidelity)
-        return sampler.run(n_hosts, workers=workers, events=events)
+        return list(sampler.stream(n_hosts, workers=workers,
+                                   events=events))
 
     def run_fleet_aggregate(self, quality=None, base=None,
                             fidelity=None, *,
@@ -913,8 +913,8 @@ def run_configs(
 ) -> ResultTable:
     """Run every config and collect results, optionally in parallel.
 
-    This is the one execution path behind ``run_sweep``, the
-    ``sweep_*`` helpers, every figure, and ``repro scenario run``: the
+    This is the one execution path behind ``repro sweep``, every
+    figure, ``repro scenario run``, and programmatic sweeps: the
     parallel executor (``workers=``), per-run ``timeout`` →
     :class:`~repro.core.results.FailedRun` rows, the on-disk result
     ``cache``, and the telemetry event stream (``events=`` /

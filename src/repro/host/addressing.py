@@ -14,6 +14,8 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
+from repro.core.calibration import PAGE_2M, PAGE_4K
+
 __all__ = [
     "PAGE_4K",
     "PAGE_2M",
@@ -22,9 +24,6 @@ __all__ = [
     "ThreadLayout",
     "build_thread_layouts",
 ]
-
-PAGE_4K = 4096
-PAGE_2M = 2 * 2**20
 
 #: Rx descriptors per 4 KB ring page (32 B descriptors).
 _DESCS_PER_PAGE = 128

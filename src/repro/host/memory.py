@@ -21,17 +21,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.calibration import QUEUE_GAMMA, QUEUE_KNEE
 from repro.core.config import MemoryConfig
 from repro.sim.component import Component
 from repro.sim.engine import Simulator
 
 __all__ = ["MemoryController", "TrafficCounter", "queue_delay_for",
            "weighted_water_fill"]
-
-#: Utilization below which queueing delay is negligible.
-QUEUE_KNEE = 0.55
-#: Convexity of the load-latency curve above the knee.
-QUEUE_GAMMA = 3.0
 
 
 def queue_delay_for(rho: float, config: MemoryConfig) -> float:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from typing import Callable, List, Optional
 
+from repro.core.calibration import NIC_CONTROL_WRITE_BYTES
 from repro.core.config import NicConfig
 from repro.host.addressing import ThreadLayout
 from repro.host.iommu import Iommu
@@ -30,9 +31,6 @@ from repro.sim.resources import CreditPool
 from repro.sim.tracing import Tracer
 
 __all__ = ["Nic", "RxRing"]
-
-#: Descriptor + completion-entry bytes written to memory per packet.
-_CONTROL_WRITE_BYTES = 96
 
 #: Fixed NIC-side latency for transmitting one ACK (doorbell, DMA read
 #: issue); the ACK's translation latency is added on top.
@@ -265,7 +263,7 @@ class Nic(Component):
         if self._m_host_delay is not None:
             self._host_delay_pending.append(nic_delay * 1e6)
         self._traffic.bytes_pending += (pkt.payload_bytes
-                                        + _CONTROL_WRITE_BYTES)
+                                        + NIC_CONTROL_WRITE_BYTES)
         if self.tracer:
             self.tracer.emit("nic", "dma_done", flow=pkt.flow_id,
                              seq=pkt.seq)

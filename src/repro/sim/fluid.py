@@ -26,10 +26,10 @@ Layering: this module lives in the simulation kernel (layer 0).  It may
 import only its ``repro.sim`` neighbours and the pinned kernel modules
 (``repro.core.config`` / ``calibration`` / ``metrics``) — never host,
 transport, or workload (enforced by ``scripts/check_layering.py``).
-The handful of host-layer constants it needs (page sizes, the
-load-latency knee, the NIC's per-packet control writes) are mirrored
-here as local copies and asserted equal to their host-layer originals
-in ``tests/test_fluid_engine.py``.
+The host-model constants it shares with the packet path (page sizes,
+the load-latency knee, the NIC's per-packet control writes, the hot
+ring pages) live in ``repro.core.calibration``, the one home both
+layers import.
 """
 
 from __future__ import annotations
@@ -38,6 +38,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.calibration import (
+    HOT_RING_PAGES,
+    NIC_CONTROL_WRITE_BYTES,
+    PAGE_2M,
+    PAGE_4K,
+    QUEUE_GAMMA,
+    QUEUE_KNEE,
+)
 from repro.core.config import ExperimentConfig
 from repro.net.routing import create_policy
 
@@ -53,19 +61,6 @@ __all__ = [
     "weighted_percentile",
 ]
 
-# -- host-layer constants mirrored into the kernel (see module docstring)
-#: 4 KB / 2 MB page sizes (repro.host.addressing).
-PAGE_4K = 4096
-PAGE_2M = 2 * 2**20
-#: Load-latency curve shape (repro.host.memory).
-QUEUE_KNEE = 0.55
-QUEUE_GAMMA = 3.0
-#: Descriptor/completion writes the NIC issues per packet
-#: (repro.host.nic).
-NIC_CONTROL_WRITE_BYTES = 96
-#: Hot ring pages per thread in the active working set
-#: (repro.core.model.iotlb_working_set).
-HOT_RING_PAGES = 4
 #: Non-payload page touches per packet: conn×2, rx ring×2, tx ring×3.
 CONTROL_ACCESSES_PER_PACKET = 7
 #: Fraction of the ideal Little's-law rate the DMA pipeline sustains.
@@ -98,8 +93,8 @@ def _cube(x: float) -> float:
     return x * x * x
 
 
-# ``_cube`` hardcodes the exponent; keep it honest against the mirrored
-# curve-shape constant.
+# ``_cube`` hardcodes the exponent; keep it honest against the
+# calibrated curve-shape constant.
 assert QUEUE_GAMMA == 3.0
 
 

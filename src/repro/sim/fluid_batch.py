@@ -40,6 +40,11 @@ must be structurally uniform.  :func:`repro.workload.fleet.cohort_key`
 computes the partition key; the constructor validates it and raises
 ``ValueError`` on a mixed cohort.
 
+**Star fabric only.**  The scalar solver's multi-tier fabric stage
+(``FluidSolver._fab_terms``) has no lane-wise twin here, so the
+constructor rejects any config whose ``fabric.topology`` is not
+``"star"`` rather than silently dropping that stage.
+
 Per-host latency/delay *distributions* (``latency_pairs``,
 ``delay_pairs``, ``step_trace``) are deliberately not materialized:
 the fleet folds scalar headline metrics only, and keeping those lists
@@ -57,13 +62,9 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from repro.core.calibration import QUEUE_KNEE
 from repro.core.config import ExperimentConfig
-from repro.sim.fluid import (
-    _KNEE_SPAN,
-    LOSS_CC_BETA,
-    QUEUE_KNEE,
-    FluidSolver,
-)
+from repro.sim.fluid import _KNEE_SPAN, LOSS_CC_BETA, FluidSolver
 
 __all__ = ["BatchFluidSolver"]
 
@@ -106,12 +107,19 @@ class BatchFluidSolver:
 
     ``configs`` must agree on the three structural flags (loss- vs
     delay-based transport, open- vs closed-loop workload, IOMMU
-    enabled); every continuous parameter may vary per host.
+    enabled) and use the star fabric; every continuous parameter may
+    vary per host.
     """
 
     def __init__(self, configs: Sequence[ExperimentConfig]):
         if not configs:
             raise ValueError("BatchFluidSolver needs at least one config")
+        for config in configs:
+            if config.fabric.topology != "star":
+                raise ValueError(
+                    f"BatchFluidSolver models the star fabric only, got "
+                    f"fabric.topology = {config.fabric.topology!r}; run "
+                    f"multi-tier fabrics on the scalar FluidSolver")
         solvers = [FluidSolver(config) for config in configs]
         first = solvers[0]
         self.n = len(solvers)

@@ -302,25 +302,6 @@ class FleetSampler:
                                     self.draw_config(outcome.index),
                                     result)
 
-    def run(self, n_hosts: int,
-            progress: Optional[ProgressFn] = None,
-            workers: Union[int, str, None] = None,
-            events: Optional[EventFn] = None) -> List[FleetSample]:
-        """Simulate ``n_hosts`` and return their scatter points.
-
-        Thin list-materializing wrapper over :meth:`stream` — same
-        population, same order, same failure semantics (a crashed host
-        raises).  Prefer :meth:`run_aggregate` beyond a few thousand
-        hosts.
-        """
-        samples: List[FleetSample] = []
-        for sample in self.stream(n_hosts, workers=workers,
-                                  events=events, failures="raise"):
-            samples.append(sample)
-            if progress is not None:
-                progress(len(samples), n_hosts)
-        return samples
-
     def resolve_backend(self, backend: str = "auto") -> str:
         """Normalize a fleet execution ``backend`` argument.
 

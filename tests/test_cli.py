@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import build_parser, main, sweep_configs
+from repro.core.config import baseline_config
 
 
 def test_parser_requires_command():
@@ -55,6 +57,55 @@ def test_sweep_writes_csv(tmp_path, capsys):
     assert code == 0
     assert csv_path.exists()
     assert "antagonist_cores" in csv_path.read_text().splitlines()[0]
+
+
+#: ``repro sweep <axis>`` as the per-axis loops of the pre-scenario
+#: sweep helpers built it: (IOMMU states outside the axis, or None for
+#: no IOMMU axis; one point's config from the baseline and a value).
+HISTORICAL_LOOPS = {
+    "cores": ((True, False), lambda c, v: replace(
+        c, host=replace(c.host, cpu=replace(c.host.cpu, cores=v)))),
+    "region": ((True, False), lambda c, v: replace(
+        c, host=replace(c.host, rx_region_bytes=v * 2**20))),
+    "antagonists": ((False, True), lambda c, v: replace(
+        c, host=replace(c.host, antagonist_cores=v))),
+    "receivers": (None, lambda c, v: replace(
+        c, workload=replace(c.workload, receivers=v))),
+}
+
+
+@pytest.mark.parametrize("axis", sorted(HISTORICAL_LOOPS))
+def test_sweep_expands_in_historical_loop_order(axis):
+    args = build_parser().parse_args(
+        ["sweep", axis, "4", "2", "--seed", "3", "--warmup-ms", "1",
+         "--duration-ms", "2"])
+    base = baseline_config(warmup=args.warmup_ms * 1e-3,
+                           duration=args.duration_ms * 1e-3, seed=3)
+    iommu_states, point = HISTORICAL_LOOPS[axis]
+    oracle = []
+    for enabled in iommu_states or (None,):
+        config = base if enabled is None else replace(
+            base, host=replace(base.host, iommu=replace(
+                base.host.iommu, enabled=enabled)))
+        oracle.extend(point(config, value) for value in (4, 2))
+    assert sweep_configs(args) == oracle
+
+
+def test_sweep_fidelity_flag_reaches_every_config():
+    args = build_parser().parse_args(
+        ["sweep", "cores", "2", "4", "--fidelity", "fluid"])
+    assert {c.fidelity for c in sweep_configs(args)} == {"fluid"}
+
+
+def test_sweep_csv_byte_identical_across_workers(tmp_path, capsys):
+    csvs = []
+    for workers in ("1", "2"):
+        path = tmp_path / f"workers{workers}.csv"
+        assert main(["sweep", "cores", "2", "4", "--warmup-ms", "0.5",
+                     "--duration-ms", "1", "--no-cache", "--workers",
+                     workers, "--csv", str(path)]) == 0
+        csvs.append(path.read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 def test_run_metrics_out_writes_snapshot(tmp_path, capsys):

@@ -2,7 +2,7 @@
 
 import dataclasses
 
-from repro.core.sweep import baseline_config
+from repro.core.config import baseline_config
 from repro.core.topology import GraphBuilder
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import Component, SimComponent, Simulator, join_name

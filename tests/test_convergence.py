@@ -75,22 +75,21 @@ class TestPaperSawtooth:
             SimConfig,
         )
         from repro.core.experiment import ExperimentHandle
-        from repro.core.metrics import TimeSeriesRecorder
 
         def record(transport):
+            # The telemetry sampler ticks every 0.1 ms from the warmup
+            # boundary; the NIC's buffer_fraction gauge is the probe.
             config = ExperimentConfig(
                 host=HostConfig(cpu=CpuConfig(cores=12)),
                 transport=transport,
-                sim=SimConfig(warmup=3e-3, duration=8e-3, seed=1))
+                sim=SimConfig(warmup=3e-3, duration=8e-3, seed=1,
+                              sample_interval=0.1e-3))
             handle = ExperimentHandle(config)
-            recorder = TimeSeriesRecorder(
-                handle.sim, 0.1e-3,
-                probe=lambda: {
-                    "buffer": handle.host.nic.buffer_fraction()})
-            handle.run_warmup()
-            recorder.start()
             handle.run_measurement()
-            return recorder.times, recorder.series("buffer")
+            samples = [s for s in handle.telemetry_samples()
+                       if s.name == "nic.buffer_fraction"]
+            return ([s.time for s in samples],
+                    [s.value for s in samples])
 
         return {t: record(t) for t in ("swift", "hostcc")}
 

@@ -8,14 +8,10 @@ from repro.core.config import (
     HostConfig,
     SimConfig,
     WorkloadConfig,
+    baseline_config,
 )
 from repro.core.experiment import ExperimentHandle, run_experiment
-from repro.core.sweep import (
-    baseline_config,
-    sweep_antagonist_cores,
-    sweep_receiver_cores,
-    sweep_region_size,
-)
+from repro.core.scenario import ScenarioSpec, SweepAxis
 
 
 def tiny_config(cores=4, senders=8, **kwargs):
@@ -88,33 +84,37 @@ class TestRunExperiment:
         assert result.metrics["app_throughput_gbps"] > 10
 
 
+def sweep(*axes, **run_args):
+    """Run an in-memory sweep over ``axes`` from a short baseline."""
+    spec = ScenarioSpec(name="sweep", axes=axes)
+    return spec.run(base=baseline_config(warmup=0.5e-3, duration=1e-3),
+                    **run_args)
+
+
 class TestSweeps:
     def test_receiver_core_sweep_layout(self):
-        base = baseline_config(warmup=0.5e-3, duration=1e-3)
-        table = sweep_receiver_cores(cores=(2, 4), base=base)
+        table = sweep(SweepAxis("host.iommu.enabled", (True, False)),
+                      SweepAxis("host.cpu.cores", (2, 4)))
         assert len(table) == 4  # 2 cores × 2 iommu states
         assert sorted(set(table.column("cores"))) == [2, 4]
         assert sorted(set(table.column("iommu"))) == [False, True]
 
     def test_region_sweep_layout(self):
-        base = baseline_config(warmup=0.5e-3, duration=1e-3)
-        table = sweep_region_size(region_mb=(4, 8),
-                                  iommu_states=(True,), base=base)
+        table = sweep(SweepAxis("host.rx_region_bytes", (4, 8),
+                                scale=2**20))
         assert len(table) == 2
         assert table.column("rx_region_mb") == [4.0, 8.0]
 
     def test_antagonist_sweep_layout(self):
-        base = baseline_config(warmup=0.5e-3, duration=1e-3)
-        table = sweep_antagonist_cores(antagonists=(0, 15),
-                                       iommu_states=(False,), base=base)
+        table = sweep(SweepAxis("host.iommu.enabled", (False,)),
+                      SweepAxis("host.antagonist_cores", (0, 15)))
         assert len(table) == 2
         assert table.column("antagonist_cores") == [0, 15]
 
     def test_progress_callback_invoked(self):
-        base = baseline_config(warmup=0.5e-3, duration=1e-3)
         seen = []
-        sweep_receiver_cores(cores=(2,), iommu_states=(True,), base=base,
-                             progress=lambda i, r: seen.append(i))
+        sweep(SweepAxis("host.cpu.cores", (2,)),
+              progress=lambda i, r: seen.append(i))
         assert seen == [0]
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.scenario import ScenarioSpec
 from repro.workload.fleet import FleetSample, FleetSampler, substream_seed
 from repro.workload.fleet_agg import (
     FleetAggregate,
@@ -42,7 +43,7 @@ def test_draws_cover_both_transports_and_iommu_states():
 
 def test_run_produces_samples_with_bounded_fields():
     sampler = FleetSampler(seed=5, warmup=0.5e-3, duration=1e-3)
-    samples = sampler.run(2)
+    samples = list(sampler.stream(2))
     assert len(samples) == 2
     for sample in samples:
         assert 0 <= sample.link_utilization <= 1.1
@@ -53,7 +54,8 @@ def test_run_produces_samples_with_bounded_fields():
 def test_progress_callback():
     sampler = FleetSampler(seed=5, warmup=0.5e-3, duration=1e-3)
     seen = []
-    sampler.run(2, progress=lambda done, total: seen.append((done, total)))
+    sampler.run_aggregate(
+        2, progress=lambda done, total: seen.append((done, total)))
     assert seen == [(1, 2), (2, 2)]
 
 
@@ -92,8 +94,13 @@ class TestStreaming:
                             fidelity="fluid")
 
     def test_run_equals_stream_fold_order(self):
-        sampler = self.sampler()
-        assert sampler.run(8) == list(sampler.stream(8))
+        # The scenario fleet driver's run returns the stream's hosts in
+        # index order.
+        spec = ScenarioSpec(
+            name="fleet", driver="fleet", fidelity="fluid",
+            base={"sim.warmup": 0.5e-3, "sim.duration": 1e-3},
+            driver_args={"seed": 5, "n_hosts": 8})
+        assert spec.run() == list(self.sampler().stream(8))
 
     def test_stream_carries_stratum_and_index(self):
         sampler = self.sampler()
@@ -116,7 +123,7 @@ class TestStreaming:
     def test_aggregate_matches_folded_run(self):
         sampler = self.sampler()
         folded = FleetAggregate()
-        for sample in sampler.run(16):
+        for sample in sampler.stream(16):
             folded.add(sample)
         assert folded == sampler.run_aggregate(16, shards=2)
 

@@ -10,6 +10,7 @@ accumulator, and headline-metric equality, plus the cohort-grouping
 invariants the fleet driver relies on (exact partition; a key never
 splits identical configs)."""
 
+import dataclasses
 import math
 
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ import pytest
 from repro.core.config import (
     CpuConfig,
     ExperimentConfig,
+    FabricConfig,
     HostConfig,
     IommuConfig,
     SimConfig,
@@ -197,3 +199,14 @@ def test_mixed_cohort_is_rejected():
 def test_empty_batch_is_rejected():
     with pytest.raises(ValueError, match="at least one config"):
         BatchFluidSolver([])
+
+
+@pytest.mark.parametrize("topology", ["fattree", "dumbbell"])
+def test_multi_tier_fabric_is_rejected(topology):
+    # The fabric stage exists only in the scalar solver; a batch must
+    # refuse it rather than silently step the star-fabric dynamics.
+    star = make_config("swift", None, True, True, 8, 0, 10, 4)
+    fabric = dataclasses.replace(
+        star, fabric=FabricConfig(topology=topology))
+    with pytest.raises(ValueError, match=f"fabric.topology = '{topology}'"):
+        BatchFluidSolver([star, fabric])

@@ -1,6 +1,7 @@
-"""The fluid engine's contracts that don't need a packet run: mirrored
-host-layer constants, config plumbing, result-schema parity, and the
-PR-5 error contract for fidelity validation.
+"""The fluid engine's contracts that don't need a packet run: the
+working-set model shared with the core model, config plumbing,
+result-schema parity, and the PR-5 error contract for fidelity
+validation.
 
 Cross-fidelity *agreement* (knees, winners, tolerances) lives in
 ``tests/test_fluid_xval.py``; this file holds the fast invariants.
@@ -36,27 +37,7 @@ def quick_config(fidelity="fluid", cores=12, iommu=True,
     )
 
 
-# -- mirrored host-layer constants (see fluid.py module docstring) -------
-
-
-def test_page_sizes_match_addressing_layer():
-    from repro.host import addressing
-
-    assert fluid.PAGE_4K == addressing.PAGE_4K
-    assert fluid.PAGE_2M == addressing.PAGE_2M
-
-
-def test_queue_curve_matches_memory_layer():
-    from repro.host import memory
-
-    assert fluid.QUEUE_KNEE == memory.QUEUE_KNEE
-    assert fluid.QUEUE_GAMMA == memory.QUEUE_GAMMA
-
-
-def test_control_writes_match_nic_layer():
-    from repro.host import nic
-
-    assert fluid.NIC_CONTROL_WRITE_BYTES == nic._CONTROL_WRITE_BYTES
+# -- working-set model ---------------------------------------------------
 
 
 @pytest.mark.parametrize("hugepages", [False, True])
@@ -64,8 +45,7 @@ def test_control_writes_match_nic_layer():
 def test_working_set_matches_core_model(cores, hugepages):
     """``fluid_working_set`` recomputes ``iotlb_working_set`` from the
     raw config (the kernel layer may not import repro.core.model); the
-    two must agree at every operating point, including the hot-ring
-    literal baked into the model function body."""
+    two must agree at every operating point."""
     from repro.core.model import iotlb_working_set
 
     config = quick_config(cores=cores, hugepages=hugepages)

@@ -11,10 +11,8 @@ import dataclasses
 import pytest
 
 from repro.analysis import xval
-from repro.core.sweep import (
-    baseline_config,
-    sweep_receiver_cores,
-)
+from repro.core.config import baseline_config
+from repro.core.scenario import ScenarioSpec, SweepAxis
 from repro.workload.day import diurnal_schedule, simulate_day
 from repro.workload.fleet import FleetSampler
 from repro.workload.isolation import congested_vs_uncongested
@@ -34,13 +32,16 @@ def _assert_agrees(report):
 
 @pytest.fixture(scope="module")
 def sweep_tables():
-    packet = sweep_receiver_cores(cores=CORES, base=_base("packet"))
-    fluid = sweep_receiver_cores(cores=CORES, base=_base("fluid"))
-    return packet, fluid
+    spec = ScenarioSpec(name="shrunk_figure3", axes=(
+        SweepAxis("host.iommu.enabled", (True, False)),
+        SweepAxis("host.cpu.cores", CORES)))
+    return tuple(spec.run(base=_base(fidelity), fidelity=fidelity)
+                 for fidelity in ("packet", "fluid"))
 
 
 def test_sweep_throughput_and_knees_agree(sweep_tables):
     packet, fluid = sweep_tables
+    assert packet != fluid  # two engines, not one engine run twice
     report = xval.compare_sweep("shrunk_figure3", packet, fluid,
                                 "cores")
     _assert_agrees(report)
@@ -87,7 +88,7 @@ def test_fleet_shapes_agree():
     def run(fidelity):
         sampler = FleetSampler(seed=7, warmup=1e-3, duration=3e-3,
                                fidelity=fidelity)
-        return sampler.run(24, workers="auto")
+        return list(sampler.stream(24, workers="auto"))
 
     report = xval.compare_fleet("shrunk_fleet", run("packet"),
                                 run("fluid"))

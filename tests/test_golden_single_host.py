@@ -13,8 +13,8 @@ Regenerate (only after an *intentional* behaviour change)::
 import json
 from pathlib import Path
 
+from repro.core.config import baseline_config
 from repro.core.experiment import ExperimentHandle
-from repro.core.sweep import baseline_config
 from repro.core.topology import GraphBuilder
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import Simulator

@@ -15,6 +15,7 @@ from repro.core.config import (
     HostConfig,
     SimConfig,
     WorkloadConfig,
+    baseline_config,
 )
 from repro.core.parallel import (
     RunOutcome,
@@ -24,16 +25,16 @@ from repro.core.parallel import (
     run_stream,
 )
 from repro.core.results import FailedRun
-from repro.core.sweep import (
-    baseline_config,
-    run_sweep,
-    sweep_receiver_cores,
-)
+from repro.core.scenario import ScenarioSpec, SweepAxis, run_configs
 from repro.workload.fleet import FleetSampler
 
 
-def tiny_base():
-    return baseline_config(warmup=0.5e-3, duration=1e-3)
+def cores_sweep(cores, iommu_states=(True, False)):
+    """Figure-3-shaped configs (IOMMU outer, cores inner), tiny runs."""
+    spec = ScenarioSpec(name="cores", axes=(
+        SweepAxis("host.iommu.enabled", iommu_states),
+        SweepAxis("host.cpu.cores", cores)))
+    return spec.expand(base=baseline_config(warmup=0.5e-3, duration=1e-3))
 
 
 def tiny_config(seed=3, cores=2, senders=4):
@@ -80,10 +81,8 @@ class TestResolveWorkers:
 
 class TestSerialEquivalence:
     def test_parallel_table_is_bit_identical(self):
-        base = tiny_base()
-        serial = sweep_receiver_cores(cores=(2, 4), base=base)
-        parallel = sweep_receiver_cores(cores=(2, 4), base=base,
-                                        workers=2)
+        serial = run_configs(cores_sweep((2, 4)))
+        parallel = run_configs(cores_sweep((2, 4)), workers=2)
         assert serial == parallel
         for a, b in zip(serial, parallel):
             assert a.metrics == b.metrics
@@ -91,35 +90,30 @@ class TestSerialEquivalence:
             assert a.message_latency_us == b.message_latency_us
 
     def test_table_order_matches_config_order(self):
-        base = tiny_base()
-        table = sweep_receiver_cores(cores=(2, 4), iommu_states=(True,),
-                                     base=base, workers=2)
+        table = run_configs(cores_sweep((2, 4), (True,)), workers=2)
         assert table.column("cores") == [2, 4]
 
     def test_snapshots_identical_and_in_order(self):
-        base = tiny_base()
         snaps_serial: list = []
         snaps_parallel: list = []
-        sweep_receiver_cores(cores=(2, 4), iommu_states=(True,),
-                             base=base, snapshots_out=snaps_serial)
-        sweep_receiver_cores(cores=(2, 4), iommu_states=(True,),
-                             base=base, workers=2,
-                             snapshots_out=snaps_parallel)
+        run_configs(cores_sweep((2, 4), (True,)),
+                    snapshots_out=snaps_serial)
+        run_configs(cores_sweep((2, 4), (True,)), workers=2,
+                    snapshots_out=snaps_parallel)
         assert snaps_serial == snaps_parallel
         assert [s["meta"]["params"]["cores"] for s in snaps_parallel] \
             == [2, 4]
 
     def test_progress_called_once_per_run(self):
         seen = []
-        run_sweep([tiny_config(seed=s) for s in (1, 2, 3)], workers=2,
-                  progress=lambda i, r: seen.append(i))
+        run_configs([tiny_config(seed=s) for s in (1, 2, 3)], workers=2,
+                    progress=lambda i, r: seen.append(i))
         assert sorted(seen) == [0, 1, 2]
 
     def test_fleet_samples_identical(self):
-        serial = FleetSampler(seed=7, warmup=0.5e-3,
-                              duration=1e-3).run(4)
-        parallel = FleetSampler(seed=7, warmup=0.5e-3,
-                                duration=1e-3).run(4, workers=2)
+        sampler = FleetSampler(seed=7, warmup=0.5e-3, duration=1e-3)
+        serial = list(sampler.stream(4))
+        parallel = list(sampler.stream(4, workers=2))
         assert serial == parallel
 
 
@@ -128,7 +122,7 @@ class TestFailureSurfacing:
     def test_crash_aborts_with_config_attached(self, workers):
         bad = crashing_config()
         with pytest.raises(SweepRunError) as excinfo:
-            run_sweep([tiny_config(), bad], workers=workers)
+            run_configs([tiny_config(), bad], workers=workers)
         err = excinfo.value
         assert err.index == 1
         assert err.config.transport == "definitely-not-a-cc"
@@ -136,13 +130,13 @@ class TestFailureSurfacing:
 
     def test_worker_traceback_preserved(self):
         with pytest.raises(SweepRunError) as excinfo:
-            run_sweep([crashing_config()], workers=2)
+            run_configs([crashing_config()], workers=2)
         assert "ValueError" in excinfo.value.worker_traceback
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_timeout_becomes_failed_run(self, workers):
-        table = run_sweep([tiny_config(), tiny_config(seed=9)],
-                          workers=workers, timeout=1e-4)
+        table = run_configs([tiny_config(), tiny_config(seed=9)],
+                            workers=workers, timeout=1e-4)
         failures = table.failures()
         assert len(failures) == 2
         for failed in failures:
@@ -154,7 +148,7 @@ class TestFailureSurfacing:
 
     def test_timeout_does_not_sink_fast_runs(self):
         # Generous budget: the tiny runs finish, nothing fails.
-        table = run_sweep([tiny_config()], timeout=120.0)
+        table = run_configs([tiny_config()], timeout=120.0)
         assert table.failures() == []
         assert table.ok().results == table.results
 

@@ -14,9 +14,10 @@ from repro.core.config import (
     HostConfig,
     SimConfig,
     WorkloadConfig,
+    baseline_config,
 )
 from repro.core.experiment import run_experiment
-from repro.core.sweep import baseline_config, sweep_receiver_cores
+from repro.core.scenario import ScenarioSpec, SweepAxis, run_configs
 
 
 def tiny_config(seed=3, cores=2):
@@ -101,37 +102,34 @@ class TestHitMiss:
         assert cache.stats().entries == 0
 
 
+def cores_sweep(*cores):
+    """Receiver-core sweep configs from a short paper baseline."""
+    spec = ScenarioSpec(name="cores",
+                        axes=(SweepAxis("host.cpu.cores", cores),))
+    return spec.expand(base=baseline_config(warmup=0.5e-3, duration=1e-3))
+
+
 class TestSweepWiring:
     def test_second_sweep_is_all_hits_and_identical(self, tmp_path):
-        base = baseline_config(warmup=0.5e-3, duration=1e-3)
         cache = ResultCache(tmp_path)
-        cold = sweep_receiver_cores(cores=(2, 4), iommu_states=(True,),
-                                    base=base, cache=cache)
+        cold = run_configs(cores_sweep(2, 4), cache=cache)
         assert cache.misses == 2 and cache.hits == 0
-        warm = sweep_receiver_cores(cores=(2, 4), iommu_states=(True,),
-                                    base=base, cache=cache)
+        warm = run_configs(cores_sweep(2, 4), cache=cache)
         assert cache.hits == 2
         assert cold == warm
 
     def test_cache_shared_between_serial_and_parallel(self, tmp_path):
-        base = baseline_config(warmup=0.5e-3, duration=1e-3)
         cache = ResultCache(tmp_path)
-        serial = sweep_receiver_cores(cores=(2,), iommu_states=(True,),
-                                      base=base, cache=cache)
-        parallel = sweep_receiver_cores(cores=(2,), iommu_states=(True,),
-                                        base=base, cache=cache,
-                                        workers=2)
+        serial = run_configs(cores_sweep(2), cache=cache)
+        parallel = run_configs(cores_sweep(2), cache=cache, workers=2)
         assert cache.hits == 1  # the parallel run never forked a worker
         assert serial == parallel
 
     def test_snapshots_cached_alongside_results(self, tmp_path):
-        base = baseline_config(warmup=0.5e-3, duration=1e-3)
         cache = ResultCache(tmp_path)
         cold_snaps: list = []
         warm_snaps: list = []
-        sweep_receiver_cores(cores=(2,), iommu_states=(True,), base=base,
-                             cache=cache, snapshots_out=cold_snaps)
-        sweep_receiver_cores(cores=(2,), iommu_states=(True,), base=base,
-                             cache=cache, snapshots_out=warm_snaps)
+        run_configs(cores_sweep(2), cache=cache, snapshots_out=cold_snaps)
+        run_configs(cores_sweep(2), cache=cache, snapshots_out=warm_snaps)
         assert cache.hits == 1
         assert warm_snaps == cold_snaps

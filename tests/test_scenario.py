@@ -11,7 +11,7 @@ import dataclasses
 
 import pytest
 
-from repro.core.config import ExperimentConfig
+from repro.core.config import ExperimentConfig, baseline_config
 from repro.core.scenario import (
     ScenarioError,
     ScenarioSpec,
@@ -23,7 +23,6 @@ from repro.core.scenario import (
     load_bundled,
     load_scenario_dir,
 )
-from repro.core.sweep import baseline_config
 
 
 def spec_from(text, source="test.toml"):
@@ -375,7 +374,7 @@ class TestBundledSpecs:
 
 
 # ---------------------------------------------------------------------------
-# In-memory specs (the sweep_* wrappers' path)
+# In-memory specs (the `repro sweep` path)
 # ---------------------------------------------------------------------------
 
 class TestProgrammaticSpecs:

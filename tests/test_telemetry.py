@@ -20,7 +20,7 @@ from repro.core.config import (
     WorkloadConfig,
 )
 from repro.core.experiment import ExperimentHandle, run_experiment
-from repro.core.sweep import run_sweep
+from repro.core.scenario import run_configs
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import (
     MetricsSampler,
@@ -182,6 +182,43 @@ class TestMetricsSampler:
             MetricsSampler(sim, MetricsRegistry(), TelemetryBus(),
                            interval=0.0)
 
+    def test_no_drift_over_long_run(self):
+        # 1e-4 is inexact in binary: over tens of thousands of ticks,
+        # chained relative delays would accumulate float error.  Every
+        # tick must land exactly on the epoch + k * interval grid.
+        sim, _counter, bus, sampler = self.make(interval=1e-4)
+        sub = bus.subscribe(prefix="nic.polls", maxlen=20_000)
+        sampler.start()
+        sim.run(until=2.0)
+        times = [s.time for s in sub.poll()]
+        assert len(times) == 20_000
+        for k, t in enumerate(times, start=1):
+            assert t == k * 1e-4, f"tick {k} drifted: {t!r}"
+
+    def test_stop_lets_the_heap_drain(self):
+        sim, _counter, _bus, sampler = self.make(interval=1e-4)
+        sampler.start()
+        sim.at(2.5e-4, sampler.stop)
+        # No `until`: the run must end on its own, so the stopped
+        # sampler's pending tick must not reschedule.
+        sim.run()
+        assert sampler.ticks == 2
+        assert sim.peek() is None
+
+    def test_restart_after_stop_rebases_epoch(self):
+        sim, _counter, bus, sampler = self.make(interval=1e-4)
+        sub = bus.subscribe(prefix="nic.polls")
+        sampler.start()
+        sim.run(until=2.5e-4)
+        sampler.stop()
+        sim.run(until=7.2e-4)
+        sampler.start()
+        sim.run(until=9.5e-4)
+        # Two ticks before the stop, then 8.2e-4 and 9.2e-4 after the
+        # restart.
+        assert [s.time for s in sub.poll()] == pytest.approx(
+            [1e-4, 2e-4, 8.2e-4, 9.2e-4], abs=1e-12)
+
 
 class TestExperimentIntegration:
     def test_sampler_does_not_perturb_results(self):
@@ -260,8 +297,8 @@ class TestWorkerDeterminism:
 
         serial_snaps: list = []
         parallel_snaps: list = []
-        run_sweep(configs(), workers=1, snapshots_out=serial_snaps)
-        run_sweep(configs(), workers=4, snapshots_out=parallel_snaps)
+        run_configs(configs(), workers=1, snapshots_out=serial_snaps)
+        run_configs(configs(), workers=4, snapshots_out=parallel_snaps)
         assert len(serial_snaps) == 3
         assert serial_snaps == parallel_snaps  # telemetry included
         for snap in serial_snaps:

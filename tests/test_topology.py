@@ -4,9 +4,14 @@ import dataclasses
 
 import pytest
 
-from repro.core.config import ExperimentConfig, LinkConfig, WorkloadConfig
+from repro.core.config import (
+    ExperimentConfig,
+    LinkConfig,
+    WorkloadConfig,
+    baseline_config,
+)
 from repro.core.experiment import run_experiment
-from repro.core.sweep import baseline_config, sweep_receivers
+from repro.core.scenario import run_configs
 from repro.core.topology import GraphBuilder
 from repro.net.fabric import Fabric
 from repro.obs.metrics import MetricsRegistry
@@ -120,9 +125,9 @@ def test_topology_compat_surface():
 
 
 def test_sweep_receivers_parallel_equals_serial():
-    base = baseline_config(warmup=1e-3, duration=2e-3)
-    serial = sweep_receivers(receivers=(1, 2), base=base)
-    parallel = sweep_receivers(receivers=(1, 2), base=base, workers=2)
+    configs = [quick_config(receivers=m) for m in (1, 2)]
+    serial = run_configs(configs)
+    parallel = run_configs(configs, workers=2)
     assert serial == parallel
     assert [row.params["receivers"] for row in serial] == [1, 2]
 
