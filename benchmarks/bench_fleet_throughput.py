@@ -1,9 +1,10 @@
 """Fleet throughput contract: the batched fluid backend must stay an
 order of magnitude faster than the scalar one.
 
-PR 9's tentpole (:class:`repro.sim.fluid_batch.BatchFluidSolver` plus
-cohort-ranged fleet execution) exists to turn the million-host Figure 1
-run from hours into minutes.  This bench runs the *same* figure-1
+The batched backend (:class:`repro.sim.fluid_batch.BatchFluidSolver`
+stepping each host range as one lane set, whatever its mix of
+transports, loop modes and IOMMU states) exists to turn the
+million-host Figure 1 run from hours into minutes.  This bench runs the *same* figure-1
 population (default ``FleetSampler`` warmup/duration, identical seed)
 through both backends single-worker and asserts the hosts/s ratio stays
 at or above the 10x floor from ISSUE 9 — measured ~13-14x at batch
@@ -12,7 +13,7 @@ the batch degrade into a second scalar path.
 
 The batched wall time also lands in ``benchmarks/baseline.json`` via
 ``scripts/check_bench_regression.py`` (GATED_PREFIXES), so a slowdown
-in the vectorized step, the cohort grouper, or the in-worker config
+in the vectorized step, the lane harvest, or the in-worker config
 rebuild trips the same gate as a kernel regression.
 
 Both measurements use ``workers=1``: the ratio under test is the

@@ -65,7 +65,7 @@ def cross_validate(spec: ScenarioSpec, quality: Optional[str],
         # Fleet specs cross-validate through the streaming aggregate
         # pipeline — the path `repro fleet` actually runs at scale.
         # The fluid leg uses the default backend ("auto" = the
-        # cohort-batched solver), so the packet-vs-fluid contract is
+        # lane-batched solver), so the packet-vs-fluid contract is
         # checked against the backend production runs use; a second
         # scalar fluid leg then pins the batched backend to exact
         # aggregate equality (xval.compare_fleet_backends).

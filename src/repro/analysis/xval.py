@@ -522,7 +522,7 @@ def compare_fleet_backends(scenario: str, scalar,
     """Scalar-vs-batched fluid fleet equivalence — an *exactness*
     contract, not a tolerance one.
 
-    The cohort-batched backend
+    The lane-batched backend
     (:class:`~repro.sim.fluid_batch.BatchFluidSolver` over index
     ranges) promises the *same* per-host outcomes as the scalar fluid
     path, so the two :class:`~repro.workload.fleet_agg.FleetAggregate`

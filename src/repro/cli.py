@@ -650,12 +650,15 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         # Extra keys are ignored by FleetAggregate.from_dict, so the
         # file stays directly loadable by ``repro fleet merge`` while
         # making every quoted throughput number self-describing.
+        from repro.core.cache import code_version
+
         state = aggregate.to_dict()
         state["run_info"] = {
             "fidelity": sampler.fidelity, "backend": backend,
             "hosts_per_s": round(hosts_per_s, 1),
             "elapsed_s": round(elapsed, 3),
             "batch_size": args.batch_size, "workers": args.workers,
+            "code_version": code_version(),
         }
         Path(args.json_out).write_text(json.dumps(state))
         print(f"aggregate: {args.json_out}")
@@ -967,7 +970,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument("--backend", default="auto",
                          choices=("auto", "batched", "scalar"),
                          help="fleet execution backend (auto = "
-                              "cohort-batched numpy solver for fluid "
+                              "one numpy lane per host for fluid "
                               "fleets, scalar otherwise)")
     p_fleet.add_argument("--batch-size", type=int, default=4096,
                          metavar="N",

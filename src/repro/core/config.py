@@ -7,6 +7,7 @@ experiment fails at construction, not 30 simulated milliseconds in.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional
 
@@ -35,6 +36,14 @@ __all__ = [
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ValueError(message)
+
+
+#: ``default_factory=_shared(cls)`` builds one ``cls()`` on first use
+#: and returns that instance from then on.  Configs are frozen, so every
+#: default can share it, and it is validated once rather than per
+#: config.  Not ``default=cls()``: building :class:`FabricConfig` at
+#: import is circular through ``repro.net.routing``.
+_shared = functools.cache
 
 
 #: Simulation fidelities an experiment may select: the packet-level
@@ -220,12 +229,12 @@ class CpuConfig:
 class HostConfig:
     """The receiver host: all interconnect components plus layout."""
 
-    nic: NicConfig = field(default_factory=NicConfig)
-    pcie: PcieConfig = field(default_factory=PcieConfig)
-    iommu: IommuConfig = field(default_factory=IommuConfig)
-    memory: MemoryConfig = field(default_factory=MemoryConfig)
-    ddio: DdioConfig = field(default_factory=DdioConfig)
-    cpu: CpuConfig = field(default_factory=CpuConfig)
+    nic: NicConfig = field(default_factory=_shared(NicConfig))
+    pcie: PcieConfig = field(default_factory=_shared(PcieConfig))
+    iommu: IommuConfig = field(default_factory=_shared(IommuConfig))
+    memory: MemoryConfig = field(default_factory=_shared(MemoryConfig))
+    ddio: DdioConfig = field(default_factory=_shared(DdioConfig))
+    cpu: CpuConfig = field(default_factory=_shared(CpuConfig))
     #: Rx data region registered with the IOMMU, per receiver thread.
     rx_region_bytes: int = cal.RX_REGION_BYTES
     #: 2 MB mappings for data when True, 4 KB otherwise (paper Fig. 4).
@@ -446,11 +455,11 @@ class SimConfig:
 class ExperimentConfig:
     """A complete experiment: host + network + transport + run control."""
 
-    host: HostConfig = field(default_factory=HostConfig)
-    link: LinkConfig = field(default_factory=LinkConfig)
-    fabric: FabricConfig = field(default_factory=FabricConfig)
-    workload: WorkloadConfig = field(default_factory=WorkloadConfig)
-    swift: SwiftConfig = field(default_factory=SwiftConfig)
+    host: HostConfig = field(default_factory=_shared(HostConfig))
+    link: LinkConfig = field(default_factory=_shared(LinkConfig))
+    fabric: FabricConfig = field(default_factory=_shared(FabricConfig))
+    workload: WorkloadConfig = field(default_factory=_shared(WorkloadConfig))
+    swift: SwiftConfig = field(default_factory=_shared(SwiftConfig))
     #: Any name in the transport registry ("swift", "dctcp", "cubic",
     #: "hostcc", "timely", plus anything registered from outside).
     transport: str = "swift"
@@ -458,7 +467,7 @@ class ExperimentConfig:
     #: ``"fluid"`` (the rate-based solver).  Part of the result-cache
     #: digest, so the two fidelities never share cached results.
     fidelity: str = "packet"
-    sim: SimConfig = field(default_factory=SimConfig)
+    sim: SimConfig = field(default_factory=_shared(SimConfig))
 
     def __post_init__(self) -> None:
         # Lazy edge up to the transport layer: the registry is the one

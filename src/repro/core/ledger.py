@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional
 
-from repro.core.cache import default_cache_dir
+from repro.core.cache import code_version, default_cache_dir
 from repro.obs.telemetry import RunAggregate
 
 __all__ = [
@@ -81,7 +81,7 @@ class LedgerWriter:
         self._closed = False
         begin = {"ev": "begin", "v": LEDGER_VERSION,
                  "run_id": self.run_id, "label": label,
-                 "ts": time.time()}
+                 "code_version": code_version(), "ts": time.time()}
         if meta:
             begin["meta"] = meta
         self.append(begin)

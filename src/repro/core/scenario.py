@@ -632,7 +632,7 @@ class ScenarioSpec:
         :meth:`~repro.workload.fleet.FleetSampler.run_aggregate`
         (``shards=``, ``checkpoint=``, ``resume=``, ...); the spec's
         ``driver_args`` supply the default shard count, execution
-        backend (``"auto"`` = cohort-batched for fluid fleets), and
+        backend (``"auto"`` = lane-batched for fluid fleets), and
         batch size.
         """
         sampler, spec_hosts = self.fleet_sampler(quality, base,

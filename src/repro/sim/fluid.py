@@ -386,9 +386,10 @@ class FluidRun:
 #   per datum (per lane in the batch);
 # - ``_sel(new, old)`` and ``_acc(delta)`` are the batch's active-lane
 #   mask: a frozen lane keeps ``old`` and accumulates ``+0.0``;
-# - ``if _SCALAR:`` / ``if _LANES:`` blocks belong to one form only;
-# - plain ``if``s pick code paths (``loss_based``, ``open_loop``,
-#   ``iommu_on``), so a batch must agree on them (``cohort_key``).
+# - ``if _SCALAR:`` / ``if _LANES:`` blocks belong to one form only,
+#   and only a scalar block may hold a plain ``if``: per-host choices,
+#   ``loss_based`` and ``open_loop`` included, are ``_where``s, so one
+#   batch steps any mix of star-fabric hosts as a single lane set.
 #
 # The definitions below give the dialect its scalar meaning, so
 # ``_fluid_step`` also runs as written: a slow scalar reference.
@@ -445,11 +446,11 @@ def _fluid_step(self) -> None:
 
     # NIC-stage capacity (wire bits/s): the Little's-law PCIe bound
     # over the per-DMA latency (T_base + queueing + IOTLB walks),
-    # capped by PCIe goodput.
+    # capped by PCIe goodput.  With the IOMMU off ``misses_per_packet``
+    # is 0.0, and ``t + 0.0 * walk`` is bitwise ``t``.
     t_total = self.t_base + queue_delay
-    if self.iommu_on:
-        walk = self.walk_base + self.walk_fraction * queue_delay
-        t_total = t_total + self.misses_per_packet * walk
+    walk = self.walk_base + self.walk_fraction * queue_delay
+    t_total = t_total + self.misses_per_packet * walk
     nic_bps = _min(self.littles_bits / t_total, self.pcie_goodput_bps)
 
     # CPU-stage capacity (wire bits/s): per-core processing slowed
@@ -461,20 +462,20 @@ def _fluid_step(self) -> None:
     # workload accrues reads into the sender-side demand backlog
     # and the window drains *that* — demand unmet in an overloaded
     # interval carries over (``Connection.add_backlog``) instead of
-    # being capped at the instantaneous offered rate.
+    # being capped at the instantaneous offered rate.  ``q_demand`` is
+    # computed for every host but kept only for open-loop ones.
     rtt_eff = self.base_rtt + self._host_delay
     if _SCALAR:
         if self._fab_terms is not None:
             rtt_eff += self._fab_delay
     window_bps = self.W * self.wire_bits / rtt_eff
-    if self.open_loop:
-        q_demand = self.q_demand + self.demand_step_bytes
-        arrival_bps = _min(_min(window_bps, q_demand * 8 / dt),
-                           self.link_rate_bps)
-        q_demand = _max(q_demand - arrival_bps / 8 * dt, 0.0)
-    else:
-        arrival_bps = _min(window_bps, self.link_rate_bps)
+    open_loop = self.open_loop
+    q_demand = self.q_demand + self.demand_step_bytes
+    arrival_bps = _min(_where(open_loop,
+                              _min(window_bps, q_demand * 8 / dt),
+                              window_bps), self.link_rate_bps)
     inflow = arrival_bps / 8 * dt
+    q_demand = _max(q_demand - inflow, 0.0)
 
     if _SCALAR:
         # Fabric stage (multi-tier topologies only; the batch rejects
@@ -506,9 +507,8 @@ def _fluid_step(self) -> None:
             run.fabric_dropped_packets += (fab_dropped_bytes
                                            / self.wire_bytes)
             run.retransmissions += fab_dropped_bytes / self.wire_bytes
-            if self.open_loop:
-                # Reliable transport: fabric-dropped reads come back.
-                q_demand += fab_dropped_bytes
+            # Reliable transport: fabric-dropped reads come back.
+            q_demand += fab_dropped_bytes
             inflow = served_bytes
 
     # NIC stage: bounded buffer, tail drop on overflow.
@@ -517,11 +517,10 @@ def _fluid_step(self) -> None:
     level = nic_backlog - dma_bytes
     dropped_bytes = _max(level - self.buffer_bytes, 0.0)
     q_nic = _min(level, self.buffer_bytes)
-    if self.open_loop:
-        # Reliable transport: lost packets are retransmitted, so
-        # their bytes return to the sender-side demand backlog
-        # rather than vanishing from the open-loop workload.
-        q_demand = q_demand + dropped_bytes
+    # Reliable transport: lost packets are retransmitted, so their
+    # bytes return to the sender-side demand backlog rather than
+    # vanishing from the open-loop workload.
+    q_demand = q_demand + dropped_bytes
     nic_delay = t_total + q_nic / _max(nic_bps / 8, 1.0)
 
     # CPU stage: unbounded in-memory backlog, loss-free.
@@ -540,18 +539,15 @@ def _fluid_step(self) -> None:
     signal = self._delayed_signal
     now = self.now
     W = self.W
-    if self.loss_based:
-        grow = self._delayed_loss <= 0.0
-        cut = _where(grow, False, now - self._last_decrease >= rtt_eff)
-        W = _where(grow, W + self.loss_ai_n * dt / rtt_eff,
-                   _where(cut, W * LOSS_CC_BETA, W))
-    else:
-        grow = signal < self.swift_target
-        cut = _where(grow, False, now - self._last_decrease >= rtt_eff)
-        W = _where(grow, W + self.swift_ai_n * dt / rtt_eff,
-                   _where(cut, W * (1.0 - _min(
-                       self.swift_beta * (signal - self.swift_target)
-                       / signal, self.swift_max_mdf)), W))
+    loss_based = self.loss_based
+    grow = _where(loss_based, self._delayed_loss <= 0.0,
+                  signal < self.swift_target)
+    cut = _where(grow, False, now - self._last_decrease >= rtt_eff)
+    W = _where(grow, W + self.ai_n * dt / rtt_eff,
+               _where(cut, W * _where(
+                   loss_based, LOSS_CC_BETA,
+                   1.0 - _min(self.swift_beta * (signal - self.swift_target)
+                              / signal, self.swift_max_mdf)), W))
     W = _min(_max(W, self.min_W), self.max_W)
     last_decrease = _where(cut, now, self._last_decrease)
 
@@ -603,8 +599,10 @@ def _fluid_step(self) -> None:
     self._last_decrease = _sel(last_decrease, self._last_decrease)
     self.q_nic = _sel(q_nic, self.q_nic)
     self.q_cpu = _sel(q_cpu, self.q_cpu)
-    if self.open_loop:
-        self.q_demand = _sel(q_demand, self.q_demand)
+    # A closed-loop host's backlog never moves, so the day driver's
+    # ``set_offered_load`` switches resume it exactly.
+    self.q_demand = _sel(_where(open_loop, q_demand, self.q_demand),
+                         self.q_demand)
     self.now = now + _acc(dt)
     self.steps = _sel(self.steps + 1, self.steps)
 
@@ -625,6 +623,9 @@ class _Specializer(ast.NodeTransformer):
         test = node.test
         if not (isinstance(test, ast.Name)
                 and test.id in ("_SCALAR", "_LANES")):
+            if self.lanes:
+                self.fail(node, "plain if outside an 'if _SCALAR:' "
+                                "block; choose per lane with _where()")
             return self.generic_visit(node)
         kept = node.body if (test.id == "_LANES") == self.lanes \
             else node.orelse
@@ -762,7 +763,6 @@ class FluidSolver:
         self.max_queue_delay = mem.max_queue_delay
         self.walk_base = mem.walk_base_latency
         self.walk_fraction = mem.walk_contention_fraction
-        self.iommu_on = host.iommu.enabled
         #: Per-DMA latency with zero queueing and zero misses (T_base):
         #: fixed PCIe overhead + serialization + one memory write —
         #: ``repro.core.model.dma_base_latency``.
@@ -781,10 +781,12 @@ class FluidSolver:
         self.buffer_bytes = float(host.nic.buffer_bytes)
         self.wire_bits = self.wire_bytes * 8
         self.swift_target = swift.host_target
-        #: Additive-increase numerators pre-multiplied by the flow
-        #: count (the per-step terms divide by ``rtt_eff`` only).
-        self.swift_ai_n = swift.additive_increase * self.n_flows
-        self.loss_ai_n = LOSS_CC_AI * self.n_flows
+        self.loss_based = config.transport in LOSS_BASED_TRANSPORTS
+        #: Additive-increase numerator of this host's congestion
+        #: control, pre-multiplied by the flow count (the per-step
+        #: term divides by ``rtt_eff`` only).
+        self.ai_n = ((LOSS_CC_AI if self.loss_based
+                      else swift.additive_increase) * self.n_flows)
         self.swift_beta = swift.beta
         self.swift_max_mdf = swift.max_mdf
         self.min_cwnd = swift.min_cwnd
@@ -808,7 +810,6 @@ class FluidSolver:
         self._nic_drain_pps = 0.0
         self._cpu_drain_pps = 0.0
         self._last_decrease = -math.inf
-        self.loss_based = config.transport in LOSS_BASED_TRANSPORTS
         self._delayed_loss = 0.0
         # Multi-tier fabric stage (None on the star: the guarded branch
         # in the step is never entered).

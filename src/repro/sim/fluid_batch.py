@@ -16,13 +16,15 @@ same IEEE-754 elementwise ops in the same order, a ``_where`` lane
 carries exactly the bits the scalar branch computes, and the step calls
 no libm function (``x ** 3`` is :func:`repro.sim.fluid._cube`).
 
-Branches that pick a *code path* — loss- vs delay-based congestion
-control, open- vs closed-loop workload, IOMMU on/off — stay Python
-``if``s, so a batch must be structurally uniform
-(:func:`repro.workload.fleet.cohort_key`); the constructor raises
-``ValueError`` on a mixed cohort.  The multi-tier fabric stage and the
-per-step delay/trace lists are scalar-only blocks of the step, so the
-constructor also rejects any ``fabric.topology`` but ``"star"``, and
+The structural flags are per-lane values too: ``loss_based`` and
+``open_loop`` are bool lane arrays the step chooses with ``np.where``,
+and the IOMMU enters only through ``misses_per_packet`` (0.0 when
+off).  So any mix of hosts is one lane set, and a fleet range is
+stepped as one batch however its draws split over transports, loop
+modes and IOMMU states.  The multi-tier fabric stage and the per-step
+delay/trace lists are scalar-only blocks of the step, so the
+constructor rejects any ``fabric.topology`` but ``"star"``
+(:func:`repro.workload.fleet.cohort_key` keeps those hosts apart), and
 message-latency percentiles need the scalar solver.
 
 Layering: kernel (layer 0), like ``repro.sim.fluid`` — imports only
@@ -33,6 +35,7 @@ modules (enforced by ``scripts/check_layering.py``).
 from __future__ import annotations
 
 import dataclasses
+import operator
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -54,10 +57,12 @@ _CONST_ATTRS = (
     "copy_bytes_per_packet", "achievable_Bps", "max_queue_delay",
     "walk_base", "walk_fraction", "t_base", "littles_bits",
     "pcie_goodput_bps", "cpu_wire_bps", "cpu_slowdown", "link_rate_bps",
-    "buffer_bytes", "wire_bits", "swift_target", "swift_ai_n",
-    "loss_ai_n", "swift_beta", "swift_max_mdf", "demand_step_bytes",
-    "min_W", "max_W",
+    "buffer_bytes", "wire_bits", "swift_target", "ai_n", "swift_beta",
+    "swift_max_mdf", "demand_step_bytes", "min_W", "max_W",
 )
+
+#: The structural flags, harvested into bool lane arrays.
+_FLAG_ATTRS = ("loss_based", "open_loop")
 
 #: Mutable per-host state initialized from the freshly built scalar
 #: solvers (so time-zero state matches by construction).
@@ -77,12 +82,11 @@ _lane_step = specialize_step(np)
 
 
 class BatchFluidSolver:
-    """N structurally-uniform hosts' fluid dynamics, stepped together.
+    """N hosts' fluid dynamics, stepped together as one lane set.
 
-    ``configs`` must agree on the three structural flags (loss- vs
-    delay-based transport, open- vs closed-loop workload, IOMMU
-    enabled) and use the star fabric; every continuous parameter may
-    vary per host.
+    ``configs`` must use the star fabric; everything else, the
+    transport family, loop mode and IOMMU state included, may vary per
+    host.
     """
 
     def __init__(self, configs: Sequence[ExperimentConfig]):
@@ -94,23 +98,17 @@ class BatchFluidSolver:
                     f"BatchFluidSolver models the star fabric only, got "
                     f"fabric.topology = {config.fabric.topology!r}; run "
                     f"multi-tier fabrics on the scalar FluidSolver")
-        solvers = [FluidSolver(config) for config in configs]
-        first = solvers[0]
-        self.n = len(solvers)
-        self.loss_based = first.loss_based
-        self.open_loop = first.open_loop
-        self.iommu_on = first.iommu_on
-        for solver in solvers:
-            if (solver.loss_based != self.loss_based
-                    or solver.open_loop != self.open_loop
-                    or solver.iommu_on != self.iommu_on):
-                raise ValueError(
-                    "mixed cohort: all configs in a batch must share "
-                    "transport family, loop mode, and IOMMU state "
-                    "(partition with repro.workload.fleet.cohort_key)")
-        for attr in _CONST_ATTRS + _STATE_ATTRS:
-            setattr(self, attr, np.array(
-                [getattr(s, attr) for s in solvers], dtype=np.float64))
+        self.n = len(configs)
+        # One solver alive at a time: its harvested values go straight
+        # into a lane column, so memory stays that of the arrays.
+        attrs = _CONST_ATTRS + _STATE_ATTRS + _FLAG_ATTRS
+        harvest = operator.attrgetter(*attrs)
+        table = np.empty((len(attrs), self.n), dtype=np.float64)
+        for lane, config in enumerate(configs):
+            table[:, lane] = harvest(FluidSolver(config))
+        for attr, row in zip(attrs, table):
+            setattr(self, attr,
+                    row.astype(bool) if attr in _FLAG_ATTRS else row)
         self.n_receivers = np.array(
             [c.workload.receivers for c in configs], dtype=np.float64)
         self.steps = np.zeros(self.n, dtype=np.int64)

@@ -44,7 +44,6 @@ from repro.core.config import (
     SimConfig,
     WorkloadConfig,
 )
-from repro.sim.fluid import LOSS_BASED_TRANSPORTS
 from repro.workload.fleet_agg import (
     FleetAggregate,
     FleetCheckpoint,
@@ -66,22 +65,20 @@ EventFn = Callable[[Dict], None]
 
 
 def cohort_key(config: ExperimentConfig) -> tuple:
-    """The structural code-path key of a drawn host config.
+    """What the hosts of one lane batch must share: the fabric topology.
 
-    Two configs with equal keys follow the same branches through
-    ``FluidSolver.step`` — loss- vs delay-based congestion control,
-    open- vs closed-loop workload, IOMMU on/off — and differ only in
-    continuous parameters, so they can share one
-    :class:`~repro.sim.fluid_batch.BatchFluidSolver` batch.  A pure
+    Every other difference between hosts, the structural flags
+    included, is a per-lane value of the fluid step, so a range's star
+    hosts form one :class:`~repro.sim.fluid_batch.BatchFluidSolver`
+    batch.  The fabric stage is scalar-only: a multi-tier host's
+    cohort fails to batch and falls back to the scalar solver.  A pure
     function of the config: identical configs always share a cohort.
     """
-    return (config.transport in LOSS_BASED_TRANSPORTS,
-            config.workload.offered_load is None,
-            config.host.iommu.enabled)
+    return (config.fabric.topology,)
 
 
 def group_cohorts(indexed_configs) -> Dict[tuple, List[int]]:
-    """Partition ``(index, config)`` pairs into structural cohorts.
+    """Partition ``(index, config)`` pairs into cohorts (:func:`cohort_key`).
 
     Returns ``{cohort_key: [index, ...]}`` with indices in encounter
     order; every input index lands in exactly one cohort.
@@ -305,7 +302,7 @@ class FleetSampler:
     def resolve_backend(self, backend: str = "auto") -> str:
         """Normalize a fleet execution ``backend`` argument.
 
-        ``"auto"`` picks ``"batched"`` (the cohort-vectorized
+        ``"auto"`` picks ``"batched"`` (the lane-vectorized
         :class:`~repro.sim.fluid_batch.BatchFluidSolver` path) whenever
         the fidelity is fluid, and ``"scalar"`` (one pool task per
         host) otherwise; the explicit names force a path.  Batching is
@@ -341,14 +338,15 @@ class FleetSampler:
         """Batch-solve hosts ``[start, stop)`` into a partial aggregate.
 
         The body of one batched-fleet task: draw the range's configs,
-        partition them into structural cohorts (:func:`group_cohorts`),
-        step each cohort through one
-        :class:`~repro.sim.fluid_batch.BatchFluidSolver`, and fold the
-        per-host outcomes — in index order — into a fresh
+        partition them by fabric topology (:func:`group_cohorts`),
+        step the star hosts through one
+        :class:`~repro.sim.fluid_batch.BatchFluidSolver` lane set, and
+        fold the per-host outcomes — in index order — into a fresh
         :class:`FleetAggregate`.  A cohort that fails to batch-solve
-        falls back to per-host scalar runs, and a host that still
-        fails is folded via ``add_failed`` — one bad host cannot sink
-        the range, exactly like the scalar streaming path.
+        (a multi-tier fabric, or an error) falls back to per-host
+        scalar runs, and a host that still fails is folded via
+        ``add_failed`` — one bad host cannot sink the range, exactly
+        like the scalar streaming path.
 
         Returns ``(aggregate_state_dict, host_rows)`` — plain
         picklable data.  ``host_rows`` is ``None`` unless
@@ -468,8 +466,8 @@ class FleetSampler:
         whenever fidelity is fluid — each shard is cut into
         ``batch_size``-host ranges, every range is one pool task
         (:func:`repro.core.parallel.map_stream`) that re-derives its
-        configs in-worker and vectorizes them per structural cohort
-        through :class:`~repro.sim.fluid_batch.BatchFluidSolver`, and
+        configs in-worker and steps its star hosts as one lane set
+        of :class:`~repro.sim.fluid_batch.BatchFluidSolver`, and
         the returned partial aggregates merge in index order.  The
         per-host outcomes are bit-identical to the scalar backend's
         (see ``repro.sim.fluid_batch``), so both backends produce

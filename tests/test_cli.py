@@ -279,8 +279,12 @@ def test_fleet_sharded_checkpoint_resume_and_merge(tmp_path, capsys):
 
     from repro.workload.fleet_agg import FleetAggregate
 
-    clean = FleetAggregate.from_dict(
-        json.loads(clean_json.read_text()))
+    from repro.core.cache import code_version
+
+    clean_state = json.loads(clean_json.read_text())
+    assert clean_state["run_info"]["code_version"] == code_version()
+    assert clean_state["run_info"]["backend"] == "batched"
+    clean = FleetAggregate.from_dict(clean_state)
     resumed = FleetAggregate.from_dict(
         json.loads(resumed_json.read_text()))
     assert resumed == clean

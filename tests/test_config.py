@@ -1,6 +1,8 @@
 """Unit tests for configuration validation and helpers."""
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -135,3 +137,36 @@ class TestHelpers:
         cfg = HostConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.antagonist_cores = 3
+
+
+class TestSharedDefaults:
+    """Each default sub-config is built and validated once, then shared
+    by every config that leaves it unset."""
+
+    def test_defaults_share_sub_config_instances(self):
+        a, b = ExperimentConfig(), ExperimentConfig(transport="cubic")
+        for name in ("host", "link", "fabric", "workload", "swift", "sim"):
+            assert getattr(a, name) is getattr(b, name), name
+        host = HostConfig(cpu=CpuConfig(cores=4))
+        for name in ("nic", "pcie", "iommu", "memory", "ddio"):
+            assert getattr(host, name) is getattr(a.host, name), name
+        assert host.cpu is not a.host.cpu
+
+    def test_explicit_bad_field_still_raises(self):
+        with pytest.raises(ValueError, match="NIC buffer"):
+            NicConfig(buffer_bytes=-1)
+        with pytest.raises(ValueError, match="NIC buffer"):
+            HostConfig(nic=NicConfig(buffer_bytes=-1))
+        assert HostConfig().nic.buffer_bytes == cal.NIC_BUFFER_BYTES
+
+    def test_drawn_fleet_configs_are_unchanged(self):
+        # SHA-256 of the first 20 fluid hosts of seed 5, as
+        # ``dataclasses.asdict`` trees, recorded when every default was
+        # still a fresh instance per config.
+        from repro.workload.fleet import FleetSampler
+
+        sampler = FleetSampler(seed=5, fidelity="fluid")
+        blob = json.dumps([dataclasses.asdict(sampler.draw_config(i))
+                           for i in range(20)], sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == (
+            "7aecd2ec604a86bca2c1a34541b4fa7d36b54fa9792acd8fbee94341624410d9")

@@ -1,5 +1,6 @@
 """Tests for the Figure-1 fleet sampler and its streaming pipeline."""
 
+import dataclasses
 import json
 import os
 import signal
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.config import FabricConfig
 from repro.core.scenario import ScenarioSpec
 from repro.workload.fleet import FleetSample, FleetSampler, substream_seed
 from repro.workload.fleet_agg import (
@@ -212,7 +214,7 @@ class TestStreaming:
 
 
 class TestBatchedBackend:
-    """The cohort-batched fluid backend must be observationally
+    """The lane-batched fluid backend must be observationally
     identical to the scalar one: same seed, equal aggregates (the
     aggregate's own exact ``__eq__``) across every sharding, worker
     count, and batch size — ISSUE 9's acceptance matrix."""
@@ -253,6 +255,49 @@ class TestBatchedBackend:
                                         batch_size=batch_size)
         assert batched == scalar, (shards, workers, batch_size)
         assert batched.hosts == 50
+
+    def test_non_star_host_falls_back_to_scalar_alone(self,
+                                                      monkeypatch):
+        """A range whose draws include one multi-tier host still
+        steps its star hosts as one lane set; only that host runs on
+        the scalar solver, and every outcome equals a scalar run."""
+        from repro.core import experiment
+        from repro.sim import fluid_batch
+
+        sampler = self.sampler()
+        draw = sampler.draw_config
+
+        def draw_config(index):
+            config = draw(index)
+            if index == 3:
+                config = dataclasses.replace(
+                    config, fabric=FabricConfig(topology="dumbbell"))
+            return config
+
+        batch_cls = fluid_batch.BatchFluidSolver
+        run_experiment = experiment.run_experiment
+        batches, scalar_runs = [], []
+
+        def spy_batch(configs):
+            batches.append([c.fabric.topology for c in configs])
+            return batch_cls(configs)
+
+        def spy_run(config):
+            scalar_runs.append(config.fabric.topology)
+            return run_experiment(config)
+
+        monkeypatch.setattr(sampler, "draw_config", draw_config)
+        monkeypatch.setattr(fluid_batch, "BatchFluidSolver", spy_batch)
+        monkeypatch.setattr(experiment, "run_experiment", spy_run)
+        state, rows = sampler._solve_range(0, 12, 0.01, True)
+        assert batches == [["star"] * 11, ["dumbbell"]]
+        assert scalar_runs == ["dumbbell"]
+        assert FleetAggregate.from_dict(state).hosts == 12
+        assert [index for index, _, _ in rows] == list(range(12))
+        for index, kind, payload in rows:
+            assert kind == "ok"
+            metrics = run_experiment(draw_config(index)).metrics
+            assert payload == {key: metrics[key] for key in payload}
 
     def test_batch_size_must_be_positive(self):
         with pytest.raises(ValueError, match="batch_size"):

@@ -1,22 +1,25 @@
 """Property tests for the batched fluid solver and cohort grouping.
 
-The batched backend's whole claim is *exactness*: for any config the
-scalar fluid solver accepts, a :class:`BatchFluidSolver` lane must
-reproduce the scalar trajectory bit for bit (the fleet aggregate's
-equality is exact, so "close" is not good enough).  These tests sweep
-the config space hypothesis-style — transport, offered load, IOMMU,
-hugepages, cores, antagonists — and assert per-host state,
-accumulator, and headline-metric equality, plus the cohort-grouping
-invariants the fleet driver relies on (exact partition; a key never
+The batched backend's whole claim is *exactness*: for any star-fabric
+config the scalar fluid solver accepts, a :class:`BatchFluidSolver`
+lane must reproduce the scalar trajectory bit for bit, whatever the
+other lanes of its batch are (the fleet aggregate's equality is exact,
+so "close" is not good enough).  These tests sweep the config space
+hypothesis-style — transport, offered load, IOMMU, hugepages, cores,
+antagonists — and assert per-host state, accumulator, and
+headline-metric equality, plus the cohort-grouping invariants the fleet
+driver relies on (exact partition by fabric topology; a key never
 splits identical configs)."""
 
 import dataclasses
 import inspect
+import itertools
 from pathlib import Path
 import types
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import numpy as np
 import pytest
 
 from repro.core.config import (
@@ -115,10 +118,10 @@ def test_single_lane_matches_scalar_bit_for_bit(config):
 @given(seed=st.integers(min_value=0, max_value=2**20),
        start=st.integers(min_value=0, max_value=997))
 def test_fleet_cohorts_match_scalar_per_host(seed, start):
-    """A window of the real fleet population, batched cohort by
-    cohort, must reproduce every host's scalar trajectory — including
-    hosts frozen by the active mask while slower-``dt`` cohort-mates
-    catch up."""
+    """A window of the real fleet population, batched as the fleet
+    driver batches it, must reproduce every host's scalar trajectory —
+    including hosts frozen by the active mask while slower-``dt``
+    batch-mates catch up."""
     sampler = FleetSampler(seed=seed, warmup=WARMUP,
                            duration=DURATION, fidelity="fluid")
     indexed = [(i, sampler.draw_config(i))
@@ -185,17 +188,38 @@ def test_cohort_key_never_splits_identical_configs(config):
     assert list(cohorts.values()) == [[0, 1, 2]]
 
 
-def test_mixed_cohort_is_rejected():
-    swift = make_config("swift", None, True, True, 8, 0, 10, 4)
-    cubic = make_config("cubic", None, True, True, 8, 0, 10, 4)
-    open_loop = make_config("swift", 0.7, True, True, 8, 0, 10, 4)
-    no_iommu = make_config("swift", None, False, True, 8, 0, 10, 4)
-    for other in (cubic, open_loop, no_iommu):
-        with pytest.raises(ValueError, match="mixed cohort"):
-            BatchFluidSolver([swift, other])
-    assert cohort_key(swift) != cohort_key(cubic)
-    assert cohort_key(swift) != cohort_key(open_loop)
-    assert cohort_key(swift) != cohort_key(no_iommu)
+def test_mixed_batch_matches_scalar_per_lane():
+    # Every combination of the structural flags (loss- vs delay-based
+    # CC, open vs closed loop, IOMMU on/off) x hugepages x step size,
+    # in one batch: each lane must still equal its own scalar run.
+    configs = [
+        make_config(transport, offered, iommu, hugepages,
+                    (4, 8, 12, 16)[lane % 4], (0, 8, 15)[lane % 3],
+                    (10, 20, 40)[lane % 3], 8, one_way_delay=delay)
+        for lane, (transport, offered, iommu, hugepages, delay)
+        in enumerate(itertools.product(
+            ("swift", "cubic"), (None, 0.95), (False, True),
+            (False, True), (0.0, 5e-6, 12.5e-6)))]
+    assert len(configs) == 48
+    batch = BatchFluidSolver(configs)
+    assert batch.loss_based.dtype == batch.open_loop.dtype == bool
+    batch.run_until(WARMUP)
+    batch.reset_stats()
+    batch.run_until(END)
+    for lane, config in enumerate(configs):
+        assert_lane_matches_scalar(batch, lane, solve_scalar(config))
+
+
+def test_cohort_key_is_the_fabric_topology():
+    # The structural flags are lane values; only the fabric splits.
+    configs = [make_config(transport, offered, iommu, True, 8, 0, 10, 4)
+               for transport in ("swift", "cubic")
+               for offered in (None, 0.7) for iommu in (False, True)]
+    assert {cohort_key(config) for config in configs} == {("star",)}
+    for topology in ("fattree", "dumbbell"):
+        fabric = dataclasses.replace(
+            configs[0], fabric=FabricConfig(topology=topology))
+        assert cohort_key(fabric) == (topology,)
 
 
 def test_empty_batch_is_rejected():
@@ -234,6 +258,18 @@ def _unknown_op_dialect(self):
 def test_unknown_dialect_op_fails_with_its_name():
     with pytest.raises(ValueError, match=r"unknown op _clamp\(\)"):
         fluid.specialize_step(source=_unknown_op_dialect)
+
+
+def _plain_if_dialect(self):
+    if self.open_loop:
+        self.W = 1.0
+
+
+def test_plain_if_compiles_only_to_the_scalar_form():
+    # A per-host choice in the lane form must be a _where().
+    fluid.specialize_step(source=_plain_if_dialect)
+    with pytest.raises(ValueError, match="plain if outside"):
+        fluid.specialize_step(np, source=_plain_if_dialect)
 
 
 @pytest.mark.parametrize("offered,topology", [

@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core.cache import code_version
 from repro.core.config import (
     CpuConfig,
     ExperimentConfig,
@@ -61,6 +62,7 @@ class TestLedgerWriter:
         assert begin["run_id"] == ledger.run_id
         assert begin["label"] == "smoke"
         assert begin["v"] == 1
+        assert begin["code_version"] == code_version()
         assert end["ok"] is True
         assert end["rows"] == 2  # rows before the end row itself
         assert all("ts" in r for r in rows)
