@@ -10,7 +10,10 @@ worth cross-validating at all.
 
 The fluid grid's median also lands in ``benchmarks/baseline.json`` via
 ``scripts/check_bench_regression.py``, so a fluid-solver slowdown trips
-the same gate as a packet-kernel one.
+the same gate as a packet-kernel one.  A second gated bench runs the
+``incast`` (k=4 fat tree) and ``dumbbell`` quick grids at fluid
+fidelity: the scalar solver with its fabric stage switched on, which
+the star-only figure-3 grid never enters.
 """
 
 from __future__ import annotations
@@ -55,3 +58,13 @@ def test_fluid_speedup_figure3(benchmark):
     assert speedup >= MIN_SPEEDUP, (
         f"fluid engine is only {speedup:.1f}x faster than packet on "
         f"the figure3 grid (floor {MIN_SPEEDUP}x)")
+
+
+def test_fluid_fabric_grid(benchmark):
+    configs = [config for name in ("incast", "dumbbell")
+               for config in load_bundled(name).expand(
+                   quality="quick", fidelity="fluid")]
+    assert all(c.fabric.topology != "star" for c in configs)
+
+    table = benchmark(run_configs, configs)
+    assert len(table) == len(configs)

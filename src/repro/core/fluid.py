@@ -20,7 +20,7 @@ buffer occupancy.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import ExperimentConfig
 from repro.core.results import ExperimentResult
@@ -54,6 +54,8 @@ class FluidExperiment:
         self.solver = FluidSolver(config)
         self.sim = _FluidClock(self.solver)
         self._measuring = False
+        self._synthesized: Optional[
+            Tuple[List[Tuple[float, float]], float]] = None
 
     def run_warmup(self) -> None:
         self.solver.run_until(self.config.sim.warmup)
@@ -64,6 +66,7 @@ class FluidExperiment:
         if not self._measuring:
             self.run_warmup()
         self.solver.run_until(self.config.sim.end_time)
+        self._synthesized = None
 
     # -- reporting ---------------------------------------------------------
 
@@ -82,10 +85,13 @@ class FluidExperiment:
 
     def _messages(self) -> Tuple[List[Tuple[float, float]], float]:
         """(message-latency pairs, timeouts) of the measurement window,
-        synthesized from the solver's step trace."""
-        solver = self.solver
-        return solver.synthesize_message_pairs(solver.run.step_trace,
-                                               solver.packets_per_read)
+        synthesized from the solver's step trace once per measurement
+        (``collect`` and ``metrics_snapshot`` share it)."""
+        if self._synthesized is None:
+            solver = self.solver
+            self._synthesized = solver.synthesize_message_pairs(
+                solver.run.step_trace, solver.packets_per_read)
+        return self._synthesized
 
     def collect(self) -> ExperimentResult:
         run = self.solver.run

@@ -24,7 +24,7 @@ winners.
 
 The step dynamics are written once, in ``_fluid_step``, and compiled
 at import into two forms (:func:`specialize_step`): the plain-float
-``FluidSolver.step`` here and the numpy-lane step of
+run loop ``FluidSolver.run_until`` here and the numpy-lane step of
 :class:`repro.sim.fluid_batch.BatchFluidSolver`.
 
 Layering: this module lives in the simulation kernel (layer 0).  It may
@@ -43,8 +43,11 @@ import ast
 import copy
 import linecache
 import math
+import operator
 import types
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.calibration import (
@@ -210,24 +213,23 @@ def weighted_summary(
     if not pairs:
         return {"count": 0, "mean": 0.0, "p50": 0.0, "p90": 0.0,
                 "p99": 0.0, "min": 0.0, "max": 0.0}
-    total = sum(weight for _, weight in pairs)
-    mean = (sum(value * weight for value, weight in pairs) / total
+    values, weights = zip(*pairs)
+    total = sum(weights)
+    mean = (sum(map(operator.mul, values, weights)) / total
             if total > 0 else 0.0)
     ordered = sorted(pairs)
-    sorted_total = sum(weight for _, weight in ordered)
-    cuts = ([fraction * sorted_total for fraction in (0.50, 0.90, 0.99)]
-            if sorted_total > 0 else [])
-    found: List[float] = []
-    running = 0.0
-    for value, weight in ordered:
-        if len(found) == len(cuts):
-            break
-        running += weight
-        while len(found) < len(cuts) and running >= cuts[len(found)]:
-            found.append(value)
-    found += [ordered[-1][0] if cuts else 0.0] * (3 - len(found))
-    return {"count": int(round(total)), "mean": mean, "p50": found[0],
-            "p90": found[1], "p99": found[2], "min": ordered[0][0],
+    ordered_weights = [weight for _, weight in ordered]
+    # ``sum`` again rather than ``running[-1]``: from Python 3.12 ``sum``
+    # compensates its rounding, and the cuts must not move with that.
+    sorted_total = sum(ordered_weights)
+    running = list(accumulate(ordered_weights))
+    last = len(ordered) - 1
+    p50, p90, p99 = (
+        (ordered[min(bisect_left(running, fraction * sorted_total),
+                     last)][0] for fraction in (0.50, 0.90, 0.99))
+        if sorted_total > 0 else (0.0, 0.0, 0.0))
+    return {"count": int(round(total)), "mean": mean, "p50": p50,
+            "p90": p90, "p99": p99, "min": ordered[0][0],
             "max": ordered[-1][0]}
 
 
@@ -379,8 +381,8 @@ class FluidRun:
 #
 # ``_fluid_step`` is the one definition of the step dynamics, written in
 # a small dialect that :func:`specialize_step` compiles at import into
-# plain-float code (``FluidSolver.step``) and numpy-lane code
-# (``repro.sim.fluid_batch``):
+# a plain-float run loop (``FluidSolver.run_until``) and a numpy-lane
+# step (``repro.sim.fluid_batch``):
 #
 # - ``_min(a, b)``, ``_max(a, b)``, ``_where(cond, a, b)`` choose values
 #   per datum (per lane in the batch);
@@ -646,8 +648,8 @@ class _Specializer(ast.NodeTransformer):
         if self.lanes:
             if name in _NUMPY_OPS:
                 node.func = ast.copy_location(ast.Attribute(
-                    ast.Name("np", ast.Load()), _NUMPY_OPS[name],
-                    ast.Load()), node)
+                    ast.copy_location(ast.Name("np", ast.Load()), node),
+                    _NUMPY_OPS[name], ast.Load()), node)
             return node
         if name in ("_sel", "_acc"):
             return args[0]
@@ -656,7 +658,8 @@ class _Specializer(ast.NodeTransformer):
         (a_test, a), (b_test, b) = self.twice(args[0]), self.twice(args[1])
         op = ast.Lt() if name == "_min" else ast.Gt()
         return ast.copy_location(
-            ast.IfExp(ast.Compare(a_test, [op], [b_test]), a, b), node)
+            ast.IfExp(ast.copy_location(
+                ast.Compare(a_test, [op], [b_test]), node), a, b), node)
 
     def twice(self, expr: ast.expr) -> Tuple[ast.expr, ast.expr]:
         """``expr`` for a first and a second use: bound with ``:=``
@@ -665,9 +668,84 @@ class _Specializer(ast.NodeTransformer):
             return expr, copy.deepcopy(expr)
         self.temps += 1
         name = f"_v{self.temps}"
-        bound = ast.NamedExpr(ast.Name(name, ast.Store()), expr)
+        bound = ast.NamedExpr(
+            ast.copy_location(ast.Name(name, ast.Store()), expr), expr)
         return (ast.copy_location(bound, expr),
                 ast.copy_location(ast.Name(name, ast.Load()), expr))
+
+    def run_loop(self, func: ast.FunctionDef) -> None:
+        """Makes the scalar step ``func`` the run loop ``func(self,
+        until)`` (see :func:`specialize_step`)."""
+        line = func.lineno
+        obj = func.args.args[0].arg
+        taken, assigned = set(), []
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name):
+                taken.add(node.id)
+            if isinstance(getattr(node, "ctx", None), ast.Store):
+                assigned.append(ast.unparse(node))
+        # Loop invariants: a top-level ``name = self.attr`` line whose
+        # name is assigned nowhere else and whose attribute the body
+        # never assigns (``dt = self.dt``, ``run = self.run``) runs
+        # once, before the loop.
+        aliases = [stmt for stmt in func.body
+                   if isinstance(stmt, ast.Assign)
+                   and isinstance(stmt.targets[0], ast.Name)
+                   and isinstance(stmt.value, ast.Attribute)
+                   and getattr(stmt.value.value, "id", None) == obj
+                   and assigned.count(ast.unparse(stmt.targets[0])) == 1
+                   and ast.unparse(stmt.value) not in assigned]
+        names = [obj] + [stmt.targets[0].id for stmt in aliases]
+        guard = ast.parse("\n" * (line - 1) + f"{obj}.now < until - 1e-12",
+                          mode="eval").body
+        loop = ast.While(guard, [stmt for stmt in func.body
+                                 if stmt not in aliases], [])
+        localizer = _Localizer(names)
+        loop = localizer.visit(loop)
+        aliases = [localizer.visit(stmt) for stmt in aliases]
+        local, stored = localizer.locals, localizer.stored
+        clash = taken & {*local, "until"}
+        if clash:
+            self.fail(func, f"{sorted(clash)} clash with the run loop's "
+                            f"locals")
+
+        def assign(pairs) -> List[ast.stmt]:
+            """``a = b; ...`` (or ``pass``), parsed on the ``def`` line."""
+            return ast.parse("\n" * (line - 1) + ("; ".join(
+                f"{a} = {b}" for a, b in pairs) or "pass")).body
+
+        def loads(bases: List[str]) -> List[ast.stmt]:
+            return assign((name, attr) for name, attr in local.items()
+                          if attr.split(".")[0] in bases)
+
+        write_back = assign((attr, name) for name, attr in local.items()
+                            if name in stored)
+        func.args.args.append(ast.copy_location(ast.arg("until"), func))
+        func.body = loads(names[:1]) + aliases + loads(names[1:]) + [
+            ast.copy_location(ast.Try([ast.copy_location(loop, func)], [],
+                                      [], write_back), func)]
+
+
+class _Localizer(ast.NodeTransformer):
+    """Rewrites ``base.attr`` to the local ``base_attr`` for each base
+    name given, noting each local's ``"base.attr"`` in first-use order
+    and which locals are assigned."""
+
+    def __init__(self, bases: List[str]):
+        self.bases = bases
+        self.locals: Dict[str, str] = {}
+        self.stored: set = set()
+
+    def visit_Attribute(self, node: ast.Attribute):
+        self.generic_visit(node)
+        base = node.value
+        if not (isinstance(base, ast.Name) and base.id in self.bases):
+            return node
+        name = f"{base.id}_{node.attr}"
+        self.locals[name] = f"{base.id}.{node.attr}"
+        if isinstance(node.ctx, ast.Store):
+            self.stored.add(name)
+        return ast.copy_location(ast.Name(name, node.ctx), node)
 
 
 def specialize_step(np=None, source: Callable = _fluid_step) -> Callable:
@@ -678,11 +756,21 @@ def specialize_step(np=None, source: Callable = _fluid_step) -> Callable:
     Scalar: ``_min(a, b)`` becomes ``a if a < b else b`` (evaluating
     each argument once), ``_where`` a conditional expression that
     evaluates only the branch it takes, ``_sel(new, old)`` becomes
-    ``new`` and ``_acc(d)`` becomes ``d``: no op costs a call.  Lanes:
-    ``np.minimum``/``np.maximum``/``np.where``, and the function takes
-    two more arguments, the ``_sel`` and ``_acc`` mask functions.  Both
-    forms keep ``source``'s file name and line numbers.  Raises
-    ``ValueError`` naming an unknown ``_``-prefixed op.
+    ``new`` and ``_acc(d)`` becomes ``d``: no op costs a call.  The
+    body then runs as one loop, ``source(self, until)``, stepping while
+    ``self.now < until - 1e-12``.  Top-level ``name = self.attr`` lines
+    the body cannot change (``dt = self.dt``, ``run = self.run``) run
+    once, before it; every ``self.X`` and ``run.X`` the body touches is
+    the local ``self_X`` (``run_X``), loaded once there too, and the
+    ones it assigns are written back in a ``finally``, so an
+    interrupted run leaves the object as the step it stopped in left
+    it.  Lanes: ``np.minimum``/``np.maximum``/``np.where``, and the
+    function takes two more arguments, the ``_sel`` and ``_acc`` mask
+    functions.  Both
+    forms keep ``source``'s file name and line numbers (the loop's
+    set-up and write-back sit on its ``def`` line).  Raises
+    ``ValueError`` naming an unknown ``_``-prefixed op, or a body name
+    that clashes with a loop local.
     """
     # The function's lines are the ``def`` and the indented, blank and
     # comment lines after it (``inspect.getsourcelines`` tokenizes the
@@ -699,10 +787,14 @@ def specialize_step(np=None, source: Callable = _fluid_step) -> Callable:
     if np is not None:
         func.args.args += [ast.copy_location(ast.arg(mask), func)
                            for mask in ("_sel", "_acc")]
-    tree = _Specializer(source, np is not None).visit(tree)
-    # New nodes carry the position of the call they replace; their
-    # children take it from them.
-    module = compile(ast.fix_missing_locations(tree), filename, "exec")
+    specializer = _Specializer(source, np is not None)
+    tree = specializer.visit(tree)
+    if np is None:
+        specializer.run_loop(func)
+    # Every new node carries the position of the node it replaces (the
+    # loop's own statements that of the ``def``), so no
+    # ``ast.fix_missing_locations`` pass is needed.
+    module = compile(tree, filename, "exec")
     code = next(const for const in module.co_consts
                 if isinstance(const, types.CodeType))
     namespace = (source.__globals__ if np is None
@@ -748,7 +840,7 @@ class FluidSolver:
         copy_read, copy_write = host.ddio.copy_demand_fractions()
         self.copy_fraction = copy_read + copy_write
         swift = config.swift
-        # -- hoisted per-step constants (hot-path micro-opt).  ``step``
+        # -- hoisted per-step constants (hot-path micro-opt).  The step
         # touches only these instance floats, never the config tree;
         # ``repro.sim.fluid_batch`` harvests them into per-lane arrays.
         mem = host.memory
@@ -812,7 +904,7 @@ class FluidSolver:
         self._last_decrease = -math.inf
         self._delayed_loss = 0.0
         # Multi-tier fabric stage (None on the star: the guarded branch
-        # in the step is never entered).
+        # in the step is never entered, and the rest stay inert).
         profile = fluid_fabric_profile(config)
         self.fabric_profile = profile
         if profile is not None:
@@ -823,14 +915,11 @@ class FluidSolver:
             self._fab_q = [0.0] * len(profile.terms)
         else:
             self._fab_terms = None
+            self._fab_free = self._fab_frac_sum = 0.0
+            self._fab_q = []
         self._fab_delay = 0.0
         self.set_offered_load(wl.offered_load)
         self.run = FluidRun()
-
-    # -- per-step physics --------------------------------------------------
-
-    #: One fluid step: :func:`_fluid_step` compiled to plain floats.
-    step = specialize_step()
 
     def synthesize_message_pairs(
             self, records, packets_per_read: float,
@@ -872,9 +961,9 @@ class FluidSolver:
 
     # -- run control -------------------------------------------------------
 
-    def run_until(self, until: float) -> None:
-        while self.now < until - 1e-12:
-            self.step()
+    #: ``run_until(until)``: steps while ``now < until - 1e-12`` —
+    #: :func:`_fluid_step` compiled to plain floats as one run loop.
+    run_until = specialize_step()
 
     def reset_stats(self) -> None:
         """Warmup boundary: restart accumulators, keep CC/queue state."""
@@ -883,8 +972,8 @@ class FluidSolver:
     def set_offered_load(self, load: Optional[float]) -> None:
         """Mid-run load change (the day driver's per-bin schedule) —
         mirrors ``RemoteReadWorkload.set_offered_load``.  Precomputes
-        the per-step open-loop demand accrual so :meth:`step` only adds
-        a constant."""
+        the per-step open-loop demand accrual so the step only adds a
+        constant."""
         self.offered_load = load
         self.open_loop = load is not None
         if self.open_loop:

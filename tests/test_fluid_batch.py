@@ -15,7 +15,6 @@ import dataclasses
 import inspect
 import itertools
 from pathlib import Path
-import types
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -244,8 +243,8 @@ def test_multi_tier_fabric_is_rejected(topology):
 def test_both_step_forms_point_at_the_one_source():
     lines, first = inspect.getsourcelines(fluid._fluid_step)
     last = first + len(lines) - 1
-    for step in (FluidSolver.step, fluid_batch._lane_step):
-        code = step.__code__
+    for form in (FluidSolver.run_until, fluid_batch._lane_step):
+        code = form.__code__
         assert Path(code.co_filename).as_posix().endswith("sim/fluid.py")
         numbers = {line for _, _, line in code.co_lines() if line}
         assert numbers and first <= min(numbers) <= max(numbers) <= last
@@ -260,6 +259,18 @@ def test_unknown_dialect_op_fails_with_its_name():
         fluid.specialize_step(source=_unknown_op_dialect)
 
 
+def _clashing_dialect(self):
+    self_W = self.W
+    self.W = self_W + 1.0
+
+
+def test_body_name_clashing_with_a_run_loop_local_fails():
+    # ``self.W`` becomes the run loop's local ``self_W``.
+    with pytest.raises(ValueError, match=r"\['self_W'\] clash"):
+        fluid.specialize_step(source=_clashing_dialect)
+    fluid.specialize_step(np, source=_clashing_dialect)
+
+
 def _plain_if_dialect(self):
     if self.open_loop:
         self.W = 1.0
@@ -272,20 +283,96 @@ def test_plain_if_compiles_only_to_the_scalar_form():
         fluid.specialize_step(np, source=_plain_if_dialect)
 
 
+def dialect_run_until(solver: FluidSolver, until: float) -> None:
+    """The slow scalar reference: ``_fluid_step`` run as written, under
+    the run loop's guard."""
+    while solver.now < until - 1e-12:
+        fluid._fluid_step(solver)
+
+
+def assert_same_solver(slow: FluidSolver, fast: FluidSolver) -> None:
+    assert vars(slow.run) == vars(fast.run)
+    for attr in _STATE_ATTRS + ("steps", "_fab_delay", "_fab_q",
+                                "antagonist_Bps", "demand_step_bytes"):
+        assert getattr(slow, attr) == getattr(fast, attr), attr
+
+
+def fabric_config(offered, topology) -> ExperimentConfig:
+    return dataclasses.replace(
+        make_config("swift", offered, True, False, 8, 8, 20, 16),
+        fabric=FabricConfig(topology=topology))
+
+
 @pytest.mark.parametrize("offered,topology", [
     (None, "star"), (0.9, "star"), (None, "dumbbell"), (0.9, "fattree")])
 def test_scalar_form_matches_the_dialect_run_directly(offered, topology):
     # The dialect ops are also plain functions, so ``_fluid_step`` runs
-    # as written; the inlined scalar form must agree with it exactly.
-    config = dataclasses.replace(
-        make_config("swift", offered, True, False, 8, 8, 20, 16),
-        fabric=FabricConfig(topology=topology))
+    # as written; the inlined run loop must agree with it exactly.
+    config = fabric_config(offered, topology)
     fast = solve_scalar(config)
     slow = FluidSolver(config)
-    slow.step = types.MethodType(fluid._fluid_step, slow)
-    slow.run_until(WARMUP)
+    dialect_run_until(slow, WARMUP)
     slow.reset_stats()
-    slow.run_until(END)
-    assert vars(slow.run) == vars(fast.run)
-    for attr in _STATE_ATTRS + ("steps", "_fab_delay"):
-        assert getattr(slow, attr) == getattr(fast, attr), attr
+    dialect_run_until(slow, END)
+    assert_same_solver(slow, fast)
+
+
+@pytest.mark.parametrize("topology", ["star", "dumbbell"])
+def test_run_loop_resumes_exactly_across_load_switches(topology):
+    # The day driver's and isolation's call pattern: many short
+    # ``run_until`` calls with load and antagonist switches between
+    # them.  The run loop writes its locals back on every return, so
+    # each call must pick up exactly where the last one stopped.
+    config = fabric_config(None, topology)
+    fast, slow = FluidSolver(config), FluidSolver(config)
+    schedule = [(0.9, 0), (None, 8), (0.4, 15), (1.2, 4), (None, 0)]
+    until = 0.0
+    for i in range(40):
+        load, cores = schedule[i % len(schedule)]
+        until += END / 40
+        for solver, run_until in ((fast, FluidSolver.run_until),
+                                  (slow, dialect_run_until)):
+            solver.set_offered_load(load)
+            solver.set_antagonist_cores(cores)
+            run_until(solver, until)
+            if i == 10:
+                solver.reset_stats()
+    assert fast.steps > 40
+    assert_same_solver(slow, fast)
+
+
+class _Interrupt(Exception):
+    pass
+
+
+class _TrippingList(list):
+    """A step-trace list that raises once, on its ``n``-th append: an
+    interrupt landing mid-step, after the accumulators moved."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+
+    def append(self, item) -> None:
+        if len(self) + 1 == self.n:
+            self.n = 0
+            raise _Interrupt
+        super().append(item)
+
+
+def test_interrupted_run_loop_leaves_the_solver_consistent():
+    # The run loop's locals are written back in a ``finally``: an
+    # exception raised inside it leaves the solver exactly where the
+    # dialect reference stops on the same exception.
+    config = fabric_config(0.9, "dumbbell")
+    fast, slow = FluidSolver(config), FluidSolver(config)
+    for solver, run_until in ((fast, FluidSolver.run_until),
+                              (slow, dialect_run_until)):
+        solver.run.step_trace = _TrippingList(25)
+        with pytest.raises(_Interrupt):
+            run_until(solver, END)
+    assert 0 < fast.steps < fast.now / fast.dt + 1
+    assert_same_solver(slow, fast)
+    fast.run_until(END)
+    dialect_run_until(slow, END)
+    assert_same_solver(slow, fast)

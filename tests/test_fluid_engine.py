@@ -1,7 +1,8 @@
 """The fluid engine's contracts that don't need a packet run: the
 working-set model shared with the core model, config plumbing,
-result-schema parity, and the PR-5 error contract for fidelity
-validation.
+result-schema parity, the PR-5 error contract for fidelity
+validation, the weighted summary, and packet conservation at every
+stage.
 
 Cross-fidelity *agreement* (knees, winners, tolerances) lives in
 ``tests/test_fluid_xval.py``; this file holds the fast invariants.
@@ -9,6 +10,8 @@ Cross-fidelity *agreement* (knees, winners, tolerances) lives in
 
 import dataclasses
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
 from repro.cli import main
@@ -22,7 +25,12 @@ from repro.core.config import (
     SimConfig,
 )
 from repro.core.experiment import run_experiment
-from repro.core.scenario import ScenarioError, load_scenario_file
+from repro.core.fluid import FluidExperiment
+from repro.core.scenario import (
+    ScenarioError,
+    bundled_scenarios,
+    load_scenario_file,
+)
 from repro.sim import fluid
 
 
@@ -129,3 +137,114 @@ def test_fluid_sane_at_the_uncongested_point():
     result = run_experiment(quick_config(iommu=False, cores=12))
     assert result.metrics["drop_rate"] < 0.01
     assert result.metrics["app_throughput_gbps"] > 70.0
+
+
+def test_fluid_messages_are_synthesized_once(monkeypatch):
+    """``collect`` and ``metrics_snapshot`` share one synthesis of the
+    step trace, so the snapshot's timeouts are the collected ones."""
+    calls = []
+    synthesize = fluid.FluidSolver.synthesize_message_pairs
+
+    def counted(self, *args):
+        calls.append(args)
+        return synthesize(self, *args)
+
+    monkeypatch.setattr(fluid.FluidSolver, "synthesize_message_pairs",
+                        counted)
+    handle_out = []
+    # 6 cores on 4K pages: lossy enough to time reads out.
+    result = run_experiment(quick_config(cores=6, hugepages=False),
+                            handle_out=handle_out)
+    snapshot = handle_out[0].metrics_snapshot()
+    assert result.metrics["timeouts"] > 0
+    assert snapshot["counters"]["transport.timeouts"] \
+        == result.metrics["timeouts"]
+    assert len(calls) == 1
+
+
+# -- weighted summary ----------------------------------------------------
+
+
+def _weighted_summary_loop(pairs):
+    """``weighted_summary`` as a running-sum loop: the oracle it must
+    match bit for bit."""
+    if not pairs:
+        return {"count": 0, "mean": 0.0, "p50": 0.0, "p90": 0.0,
+                "p99": 0.0, "min": 0.0, "max": 0.0}
+    total = sum(weight for _, weight in pairs)
+    mean = (sum(value * weight for value, weight in pairs) / total
+            if total > 0 else 0.0)
+    ordered = sorted(pairs)
+    sorted_total = sum(weight for _, weight in ordered)
+    cuts = ([fraction * sorted_total for fraction in (0.50, 0.90, 0.99)]
+            if sorted_total > 0 else [])
+    found = []
+    running = 0.0
+    for value, weight in ordered:
+        if len(found) == len(cuts):
+            break
+        running += weight
+        while len(found) < len(cuts) and running >= cuts[len(found)]:
+            found.append(value)
+    found += [ordered[-1][0] if cuts else 0.0] * (3 - len(found))
+    return {"count": int(round(total)), "mean": mean, "p50": found[0],
+            "p90": found[1], "p99": found[2], "min": ordered[0][0],
+            "max": ordered[-1][0]}
+
+
+#: Repeated values (ties reorder by weight) and zero weights, mixed
+#: with arbitrary finite ones.
+_summary_pairs = st.lists(st.tuples(
+    st.one_of(st.sampled_from((0.0, 1e-6, 2.5e-6, 3e-5)),
+              st.floats(0.0, 1e-2)),
+    st.one_of(st.just(0.0), st.sampled_from((0.5, 1.0, 40.0)),
+              st.floats(0.0, 1e3))), max_size=60)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_summary_pairs)
+def test_weighted_summary_matches_the_running_sum_loop(pairs):
+    expected = _weighted_summary_loop(pairs)
+    assert {key: repr(value)
+            for key, value in fluid.weighted_summary(pairs).items()} \
+        == {key: repr(value) for key, value in expected.items()}
+
+
+# -- conservation --------------------------------------------------------
+
+
+@pytest.mark.parametrize("point", [0, -1])
+@pytest.mark.parametrize("name", sorted(
+    name for name, spec in bundled_scenarios().items()
+    if spec.driver == "sweep"))
+def test_fluid_conserves_packets_at_every_stage(name, point):
+    """Over the measurement window, at the first and last point of the
+    spec's ``quick`` grid (its default grid if it has no ``quick``; the
+    last points load the queues and drop): what enters each stage
+    leaves it, is dropped there, or is still queued there."""
+    spec = bundled_scenarios()[name]
+    config = spec.expand(
+        quality="quick" if "quick" in spec.quality else None,
+        fidelity="fluid")[point]
+    experiment = FluidExperiment(config)
+    solver = experiment.solver
+    experiment.run_warmup()
+    q_nic, q_cpu, q_fab = solver.q_nic, solver.q_cpu, sum(solver._fab_q)
+    experiment.run_measurement()
+    run, wire = solver.run, solver.wire_bytes
+    assert run.rx_packets > 0
+    # NIC stage: arrivals = DMA'd + tail-dropped + buffered.
+    assert run.rx_packets * wire == pytest.approx(
+        run.dma_packets * wire + run.dropped_packets * wire
+        + solver.q_nic - q_nic, rel=1e-9)
+    # CPU stage: DMA'd = drained + backlogged (loss-free).
+    assert run.dma_packets == pytest.approx(
+        run.drained_packets + (solver.q_cpu - q_cpu) / wire, rel=1e-9)
+    if solver.fabric_profile is None:
+        assert run.fabric_offered_packets == 0.0
+    else:
+        # Fabric stage: offered = delivered to the NIC + dropped at a
+        # switch port + queued in the per-link fluid queues.
+        assert run.fabric_offered_packets == pytest.approx(
+            run.rx_packets + run.fabric_dropped_packets
+            + (sum(solver._fab_q) - q_fab) / wire, rel=1e-9)
