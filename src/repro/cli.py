@@ -68,7 +68,12 @@ from repro.core.config import (
 from repro.core.experiment import run_experiment
 from repro.core.model import ThroughputModel
 from repro.core.results import FailedRun
-from repro.core.scenario import ScenarioSpec, SweepAxis, run_configs
+from repro.core.scenario import (
+    ScenarioError,
+    ScenarioSpec,
+    SweepAxis,
+    run_configs,
+)
 
 __all__ = ["build_parser", "main"]
 
@@ -426,7 +431,7 @@ def _scenario_specs(args: argparse.Namespace):
 
 
 def cmd_scenario(args: argparse.Namespace) -> int:
-    from repro.core.scenario import ScenarioError, find_scenario
+    from repro.core.scenario import find_scenario
 
     try:
         if args.scenario_command == "list":
@@ -479,18 +484,42 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         return 1
 
 
+#: ``repro scenario run`` output flags, as (argparse dest, flag).
+_OUTPUT_FLAGS = (("metrics_out", "--metrics-out"), ("csv", "--csv"),
+                 ("out", "--out"))
+
+
+def _check_output_flags(spec, args: argparse.Namespace,
+                        renders_figure: bool) -> None:
+    """Reject, before anything runs, each output flag the scenario's
+    driver would ignore: a sweep writes all three, a fleet writes
+    ``--csv``/``--out`` only when it renders a figure, and the day and
+    isolation drivers write none."""
+    if spec.driver == "sweep":
+        return
+    supported = ("csv", "out") if (spec.driver == "fleet"
+                                   and renders_figure) else ()
+    for dest, flag in _OUTPUT_FLAGS:
+        if getattr(args, dest) and dest not in supported:
+            raise ScenarioError(
+                f"{flag} is not supported by the {spec.driver} driver "
+                f"(scenario {spec.name!r})")
+
+
 def _run_scenario(spec, args: argparse.Namespace) -> int:
     from repro.analysis.figures import figure_from_scenario
 
     render = spec.render
+    renders_figure = (spec.driver in ("sweep", "fleet")
+                      and render is not None
+                      and render.style in ("panels", "scatter"))
+    _check_output_flags(spec, args, renders_figure)
     fidelity = args.fidelity
     print(f"scenario {spec.name} ({spec.source}): driver {spec.driver}"
           + f", fidelity {fidelity or spec.fidelity}"
           + (f", quality {args.quality}" if args.quality else ""))
     failures = "keep" if args.keep_failed else "raise"
-    figure = (spec.driver in ("sweep", "fleet") and render is not None
-              and render.style in ("panels", "scatter")
-              and not args.metrics_out)
+    figure = renders_figure and not args.metrics_out
     cache = _cache_from_args(args) if spec.driver == "sweep" else None
     snapshots: Optional[list] = [] if args.metrics_out else None
 

@@ -42,6 +42,9 @@ class Region:
     base: int
     size: int
     page_size: int
+    #: Pages in the region, fixed at construction: the NIC reads it
+    #: several times per packet.
+    num_pages: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.size <= 0:
@@ -56,10 +59,7 @@ class Region:
             raise ValueError(
                 f"size {self.size} not a multiple of page size {self.page_size}"
             )
-
-    @property
-    def num_pages(self) -> int:
-        return self.size // self.page_size
+        object.__setattr__(self, "num_pages", self.size // self.page_size)
 
     @property
     def end(self) -> int:
@@ -151,7 +151,7 @@ class ThreadLayout:
         if data.page_size == PAGE_2M:
             return [data.base + rng._randbelow(data.num_pages) * PAGE_2M]
         slots = data.num_pages  # one 4 KB slot per page
-        slot = rng._randbelow(max(slots - 1, 1))
+        slot = rng._randbelow(slots - 1 if slots > 1 else 1)
         offset = slot * PAGE_4K
         # payload plus headers/metadata spills into the next page
         # (open-coded span_keys: offset is always in range here)
@@ -197,17 +197,18 @@ class ThreadLayout:
         """Descriptor, completion, and payload-staging pages for one
         transmitted ACK (the paper's footnote 3 counts the ACK's PCIe
         transactions against the same IOTLB)."""
-        index = self._cursor["tx"]
-        self._cursor["tx"] = index + 1
-        desc_page = (index // _DESCS_PER_PAGE) % self.tx_desc_ring.num_pages
-        comp_page = (
-            index // _COMPLETIONS_PER_PAGE
-        ) % self.tx_completion_ring.num_pages
-        staging = rng._randbelow(self.ack_staging.num_pages)
+        cursor = self._cursor
+        index = cursor["tx"]
+        cursor["tx"] = index + 1
+        desc = self.tx_desc_ring
+        comp = self.tx_completion_ring
+        staging = self.ack_staging
         return [
-            self.tx_desc_ring.page_key(desc_page * PAGE_4K),
-            self.tx_completion_ring.page_key(comp_page * PAGE_4K),
-            self.ack_staging.page_key(staging * PAGE_4K),
+            desc.base
+            + (index // _DESCS_PER_PAGE) % desc.num_pages * PAGE_4K,
+            comp.base
+            + (index // _COMPLETIONS_PER_PAGE) % comp.num_pages * PAGE_4K,
+            staging.base + rng._randbelow(staging.num_pages) * PAGE_4K,
         ]
 
 

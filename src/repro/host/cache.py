@@ -37,25 +37,25 @@ class CopyTrafficModel(Component):
             "cpu-copy-writes", "cpu")
         self.payload_bytes_copied = 0
 
-    def record_dma_write(self, pkt) -> None:
-        """No-op: residency is implicit in the static fractions (the
-        dynamic alternative is :class:`repro.host.llc.DynamicLlcModel`)."""
-
     def record_copy(self, pkt_or_bytes) -> None:
         """Account for one packet's payload copy to application buffers.
 
         Accepts a :class:`~repro.net.packet.Packet` or a byte count.
+        DMA writes need no hook here: residency is implicit in the
+        static fractions (the dynamic alternative is
+        :class:`repro.host.llc.DynamicLlcModel`).
         """
-        payload_bytes = (pkt_or_bytes.payload_bytes
-                         if hasattr(pkt_or_bytes, "payload_bytes")
-                         else int(pkt_or_bytes))
+        try:
+            payload_bytes = pkt_or_bytes.payload_bytes
+        except AttributeError:
+            payload_bytes = int(pkt_or_bytes)
         self.payload_bytes_copied += payload_bytes
         read_bytes = int(payload_bytes * self._read_fraction)
         write_bytes = int(payload_bytes * self._write_fraction)
         if read_bytes:
-            self._reads.add(read_bytes)
+            self._reads.bytes_pending += read_bytes
         if write_bytes:
-            self._writes.add(write_bytes)
+            self._writes.bytes_pending += write_bytes
 
     # -- telemetry -----------------------------------------------------------
 

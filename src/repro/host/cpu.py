@@ -80,23 +80,19 @@ class ReceiverThread(Component):
             return
         self._busy = True
         pkt = self._queue.popleft()
-        service = self._service_time(pkt)
+        # Copies stall when the memory bus is saturated, inflating the
+        # service time by up to ``contention_slowdown``.
+        contention = self.memory.utilization
+        if contention > 1.0:
+            contention = 1.0
+        service = (pkt.payload_bytes * 8 / self._core_rate_bps
+                   * (1.0 + self._contention_slowdown * contention))
         self._busy_time += service
         span = 0
         if self.tracer is not None and self.tracer.enabled:
             span = self.tracer.begin(f"cpu{self.thread_id}", "process",
                                      flow=pkt.flow_id, seq=pkt.seq)
         self.sim.call(service, self._finish, pkt, span)
-
-    def _service_time(self, pkt: Packet) -> float:
-        """Per-packet processing time; copies stall when the memory bus
-        is saturated, inflating service time by up to
-        ``contention_slowdown``."""
-        base = pkt.payload_bytes * 8 / self._core_rate_bps
-        contention = self.memory.utilization
-        if contention > 1.0:
-            contention = 1.0
-        return base * (1.0 + self._contention_slowdown * contention)
 
     def _finish(self, pkt: Packet, span: int = 0) -> None:
         if span and self.tracer is not None:

@@ -3,7 +3,7 @@
 Wires every interconnect component together and exposes the three
 interfaces the rest of the system uses:
 
-- the fabric delivers packets via :meth:`ReceiverHost.deliver_packet`;
+- the fabric delivers packets via :attr:`ReceiverHost.deliver_packet`;
 - the transport receiver is attached with :meth:`attach_receiver` and
   gets each packet after CPU processing;
 - ACKs flow back out through :meth:`send_ack`, stamped with the host
@@ -34,6 +34,10 @@ from repro.sim.resources import CreditPool
 from repro.sim.tracing import Tracer
 
 __all__ = ["ReceiverHost"]
+
+
+def _unattached(pkt: Packet) -> None:
+    """Processed-packet sink until :meth:`ReceiverHost.attach_receiver`."""
 
 
 class ReceiverHost(Component):
@@ -84,6 +88,9 @@ class ReceiverHost(Component):
             deliver=self._on_dma_complete,
             tracer=tracer,
         )
+        #: Entry point from the access link: the NIC's receive itself,
+        #: so the fabric hands each packet over without a relay.
+        self.deliver_packet: Callable[[Packet], None] = self.nic.receive
         if config.ddio.dynamic_llc:
             from repro.host.llc import DynamicLlcModel
 
@@ -98,7 +105,7 @@ class ReceiverHost(Component):
                 nic=self.nic,
                 memory=self.memory,
                 copy_model=self.copy_model,
-                on_processed=self._on_processed,
+                on_processed=_unattached,
                 replenish_batch=config.nic.replenish_batch,
                 tracer=tracer,
             )
@@ -114,7 +121,6 @@ class ReceiverHost(Component):
         self.remote_antagonist = StreamAntagonist(
             self.remote_memory, config.remote_antagonist_cores,
             config.antagonist_per_core_Bps)
-        self._receiver: Optional[Callable[[Packet], None]] = None
         self._ack_egress: Optional[Callable[[Ack], None]] = None
         self._stats_since = sim.now
         sim.call(config.cpu.descriptor_flush_interval, self._flush_tick)
@@ -151,8 +157,10 @@ class ReceiverHost(Component):
             registry.gauge(name, component, unit, fn=fn)
 
     def attach_receiver(self, receiver: Callable[[Packet], None]) -> None:
-        """Transport-layer hook, called once per processed packet."""
-        self._receiver = receiver
+        """Transport-layer hook, called once per processed packet (each
+        thread calls it directly)."""
+        for thread in self.threads:
+            thread.on_processed = receiver
 
     def attach_ack_egress(self, egress: Callable[[Ack], None]) -> None:
         """Fabric hook for ACKs leaving the host."""
@@ -160,25 +168,22 @@ class ReceiverHost(Component):
 
     # -- datapath -------------------------------------------------------------
 
-    def deliver_packet(self, pkt: Packet) -> None:
-        """Entry point from the access link."""
-        self.nic.receive(pkt)
-
     def _on_dma_complete(self, pkt: Packet) -> None:
-        self.copy_model.record_dma_write(pkt)
+        if self.config.ddio.dynamic_llc:
+            # Only the dynamic LLC model tracks DMA-write residency.
+            self.copy_model.record_dma_write(pkt)
         self.threads[pkt.thread_id].enqueue(pkt)
-
-    def _on_processed(self, pkt: Packet) -> None:
-        if self._receiver is not None:
-            self._receiver(pkt)
 
     def send_ack(self, ack: Ack, thread_id: int) -> None:
         """Transport receiver sends an ACK back to a sender."""
-        if self._ack_egress is None:
+        egress = self._ack_egress
+        if egress is None:
             raise RuntimeError("no ACK egress attached to host")
-        ack.nic_buffer_fraction = self.nic.buffer_fraction()
-        ack.memory_utilization = min(self.memory.utilization, 1.0)
-        self.nic.transmit_ack(ack, thread_id, self._ack_egress)
+        nic = self.nic
+        ack.nic_buffer_fraction = nic.buffer_fraction()
+        utilization = self.memory.utilization
+        ack.memory_utilization = 1.0 if 1.0 < utilization else utilization
+        nic.transmit_ack(ack, thread_id, egress)
 
     def _flush_tick(self) -> None:
         for thread in self.threads:

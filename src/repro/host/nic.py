@@ -204,7 +204,7 @@ class Nic(Component):
             if not ring.take():
                 return  # head-of-line stall until CPU replenishes
             if not try_acquire(pkt.wire_bytes):
-                ring.replenish(1)  # undo; retry when credits release
+                ring.free += 1  # undo the take; retry when credits release
                 return
             pop()
             self._inflight_bytes += pkt.wire_bytes
@@ -212,11 +212,12 @@ class Nic(Component):
 
     def _start_dma(self, pkt: Packet) -> None:
         layout = self.layouts[pkt.thread_id]
-        pages = layout.payload_pages(self.rng, pkt.payload_bytes)
+        rng = self.rng
+        pages = layout.payload_pages(rng, pkt.payload_bytes)
         # Connection state is touched twice per packet: the posted-WQE
         # read and the flow-state update live on independent pages.
-        pages.append(layout.conn_state_page(self.rng))
-        pages.append(layout.conn_state_page(self.rng))
+        pages.append(layout.conn_state_page(rng))
+        pages.append(layout.conn_state_page(rng))
         pages += layout.rx_control_pages()
         translation = self.iommu.translate(pages)
         pcie_delay = self.pcie.occupy(pkt.wire_bytes)
@@ -264,10 +265,10 @@ class Nic(Component):
             self._host_delay_pending.append(nic_delay * 1e6)
         self._traffic.bytes_pending += (pkt.payload_bytes
                                         + NIC_CONTROL_WRITE_BYTES)
-        if self.tracer:
-            self.tracer.emit("nic", "dma_done", flow=pkt.flow_id,
-                             seq=pkt.seq)
-            self.tracer.end(span)
+        tracer = self.tracer
+        if tracer is not None and tracer.enabled:
+            tracer.emit("nic", "dma_done", flow=pkt.flow_id, seq=pkt.seq)
+            tracer.end(span)
         self.deliver(pkt)
         self._pump()
 

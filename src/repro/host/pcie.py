@@ -99,7 +99,8 @@ class PcieLink(Component):
         if n_bytes <= 0:
             raise ValueError(f"transfer must be positive, got {n_bytes}")
         now = self.sim.now
-        start = max(now, self._busy_until)
+        busy_until = self._busy_until
+        start = busy_until if busy_until > now else now
         tx = self.transfer_time(n_bytes)
         self._busy_integral += tx
         self._busy_until = start + tx

@@ -131,16 +131,6 @@ class Connection(Component):
         self._backlog_packets += packets
         self._maybe_send()
 
-    def _has_data(self) -> bool:
-        return self.always_backlogged or self._backlog_packets > 0
-
-    def _pacing_interval(self) -> float:
-        """Inter-send gap; enforces sub-packet windows by pacing."""
-        cwnd = self.cc.cwnd()
-        if cwnd >= 1.0:
-            return 0.0
-        return self.srtt / max(cwnd, 1e-3)
-
     def _maybe_send(self) -> None:
         self._send_scheduled = False
         self._send_timer = None
@@ -150,18 +140,27 @@ class Connection(Component):
         # (and pacing) — they replace in-flight data, not add to it.
         while self._retx_queue:
             self._transmit_next()
-        while True:
-            if not self._has_data():
-                return
-            cwnd = self.cc.cwnd()
-            window = max(int(cwnd), 1) if cwnd >= 1.0 else 1
-            if self.inflight_count >= min(window, self.max_inflight):
+        # Transmitting only schedules events, so the window and the
+        # pacing gap hold for the whole loop.
+        cwnd = self.cc.cwnd()
+        if cwnd >= 1.0:
+            window = int(cwnd)
+            gap = 0.0
+        else:
+            # Sub-packet windows are enforced by pacing.
+            window = 1
+            gap = self.srtt / (1e-3 if 1e-3 > cwnd else cwnd)
+        max_inflight = self.max_inflight
+        if max_inflight < window:
+            window = max_inflight
+        inflight = self._inflight
+        while self.always_backlogged or self._backlog_packets > 0:
+            if len(inflight) >= window:
                 return
             if now < self._next_send_time:
                 self._schedule_send(self._next_send_time - now)
                 return
             self._transmit_next()
-            gap = self._pacing_interval()
             if gap > 0:
                 self._next_send_time = self.sim.now + gap
                 self._schedule_send(gap)
@@ -174,34 +173,32 @@ class Connection(Component):
                 delay, self._maybe_send)
 
     def _transmit_next(self) -> None:
+        now = self.sim.now
         if self._retx_queue:
             seq = self._retx_queue.popleft()
             retx = True
+            # Re-insert at the tail so _inflight stays in tx order (a
+            # fresh seq has never been in flight).
+            self._inflight.pop(seq, None)
         else:
             seq = self._next_seq
             self._next_seq += 1
             retx = False
             if not self.always_backlogged:
                 self._backlog_packets -= 1
-        record = _SentRecord(seq, self._tx_counter, self.sim.now)
+        record = _SentRecord(seq, self._tx_counter, now)
         record.retransmitted = retx
         self._tx_counter += 1
-        # Re-insert at the tail so _inflight stays in tx order.
-        self._inflight.pop(seq, None)
         self._inflight[seq] = record
-        pkt = Packet.acquire(
-            flow_id=self.flow_id,
-            seq=seq,
-            payload_bytes=self.payload_bytes,
-            wire_bytes=self.wire_bytes,
-            sent_time=self.sim.now,
-            thread_id=self.thread_id,
-            is_retransmission=retx,
-        )
+        pkt = Packet.acquire(self.flow_id, seq, self.payload_bytes,
+                             self.wire_bytes, now, self.thread_id, retx)
         self.packets_sent += 1
         if retx:
             self.retransmissions += 1
-        self._arm_rto()
+        if not self._rto_armed:
+            self._rto_armed = True
+            self._rto_timer = self.sim.schedule_timer(
+                self.rto, self._rto_check)
         self._send(pkt)
 
     # -- receiving acks ----------------------------------------------------------
@@ -213,7 +210,8 @@ class Connection(Component):
         if record is None:
             return  # duplicate/late ack for a retransmitted packet
         self.acks_received += 1
-        self._highest_acked_tx = max(self._highest_acked_tx, record.tx_index)
+        if record.tx_index > self._highest_acked_tx:
+            self._highest_acked_tx = record.tx_index
         rtt = now - ack.sent_time_echo
         self.srtt += 0.125 * (rtt - self.srtt)
         self.cc.on_ack(rtt, ack, now)
@@ -224,8 +222,9 @@ class Connection(Component):
         """Transmission-order reordering: a packet is lost once
         ``reorder_threshold`` later transmissions have been acked."""
         lost = []
+        threshold = self._highest_acked_tx - self.reorder_threshold
         for seq, record in self._inflight.items():
-            if record.tx_index <= self._highest_acked_tx - self.reorder_threshold:
+            if record.tx_index <= threshold:
                 lost.append(seq)
             else:
                 break  # _inflight is in tx order
@@ -237,12 +236,6 @@ class Connection(Component):
             self.cc.on_loss(self.sim.now)
 
     # -- timeout backstop ---------------------------------------------------------
-
-    def _arm_rto(self) -> None:
-        if not self._rto_armed:
-            self._rto_armed = True
-            self._rto_timer = self.sim.schedule_timer(
-                self.rto, self._rto_check)
 
     def _rto_check(self) -> None:
         now = self.sim.now

@@ -62,16 +62,11 @@ class ReceiverEndpoint(Component):
         self.packets_received = 0
         self.duplicates = 0
 
-    def flow(self, flow_id: int) -> _FlowState:
-        state = self._flows.get(flow_id)
-        if state is None:
-            state = _FlowState()
-            self._flows[flow_id] = state
-        return state
-
     def on_packet(self, pkt: Packet) -> None:
         """Host calls this after CPU processing of each packet."""
-        state = self.flow(pkt.flow_id)
+        state = self._flows.get(pkt.flow_id)
+        if state is None:
+            state = self._flows[pkt.flow_id] = _FlowState()
         self.packets_received += 1
         is_dup = pkt.seq in state.received
         if is_dup:
@@ -79,24 +74,16 @@ class ReceiverEndpoint(Component):
         else:
             state.received.add(pkt.seq)
             self._track_read(state, pkt)
-        ack = Ack(
-            flow_id=pkt.flow_id,
-            seq=pkt.seq,
-            sent_time_echo=pkt.sent_time,
-            host_delay=pkt.host_delay(),
-            ecn_echo=pkt.ecn_marked,
-        )
+        ack = Ack(pkt.flow_id, pkt.seq, pkt.sent_time, pkt.host_delay(),
+                  ecn_echo=pkt.ecn_marked)
         thread_id = pkt.thread_id
         # The endpoint is the packet's final consumer; everything the
         # ACK needs has been copied out, so the buffer can be recycled.
         pkt.release()
         self.send_ack(ack, thread_id)
 
-    def packets_per_read_for(self, flow_id: int) -> int:
-        return self.per_flow_packets.get(flow_id, self.packets_per_read)
-
     def _track_read(self, state: _FlowState, pkt: Packet) -> None:
-        ppr = self.packets_per_read_for(pkt.flow_id)
+        ppr = self.per_flow_packets.get(pkt.flow_id, self.packets_per_read)
         read_id = pkt.seq // ppr
         key = (pkt.flow_id, read_id)
         start = self._read_start.get(key)

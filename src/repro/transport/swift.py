@@ -29,8 +29,8 @@ class SwiftCC:
 
     def __init__(self, config: SwiftConfig, initial_cwnd: float = 2.0):
         self.config = config
-        self._cwnd = min(max(initial_cwnd, config.min_cwnd),
-                         config.max_cwnd)
+        self._cwnd = initial_cwnd
+        self._clamp()
         self._last_decrease = -1e9
         self._srtt = 25e-6
         # Introspection counters.
@@ -41,9 +41,19 @@ class SwiftCC:
     def cwnd(self) -> float:
         return self._cwnd
 
+    # The comparisons below are the builtins spelled out:
+    # ``max(a, b)`` is ``b if b > a else a`` and ``min(a, b)`` is
+    # ``b if b < a else a`` for every float, ties, -0.0 and NaN
+    # included, without the call.
+
     def _clamp(self) -> None:
         cfg = self.config
-        self._cwnd = min(max(self._cwnd, cfg.min_cwnd), cfg.max_cwnd)
+        cwnd = self._cwnd
+        if cfg.min_cwnd > cwnd:
+            cwnd = cfg.min_cwnd
+        if cfg.max_cwnd < cwnd:
+            cwnd = cfg.max_cwnd
+        self._cwnd = cwnd
 
     def _can_decrease(self, now: float) -> bool:
         return now - self._last_decrease >= self._srtt
@@ -57,21 +67,25 @@ class SwiftCC:
         the ``alpha/sqrt(cwnd)`` term staggers the cuts.
         """
         cfg = self.config
-        scaling = min(
-            cfg.flow_scaling_alpha / max(self._cwnd, cfg.min_cwnd) ** 0.5,
-            cfg.flow_scaling_max,
-        )
+        cwnd = self._cwnd
+        if cfg.min_cwnd > cwnd:
+            cwnd = cfg.min_cwnd
+        scaling = cfg.flow_scaling_alpha / cwnd ** 0.5
+        if cfg.flow_scaling_max < scaling:
+            scaling = cfg.flow_scaling_max
         return cfg.fabric_target + scaling
 
     def on_ack(self, rtt: float, ack: Ack, now: float) -> None:
         cfg = self.config
         self._srtt += 0.125 * (rtt - self._srtt)
         host_delay = ack.host_delay
-        fabric_delay = max(rtt - host_delay, 0.0)
+        fabric_delay = rtt - host_delay
+        if 0.0 > fabric_delay:
+            fabric_delay = 0.0
         # Normalized excess over the binding target.
         host_ratio = host_delay / cfg.host_target
         fabric_ratio = fabric_delay / self.fabric_target()
-        ratio = max(host_ratio, fabric_ratio)
+        ratio = fabric_ratio if fabric_ratio > host_ratio else host_ratio
         if host_ratio <= 1.0 and fabric_ratio <= cfg.hold_threshold:
             # Additive increase, spread across the acks of one window.
             # Note the asymmetry: the fabric loop has a hold band just
@@ -80,13 +94,18 @@ class SwiftCC:
             # precisely why Swift is blind to host congestion whose
             # queueing delay is capped below the host target by the
             # small NIC buffer (paper §3.1).
-            self._cwnd += cfg.additive_increase / max(self._cwnd, 1.0)
+            cwnd = self._cwnd
+            self._cwnd = cwnd + cfg.additive_increase / (
+                1.0 if 1.0 > cwnd else cwnd)
             self.increases += 1
         elif ratio <= 1.0:
             pass  # fabric hold band: neither grow nor cut
         elif self._can_decrease(now):
             excess = (ratio - 1.0) / ratio
-            factor = max(1.0 - cfg.beta * excess, 1.0 - cfg.max_mdf)
+            factor = 1.0 - cfg.beta * excess
+            floor = 1.0 - cfg.max_mdf
+            if floor > factor:
+                factor = floor
             self._cwnd *= factor
             self._last_decrease = now
             self.decreases += 1

@@ -21,6 +21,7 @@ Two granularities are exposed:
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -140,7 +141,7 @@ class HostWorkload(Component):
             sender_id=sender_id,
             thread_id=thread_id,
             cc=cc,
-            send=lambda pkt, s=global_sender: self.fabric.send_packet(s, pkt),
+            send=functools.partial(self.fabric.send_packet, global_sender),
             payload_bytes=cfg.workload.mtu_payload,
             wire_bytes=cfg.workload.wire_bytes_per_packet,
             rto=cfg.swift.rto,

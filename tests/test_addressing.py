@@ -3,8 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.host.addressing import (
+    _COMPLETIONS_PER_PAGE,
+    _DESCS_PER_PAGE,
     PAGE_2M,
     PAGE_4K,
     AddressSpaceAllocator,
@@ -163,3 +167,38 @@ class TestThreadLayouts:
         pages = layout.tx_control_pages(rng)
         assert len(pages) == 3
         assert pages[2] in layout.ack_staging.page_keys()
+
+
+@settings(max_examples=100, deadline=None)
+@given(hugepages=st.booleans(),
+       ring_pages=st.tuples(*[st.integers(min_value=1, max_value=4)] * 5),
+       start=st.integers(min_value=0, max_value=2048),
+       count=st.integers(min_value=1, max_value=600),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_ring_page_keys_equal_region_page_key(hugepages, ring_pages, start,
+                                              count, seed):
+    """The Rx and Tx ring pages (computed without ``page_key``'s range
+    check) name the same pages as ``Region.page_key``, across cursor
+    wrap-around, with 4 KB and 2 MB data pages."""
+    desc, comp, tx_desc, tx_comp, staging = ring_pages
+    (layout,) = build_thread_layouts(
+        1, 12 * 2**20, hugepages, desc_ring_pages=desc,
+        completion_ring_pages=comp, tx_desc_ring_pages=tx_desc,
+        tx_completion_ring_pages=tx_comp, ack_staging_pages=staging)
+    layout._cursor["rx"] = layout._cursor["tx"] = start
+    rng = random.Random(seed)
+    twin = random.Random(seed)
+
+    def key(region, entry, per_page):
+        return region.page_key(
+            (entry // per_page) % region.num_pages * PAGE_4K)
+
+    for entry in range(start, start + count):
+        assert layout.rx_control_pages() == [
+            key(layout.rx_desc_ring, entry, _DESCS_PER_PAGE),
+            key(layout.rx_completion_ring, entry, _COMPLETIONS_PER_PAGE)]
+        slot = twin.randrange(layout.ack_staging.num_pages)
+        assert layout.tx_control_pages(rng) == [
+            key(layout.tx_desc_ring, entry, _DESCS_PER_PAGE),
+            key(layout.tx_completion_ring, entry, _COMPLETIONS_PER_PAGE),
+            layout.ack_staging.page_key(slot * PAGE_4K)]

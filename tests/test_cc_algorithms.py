@@ -1,6 +1,8 @@
 """Unit tests for the congestion-control algorithms."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import SwiftConfig
 from repro.net.packet import Ack
@@ -192,3 +194,95 @@ def test_make_cc_factory():
     assert isinstance(make_cc("hostcc", cfg), HostSignalCC)
     with pytest.raises(ValueError):
         make_cc("reno", cfg)
+
+
+class _OracleSwift(SwiftCC):
+    """SwiftCC with the builtin ``min``/``max`` forms of its clamp,
+    fabric target and ACK handler: the reference the spelled-out
+    comparisons must match bit for bit."""
+
+    def _clamp(self):
+        cfg = self.config
+        self._cwnd = min(max(self._cwnd, cfg.min_cwnd), cfg.max_cwnd)
+
+    def fabric_target(self):
+        cfg = self.config
+        scaling = min(
+            cfg.flow_scaling_alpha / max(self._cwnd, cfg.min_cwnd) ** 0.5,
+            cfg.flow_scaling_max,
+        )
+        return cfg.fabric_target + scaling
+
+    def on_ack(self, rtt, ack, now):
+        cfg = self.config
+        self._srtt += 0.125 * (rtt - self._srtt)
+        host_delay = ack.host_delay
+        fabric_delay = max(rtt - host_delay, 0.0)
+        host_ratio = host_delay / cfg.host_target
+        fabric_ratio = fabric_delay / self.fabric_target()
+        ratio = max(host_ratio, fabric_ratio)
+        if host_ratio <= 1.0 and fabric_ratio <= cfg.hold_threshold:
+            self._cwnd += cfg.additive_increase / max(self._cwnd, 1.0)
+            self.increases += 1
+        elif ratio <= 1.0:
+            pass
+        elif self._can_decrease(now):
+            excess = (ratio - 1.0) / ratio
+            factor = max(1.0 - cfg.beta * excess, 1.0 - cfg.max_mdf)
+            self._cwnd *= factor
+            self._last_decrease = now
+            self.decreases += 1
+            if host_ratio >= fabric_ratio:
+                self.host_triggered_decreases += 1
+        self._clamp()
+
+
+def _swift_state(cc):
+    # repr() tells -0.0 from 0.0 and compares NaN to itself.
+    return tuple(repr(value) for value in (
+        cc._cwnd, cc._srtt, cc._last_decrease, cc.increases,
+        cc.decreases, cc.host_triggered_decreases))
+
+
+_DELAY = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-6, 25e-6, 100e-6, 1e-3]),
+    st.floats(min_value=0.0, max_value=2e-3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=st.sampled_from([
+           SwiftConfig(),
+           SwiftConfig(hold_threshold=1.0, flow_scaling_max=0.0),
+           SwiftConfig(beta=2.0, min_cwnd=1.0, max_cwnd=1.0)]),
+       initial=st.one_of(st.sampled_from(["min", "max", 1.0]),
+                         st.floats(min_value=1e-3, max_value=512.0)),
+       data=st.data())
+def test_swift_on_ack_matches_min_max_oracle(config, initial, data):
+    """Ties included: cwnd at ``min_cwnd``, host and fabric ratios of
+    exactly 1.0, and ``rtt == host_delay`` (zero fabric delay)."""
+    if initial == "min":
+        initial = config.min_cwnd
+    elif initial == "max":
+        initial = config.max_cwnd
+    cc = SwiftCC(config, initial_cwnd=initial)
+    oracle = _OracleSwift(config, initial_cwnd=initial)
+    assert _swift_state(cc) == _swift_state(oracle)
+    now = 0.0
+    for _ in range(data.draw(st.integers(min_value=1, max_value=30))):
+        kind = data.draw(st.sampled_from(
+            ["free", "host_tie", "fabric_tie", "no_fabric", "at_min"]))
+        host_delay = data.draw(_DELAY)
+        rtt = data.draw(_DELAY)
+        if kind == "host_tie":
+            host_delay = config.host_target
+        elif kind == "fabric_tie":
+            host_delay = 0.0
+            rtt = cc.fabric_target()
+        elif kind == "no_fabric":
+            rtt = host_delay
+        elif kind == "at_min":
+            cc._cwnd = oracle._cwnd = config.min_cwnd
+        now += data.draw(st.sampled_from([0.0, 1e-6, 25e-6, 1e-3]))
+        cc.on_ack(rtt, ack(host_delay=host_delay), now)
+        oracle.on_ack(rtt, ack(host_delay=host_delay), now)
+        assert _swift_state(cc) == _swift_state(oracle)

@@ -407,3 +407,39 @@ x = "cores"
     capsys.readouterr()
     assert main(["scenario", "run", str(spec)]) == 0
     assert "cache: 2 hit(s)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name, driver, flag", [
+    ("figure1", "fleet", "--metrics-out"),
+    ("one_host_day", "day", "--csv"),
+    ("isolation", "isolation", "--out"),
+])
+def test_scenario_run_rejects_ignored_output_flag(monkeypatch, tmp_path,
+                                                  capsys, name, driver,
+                                                  flag):
+    from repro.core.scenario import ScenarioSpec
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the scenario ran")
+
+    monkeypatch.setattr(ScenarioSpec, "run", must_not_run)
+    monkeypatch.setattr(ScenarioSpec, "run_fleet_aggregate", must_not_run)
+    code = main(["scenario", "run", name, "--quality", "quick",
+                 flag, str(tmp_path / "out")])
+    assert code != 0
+    out = capsys.readouterr().out
+    assert flag in out and driver in out and name in out
+    assert not (tmp_path / "out").exists()
+
+
+def test_scenario_sweep_accepts_every_output_flag(tmp_path, capsys):
+    spec = tmp_path / "tiny.toml"
+    spec.write_text(TINY_SPEC)
+    csv_path = tmp_path / "tiny.csv"
+    metrics_path = tmp_path / "tiny.json"
+    code = main(["scenario", "run", str(spec), "--no-cache",
+                 "--csv", str(csv_path), "--metrics-out", str(metrics_path),
+                 "--out", str(tmp_path / "figure")])
+    assert code == 0
+    assert csv_path.exists()
+    assert len(json.loads(metrics_path.read_text())) == 2
