@@ -492,13 +492,18 @@ _OUTPUT_FLAGS = (("metrics_out", "--metrics-out"), ("csv", "--csv"),
 def _check_output_flags(spec, args: argparse.Namespace,
                         renders_figure: bool) -> None:
     """Reject, before anything runs, each output flag the scenario's
-    driver would ignore: a sweep writes all three, a fleet writes
-    ``--csv``/``--out`` only when it renders a figure, and the day and
-    isolation drivers write none."""
+    driver would ignore: a sweep writes ``--metrics-out``/``--csv``,
+    and ``--out`` only when it renders a figure (which it does not
+    under ``--metrics-out``), a fleet writes ``--csv``/``--out`` only
+    when it renders a figure, and the day and isolation drivers write
+    none."""
     if spec.driver == "sweep":
-        return
-    supported = ("csv", "out") if (spec.driver == "fleet"
-                                   and renders_figure) else ()
+        supported = ("metrics_out", "csv") + (
+            ("out",) if renders_figure and not args.metrics_out else ())
+    elif spec.driver == "fleet" and renders_figure:
+        supported = ("csv", "out")
+    else:
+        supported = ()
     for dest, flag in _OUTPUT_FLAGS:
         if getattr(args, dest) and dest not in supported:
             raise ScenarioError(

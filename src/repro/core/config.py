@@ -472,13 +472,14 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         # Lazy edge up to the transport layer: the registry is the one
         # source of protocol names, and this kernel module must not
-        # import it at module level (layering).
-        from repro.transport.registry import available
+        # import it at module level (layering).  Every config
+        # construction passes here, so the name list is built only for
+        # the error.
+        from repro.transport.registry import available, is_registered
 
-        names = available()
-        _require(self.transport in names,
-                 f"unknown transport {self.transport!r}; "
-                 f"expected one of {names}")
+        if not is_registered(self.transport):
+            raise ValueError(f"unknown transport {self.transport!r}; "
+                             f"expected one of {available()}")
         _require(self.fidelity in FIDELITIES,
                  f"unknown fidelity {self.fidelity!r}; "
                  f"expected one of {FIDELITIES}")

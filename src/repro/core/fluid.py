@@ -84,13 +84,13 @@ class FluidExperiment:
                 for key, value in snap.items()}
 
     def _messages(self) -> Tuple[List[Tuple[float, float]], float]:
-        """(message-latency pairs, timeouts) of the measurement window,
-        synthesized from the solver's step trace once per measurement
-        (``collect`` and ``metrics_snapshot`` share it)."""
+        """(message-latency pairs in µs, timeouts) of the measurement
+        window, synthesized from the solver's step trace once per
+        measurement (``collect`` and ``metrics_snapshot`` share it)."""
         if self._synthesized is None:
             solver = self.solver
             self._synthesized = solver.synthesize_message_pairs(
-                solver.run.step_trace, solver.packets_per_read)
+                solver.run.step_trace, solver.packets_per_read, 1e6)
         return self._synthesized
 
     def collect(self) -> ExperimentResult:
@@ -117,7 +117,7 @@ class FluidExperiment:
                     / (self.config.link.rate_bps * m),
             }
         )
-        latency = weighted_summary([(v * 1e6, w) for v, w in pairs])
+        latency = weighted_summary(pairs)
         return ExperimentResult(
             params=self.config.describe(),
             metrics=metrics,
@@ -150,7 +150,8 @@ class FluidExperiment:
             "memory.utilization": snap["memory_utilization"],
             "transport.mean_cwnd": self.solver.mean_cwnd(),
         }
-        delay = weighted_summary(run.delay_pairs)
+        # Columns 5 and 6 of a trace row: (nic_delay, dma packets).
+        delay = weighted_summary([row[5:] for row in run.step_trace])
         histograms = {
             "nic.host_delay_us": {
                 key: value if key == "count" else value * 1e6

@@ -213,7 +213,8 @@ def weighted_summary(
     if not pairs:
         return {"count": 0, "mean": 0.0, "p50": 0.0, "p90": 0.0,
                 "p99": 0.0, "min": 0.0, "max": 0.0}
-    values, weights = zip(*pairs)
+    values = [value for value, _ in pairs]
+    weights = [weight for _, weight in pairs]
     total = sum(weights)
     mean = (sum(map(operator.mul, values, weights)) / total
             if total > 0 else 0.0)
@@ -338,8 +339,8 @@ def fluid_fabric_profile(
 class FluidRun:
     """Accumulated measurement-window outputs of one solved host (or,
     in :class:`~repro.sim.fluid_batch.BatchFluidSolver`, shape-``(N,)``
-    arrays of N hosts' accumulators; the pair and trace lists stay
-    empty there)."""
+    arrays of N hosts' accumulators; the step trace stays empty
+    there)."""
 
     elapsed: float = 0.0
     rx_packets: float = 0.0
@@ -361,16 +362,17 @@ class FluidRun:
     achieved_bw_integral: float = 0.0
     cwnd_integral: float = 0.0
     peak_queue_bytes: float = 0.0
-    #: (nic_delay_seconds, packets) pairs for the host-delay summary.
-    delay_pairs: List[Tuple[float, float]] = field(default_factory=list)
-    #: Per-step ``(host_delay, rtt_eff, p_pkt, drained, per_flow_w)``
-    #: records of the steps that drained packets: message latencies
-    #: and timeouts are synthesized from them at collect time
+    #: One 7-float row per step that drained packets: ``(host_delay,
+    #: rtt_eff, p_pkt, drained, per_flow_w, nic_delay, dma)`` — seconds,
+    #: seconds, packet-loss probability, packets, packets, seconds,
+    #: packets.  Message latencies and timeouts are synthesized from
+    #: the first five columns at collect time
     #: (:meth:`FluidSolver.synthesize_message_pairs`), for the host's
     #: own reads or for another traffic class sharing its congestion
-    #: (isolation victims issuing single-packet reads).
-    step_trace: List[Tuple[float, float, float, float, float]] = \
-        field(default_factory=list)
+    #: (isolation victims issuing single-packet reads); the last two
+    #: are the ``(value, weight)`` pairs of the NIC host-delay summary.
+    step_trace: List[Tuple[float, float, float, float, float, float,
+                           float]] = field(default_factory=list)
 
     def drop_rate(self) -> float:
         return (self.dropped_packets / self.rx_packets
@@ -446,19 +448,20 @@ def _fluid_step(self) -> None:
         * _cube(_min((rho - QUEUE_KNEE) / _KNEE_SPAN, 1.0)))
     achieved_Bps = _min(total_Bps, achievable_Bps)
 
-    # NIC-stage capacity (wire bits/s): the Little's-law PCIe bound
+    # NIC-stage capacity (wire bytes/s): the Little's-law PCIe bound
     # over the per-DMA latency (T_base + queueing + IOTLB walks),
-    # capped by PCIe goodput.  With the IOMMU off ``misses_per_packet``
-    # is 0.0, and ``t + 0.0 * walk`` is bitwise ``t``.
+    # capped by PCIe goodput (both bits/s, hence the ``/ 8``).  With
+    # the IOMMU off ``misses_per_packet`` is 0.0, and ``t + 0.0 *
+    # walk`` is bitwise ``t``.
     t_total = self.t_base + queue_delay
     walk = self.walk_base + self.walk_fraction * queue_delay
     t_total = t_total + self.misses_per_packet * walk
-    nic_bps = _min(self.littles_bits / t_total, self.pcie_goodput_bps)
+    nic_Bps = _min(self.littles_bits / t_total, self.pcie_goodput_bps) / 8
 
-    # CPU-stage capacity (wire bits/s): per-core processing slowed
+    # CPU-stage capacity (wire bytes/s): per-core processing slowed
     # by memory-bus contention (copies stall on a loaded bus).
-    cpu_bps = self.cpu_wire_bps * (1.0 - self.cpu_slowdown
-                                   * _min(rho, 1.0))
+    cpu_Bps = self.cpu_wire_bps * (1.0 - self.cpu_slowdown
+                                   * _min(rho, 1.0)) / 8
 
     # Arrivals: the window-limited closed loop.  An open-loop
     # workload accrues reads into the sender-side demand backlog
@@ -491,9 +494,9 @@ def _fluid_step(self) -> None:
             served_bytes = arrival_bps * self._fab_free / 8.0 * dt
             delay_num = 0.0
             fab_q = self._fab_q
-            for i, (frac, cap_bps, fab_buf) in enumerate(self._fab_terms):
+            for i, (frac, cap_Bps, cap_bytes, fab_buf) in enumerate(
+                    self._fab_terms):
                 backlog = fab_q[i] + arrival_bps * frac / 8.0 * dt
-                cap_bytes = cap_bps / 8.0 * dt
                 served_t = backlog if backlog < cap_bytes else cap_bytes
                 level = backlog - served_t
                 over = level - fab_buf
@@ -502,7 +505,7 @@ def _fluid_step(self) -> None:
                     level = fab_buf
                 fab_q[i] = level
                 served_bytes += served_t
-                delay_num += level / (cap_bps / 8.0) * frac
+                delay_num += level / cap_Bps * frac
             self._fab_delay = (delay_num / self._fab_frac_sum
                                if self._fab_frac_sum > 0.0 else 0.0)
             run.fabric_offered_packets += inflow / self.wire_bytes
@@ -515,7 +518,7 @@ def _fluid_step(self) -> None:
 
     # NIC stage: bounded buffer, tail drop on overflow.
     nic_backlog = self.q_nic + inflow
-    dma_bytes = _min(nic_bps / 8 * dt, nic_backlog)
+    dma_bytes = _min(nic_Bps * dt, nic_backlog)
     level = nic_backlog - dma_bytes
     dropped_bytes = _max(level - self.buffer_bytes, 0.0)
     q_nic = _min(level, self.buffer_bytes)
@@ -523,13 +526,13 @@ def _fluid_step(self) -> None:
     # bytes return to the sender-side demand backlog rather than
     # vanishing from the open-loop workload.
     q_demand = q_demand + dropped_bytes
-    nic_delay = t_total + q_nic / _max(nic_bps / 8, 1.0)
+    nic_delay = t_total + q_nic / _max(nic_Bps, 1.0)
 
     # CPU stage: unbounded in-memory backlog, loss-free.
     cpu_backlog = self.q_cpu + dma_bytes
-    done_bytes = _min(cpu_bps / 8 * dt, cpu_backlog)
+    done_bytes = _min(cpu_Bps * dt, cpu_backlog)
     q_cpu = cpu_backlog - done_bytes
-    host_delay = nic_delay + q_cpu / _max(cpu_bps / 8, 1.0)
+    host_delay = nic_delay + q_cpu / _max(cpu_Bps, 1.0)
 
     # Aggregate AIMD against the one-RTT-delayed signal.  No hold
     # band: the aggregate sawtooth must keep probing, or a
@@ -558,6 +561,7 @@ def _fluid_step(self) -> None:
     dropped = dropped_bytes / self.wire_bytes
     dma = dma_bytes / self.wire_bytes
     drained = done_bytes / self.wire_bytes
+    per_flow_w = W / self.n_flows
     run.elapsed += _acc(dt)
     run.rx_packets += _acc(rx)
     run.dropped_packets += _acc(dropped)
@@ -569,22 +573,20 @@ def _fluid_step(self) -> None:
     run.nic_delay_weighted += _acc(nic_delay * dma)
     run.utilization_integral += _acc(rho * dt)
     run.achieved_bw_integral += _acc(achieved_Bps * dt)
-    run.cwnd_integral += _acc(W / self.n_flows * dt)
+    run.cwnd_integral += _acc(per_flow_w * dt)
     run.peak_queue_bytes = _max(_acc(q_nic), run.peak_queue_bytes)
     if _SCALAR:
         if drained > 0.0:
-            run.delay_pairs.append((nic_delay, dma))
             if rx > 0.0:
                 p_pkt = dropped / rx
                 if p_pkt > 1.0:
                     p_pkt = 1.0
             else:
                 p_pkt = 0.0
-            per_flow_w = W / self.n_flows
             if per_flow_w < self.min_cwnd:
                 per_flow_w = self.min_cwnd
-            run.step_trace.append(
-                (host_delay, rtt_eff, p_pkt, drained, per_flow_w))
+            run.step_trace.append((host_delay, rtt_eff, p_pkt, drained,
+                                   per_flow_w, nic_delay, dma))
 
     # Roll the delayed signals forward one step.  Loss-based CC sees
     # fabric drops too (they trigger the same retransmit/decrease
@@ -908,8 +910,12 @@ class FluidSolver:
         profile = fluid_fabric_profile(config)
         self.fabric_profile = profile
         if profile is not None:
-            self._fab_terms: Optional[Tuple[Tuple[float, float, float],
-                                            ...]] = profile.terms
+            #: Per used link: (window fraction, capacity bytes/s,
+            #: capacity bytes per step, buffer bytes).
+            self._fab_terms: Optional[Tuple[Tuple[float, float, float,
+                                                  float], ...]] = tuple(
+                (frac, cap_bps / 8.0, cap_bps / 8.0 * self.dt, buf)
+                for frac, cap_bps, buf in profile.terms)
             self._fab_free = profile.free_fraction
             self._fab_frac_sum = sum(f for f, _, _ in profile.terms)
             self._fab_q = [0.0] * len(profile.terms)
@@ -922,10 +928,12 @@ class FluidSolver:
         self.run = FluidRun()
 
     def synthesize_message_pairs(
-            self, records, packets_per_read: float,
+            self, records, packets_per_read: float, scale: float,
     ) -> Tuple[List[Tuple[float, float]], float]:
         """Weighted message-latency samples for a traffic class issuing
-        ``packets_per_read``-packet reads over the given step records.
+        ``packets_per_read``-packet reads over the given step records
+        (:attr:`FluidRun.step_trace` rows), latencies in seconds times
+        ``scale`` (1e6 for µs).
 
         One sample per step per outcome class: a clean read finishes in
         ``rounds`` effective RTTs; a read that lost a packet pays one
@@ -937,7 +945,8 @@ class FluidSolver:
         base_rtt = self.base_rtt
         pairs: List[Tuple[float, float]] = []
         timeouts = 0.0
-        for host_delay, rtt_eff, p_pkt, drained, per_flow_w in records:
+        for host_delay, rtt_eff, p_pkt, drained, per_flow_w, _, _ \
+                in records:
             messages = drained / ppr
             rounds = ppr / per_flow_w
             if rounds < 1.0:
@@ -946,17 +955,17 @@ class FluidSolver:
             if p_pkt <= 0.0:
                 # Loss-free step: every read is clean (the general
                 # branch would add exactly ``+0.0`` timeouts).
-                pairs.append((base, messages))
+                pairs.append((base * scale, messages))
                 continue
             p_msg = 1.0 - (1.0 - p_pkt) ** ppr
             p_timeout = p_msg * p_pkt
             timeouts += messages * p_timeout
-            pairs.append((base, messages * (1.0 - p_msg)))
+            pairs.append((base * scale, messages * (1.0 - p_msg)))
             if p_msg > 0:
-                pairs.append(
-                    (base + rtt_eff, messages * (p_msg - p_timeout)))
+                pairs.append(((base + rtt_eff) * scale,
+                              messages * (p_msg - p_timeout)))
             if p_timeout > 0:
-                pairs.append((base + rto, messages * p_timeout))
+                pairs.append(((base + rto) * scale, messages * p_timeout))
         return pairs, timeouts
 
     # -- run control -------------------------------------------------------

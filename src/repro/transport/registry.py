@@ -16,7 +16,7 @@ from __future__ import annotations
 import importlib
 from typing import Callable, Dict, Tuple, Type
 
-__all__ = ["available", "create", "register"]
+__all__ = ["available", "create", "is_registered", "register"]
 
 #: name -> CC class; every class takes ``(swift_config, initial_cwnd)``.
 _FACTORIES: Dict[str, Callable] = {}
@@ -73,6 +73,13 @@ def available() -> Tuple[str, ...]:
     extras = tuple(sorted(n for n in _FACTORIES
                           if n not in _BUILTIN_ORDER))
     return builtins + extras
+
+
+def is_registered(name: str) -> bool:
+    """Whether ``name`` is a registered protocol: one dict lookup, for
+    checks on hot paths that :func:`available`'s tuples would slow."""
+    _ensure_builtins()
+    return name in _FACTORIES
 
 
 def create(name: str, swift_config, initial_cwnd: float = 2.0):

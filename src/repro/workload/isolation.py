@@ -88,9 +88,9 @@ def _run_isolation_fluid(config: ExperimentConfig) -> IsolationResult:
     solver.reset_stats()
     solver.run_until(config.sim.end_time)
     trace = solver.run.step_trace
-    victim_pairs, _ = solver.synthesize_message_pairs(trace, 1.0)
+    victim_pairs, _ = solver.synthesize_message_pairs(trace, 1.0, 1.0)
     elephant_pairs, _ = solver.synthesize_message_pairs(
-        trace, solver.packets_per_read)
+        trace, solver.packets_per_read, 1.0)
     snap = solver.snapshot()
     return IsolationResult(
         victim=_weighted_summary_us(victim_pairs),

@@ -432,14 +432,58 @@ def test_scenario_run_rejects_ignored_output_flag(monkeypatch, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("name, flags", [
+    ("iommu_contention", []),          # a ``table`` spec renders none
+    ("figure3", ["--metrics-out"]),    # a panels spec, but not here
+])
+def test_scenario_sweep_rejects_out_without_a_figure(monkeypatch, tmp_path,
+                                                     capsys, name, flags):
+    from repro.core.scenario import ScenarioSpec
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the scenario ran")
+
+    monkeypatch.setattr(ScenarioSpec, "run", must_not_run)
+    args = ["scenario", "run", name, "--quality", "quick",
+            "--out", str(tmp_path / "figure")]
+    for flag in flags:
+        args += [flag, str(tmp_path / flag.strip("-"))]
+    assert main(args) != 0
+    out = capsys.readouterr().out
+    assert "--out" in out and "sweep" in out and name in out
+    assert list(tmp_path.iterdir()) == []
+
+
+#: ``TINY_SPEC`` rendered as a one-panel figure.
+TINY_PANELS_SPEC = TINY_SPEC.replace('style = "table"\nx = "cores"\n',
+                                     '''style = "panels"
+
+[[render.panels]]
+name = "throughput"
+x = "cores"
+x_label = "receiver cores"
+y_label = "Gbps"
+
+[[render.panels.series]]
+label = "App Throughput"
+metric = "app_throughput_gbps"
+''')
+
+
 def test_scenario_sweep_accepts_every_output_flag(tmp_path, capsys):
+    # A panels sweep writes ``--out`` and ``--csv`` with its figure,
+    # and ``--csv`` and ``--metrics-out`` without one.
     spec = tmp_path / "tiny.toml"
-    spec.write_text(TINY_SPEC)
+    spec.write_text(TINY_PANELS_SPEC)
+    run = ["scenario", "run", str(spec), "--no-cache", "--fidelity", "fluid"]
+    figure_dir, figure_csv = tmp_path / "figure", tmp_path / "figure.csv"
+    assert main(run + ["--csv", str(figure_csv),
+                       "--out", str(figure_dir)]) == 0
+    assert figure_csv.exists()
+    assert list(figure_dir.glob("*.csv"))
     csv_path = tmp_path / "tiny.csv"
     metrics_path = tmp_path / "tiny.json"
-    code = main(["scenario", "run", str(spec), "--no-cache",
-                 "--csv", str(csv_path), "--metrics-out", str(metrics_path),
-                 "--out", str(tmp_path / "figure")])
-    assert code == 0
+    assert main(run + ["--csv", str(csv_path),
+                       "--metrics-out", str(metrics_path)]) == 0
     assert csv_path.exists()
     assert len(json.loads(metrics_path.read_text())) == 2

@@ -60,3 +60,27 @@ def test_register_new_protocol_and_reject_collisions():
         register("test-proto")(TestProtoCC)
     finally:
         registry._FACTORIES.pop("test-proto", None)
+
+
+def test_config_rejects_unknown_transport_listing_every_name():
+    with pytest.raises(ValueError) as err:
+        ExperimentConfig(transport="reno")
+    assert str(err.value) == (f"unknown transport 'reno'; "
+                              f"expected one of {available()}")
+    assert not registry.is_registered("reno")
+    assert all(registry.is_registered(name) for name in available())
+
+
+def test_config_accepts_a_transport_registered_at_runtime():
+    assert not registry.is_registered("late-proto")
+    register("late-proto")(SwiftCC)
+    try:
+        assert ExperimentConfig(transport="late-proto").transport \
+            == "late-proto"
+        with pytest.raises(ValueError) as err:
+            ExperimentConfig(transport="reno")
+        assert "'late-proto'" in str(err.value)
+    finally:
+        registry._FACTORIES.pop("late-proto", None)
+    with pytest.raises(ValueError, match="late-proto"):
+        ExperimentConfig(transport="late-proto")
