@@ -1,5 +1,6 @@
-"""Analysis and figure regeneration: series building, ASCII plots, and
-one function per paper figure."""
+"""Analysis and figure regeneration: series building, ASCII plots,
+one result contract for every scenario driver, and one function per
+paper figure."""
 
 from repro.analysis.convergence import (
     SawtoothMetrics,
@@ -8,11 +9,13 @@ from repro.analysis.convergence import (
 )
 from repro.analysis.figures import (
     FigureData,
+    ScenarioResult,
     figure1,
     figure3,
     figure4,
     figure5,
     figure6,
+    run_scenario,
 )
 from repro.analysis.sensitivity import Elasticity, sensitivity_analysis
 from repro.analysis.series import Series, series_from_table
@@ -22,6 +25,7 @@ __all__ = [
     "Elasticity",
     "FigureData",
     "SawtoothMetrics",
+    "ScenarioResult",
     "Series",
     "convergence_time",
     "figure1",
@@ -30,6 +34,7 @@ __all__ = [
     "figure5",
     "figure6",
     "line_plot",
+    "run_scenario",
     "sawtooth_metrics",
     "scatter_plot",
     "sensitivity_analysis",

@@ -1,13 +1,14 @@
-"""Regeneration of every evaluation figure in the paper.
+"""Scenario results and the regeneration of every evaluation figure.
 
 Each figure is a bundled scenario spec (``src/repro/scenarios/*.toml``)
 — sweep axes, quality presets, and panel/series metadata all live in
 the spec, not here.  This module is the rendering binding:
-:func:`figure_from_scenario` runs a spec through the shared execution
-pipeline and materializes its ``[render]`` section into a
-:class:`FigureData`.  The historical ``figure1``/``figure3``–
-``figure6`` entry points remain as thin wrappers that load their spec
-and override the grid from their arguments.
+:func:`run_scenario` runs any spec through the shared execution
+pipeline and returns one :class:`ScenarioResult` whatever its driver,
+materializing the ``[render]`` section into a :class:`FigureData` where
+the spec draws one.  The historical ``figure1``/``figure3``–``figure6``
+entry points remain as thin wrappers that load their spec and override
+the grid from their arguments.
 
 The ``quality`` knob selects a spec preset trading run time for grid
 density / window length:
@@ -29,10 +30,11 @@ from repro.core import calibration as cal
 from repro.core.cache import ResultCache
 from repro.core.config import ExperimentConfig
 from repro.core.model import ThroughputModel
-from repro.core.results import ResultTable
+from repro.core.results import FailedRun, ResultTable
 from repro.core.scenario import (
     PanelSpec,
     QualityPreset,
+    RenderSpec,
     ScenarioSpec,
     SeriesSpec,
     apply_overrides,
@@ -41,12 +43,16 @@ from repro.core.scenario import (
 
 __all__ = [
     "FigureData",
+    "RUN_FLAGS",
+    "ScenarioResult",
     "figure1",
     "figure3",
     "figure4",
     "figure5",
     "figure6",
     "figure_from_scenario",
+    "run_scenario",
+    "supported_flags",
 ]
 
 
@@ -75,6 +81,9 @@ class FigureData:
                 )
             )
         for panel, (x_label, y_label, series) in self.panels.items():
+            if not any(s.x for s in series):
+                blocks.append(f"  {panel}: no completed runs to plot")
+                continue
             blocks.append(
                 line_plot(series, title=panel, x_label=x_label,
                           y_label=y_label)
@@ -113,6 +122,19 @@ class FigureData:
         return written
 
 
+@dataclass
+class ScenarioResult:
+    """What :func:`run_scenario` returns for every driver."""
+
+    #: The printed report: the figure, or the driver's table.
+    report: str
+    #: One row per run (sweep driver), failed runs included.
+    table: ResultTable | None = None
+    #: One metrics snapshot per run, when asked for (sweep driver).
+    snapshots: list | None = None
+    figure: FigureData | None = None
+
+
 def _rank(values: Sequence[float]) -> List[float]:
     order = sorted(range(len(values)), key=lambda i: values[i])
     ranks = [0.0] * len(values)
@@ -147,35 +169,6 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
 # ---------------------------------------------------------------------------
 # Spec -> figure rendering binding
 # ---------------------------------------------------------------------------
-
-def _check_quality(spec: ScenarioSpec, quality: Optional[str]) -> None:
-    if quality is not None and spec.quality \
-            and quality not in spec.quality:
-        raise ValueError(
-            f"quality must be one of {sorted(spec.quality)}, "
-            f"got {quality!r}")
-
-
-def _override_axis(spec: ScenarioSpec, path: str,
-                   values: Sequence) -> ScenarioSpec:
-    """A copy of ``spec`` with one axis's grid replaced.
-
-    An explicit grid wins over quality presets, so the preset's values
-    for that axis are dropped too.
-    """
-    axes = tuple(
-        dataclasses.replace(axis, values=tuple(values))
-        if axis.path == path else axis
-        for axis in spec.axes)
-    quality = {
-        name: QualityPreset(
-            overrides=preset.overrides,
-            axis_values={k: v for k, v in preset.axis_values.items()
-                         if k != path})
-        for name, preset in spec.quality.items()
-    }
-    return dataclasses.replace(spec, axes=axes, quality=quality)
-
 
 def _metric_series(table: ResultTable, panel: PanelSpec,
                    spec_series: SeriesSpec) -> Series:
@@ -220,27 +213,66 @@ def _max_goodput_series(table: ResultTable, panel: PanelSpec,
                   tuple(cal.MAX_APP_GOODPUT_BPS / 1e9 for _ in xs))
 
 
-def _sweep_figure(spec: ScenarioSpec, table: ResultTable,
-                  base: ExperimentConfig) -> FigureData:
+def _renders_figure(spec: ScenarioSpec) -> bool:
+    return spec.render is not None and spec.render.style in ("panels",
+                                                             "scatter")
+
+
+def _table(header: str, rows) -> str:
+    return "\n".join([header, "-" * len(header), *rows])
+
+
+def _sweep_row(result, x_key: str) -> str:
+    row = f"{result.params[x_key]:>16} {str(result.params['iommu']):>6} "
+    if isinstance(result, FailedRun):
+        return f"{row}  FAILED ({result.kind}): {result.error}"
+    m = result.metrics
+    return (f"{row}{m['app_throughput_gbps']:>10.1f} "
+            f"{m['drop_rate'] * 100:>7.2f} "
+            f"{m['iotlb_misses_per_packet']:>11.2f} "
+            f"{m['memory_total_GBps']:>9.1f}")
+
+
+def _sweep_table(results, x_key: str) -> str:
+    return _table(f"{x_key:>16} {'iommu':>6} {'tput Gbps':>10} "
+                  f"{'drop %':>7} {'misses/pkt':>11} {'mem GB/s':>9}",
+                  [_sweep_row(result, x_key) for result in results])
+
+
+def _render_sweep(spec: ScenarioSpec, table: ResultTable,
+                  base: ExperimentConfig,
+                  snapshots: Optional[list]) -> ScenarioResult:
+    """The sweep's table, or the figure its ``panels`` draw from the
+    completed runs with the failed ones tabled under it."""
+    render = spec.render or RenderSpec()
+    x_key = render.x or next((panel.x for panel in render.panels), "seed")
+    if not _renders_figure(spec):
+        return ScenarioResult(_sweep_table(table, x_key), table,
+                              snapshots)
     panels: Dict[str, Tuple[str, str, List[Series]]] = {}
-    render = spec.render
-    for panel in (render.panels if render else ()):
+    rows = table.ok()
+    for panel in render.panels:
         series: List[Series] = []
         for s in panel.series:
             if s.kind == "metric":
-                series.append(_metric_series(table, panel, s))
+                series.append(_metric_series(rows, panel, s))
             elif s.kind == "model":
-                series.append(_model_series(table, panel, s, base))
+                series.append(_model_series(rows, panel, s, base))
             else:
-                series.append(_max_goodput_series(table, panel, s))
+                series.append(_max_goodput_series(rows, panel, s))
         panels[panel.name] = (panel.x_label, panel.y_label, series)
-    return FigureData(name=spec.name, title=spec.title, panels=panels,
-                      table=table)
+    figure = FigureData(name=spec.name, title=spec.title, panels=panels,
+                        table=table)
+    failed = table.failures()
+    report = figure.render() + (
+        f"\n\n{_sweep_table(failed, x_key)}" if failed else "")
+    return ScenarioResult(report, table, snapshots, figure)
 
 
-def _fleet_figure(spec: ScenarioSpec, aggregate) -> FigureData:
-    """Materialize Fig. 1 from a streamed
-    :class:`~repro.workload.fleet_agg.FleetAggregate`.
+def _render_fleet(spec: ScenarioSpec, aggregate, base, snapshots
+                  ) -> ScenarioResult:
+    """The summary of a streamed
+    :class:`~repro.workload.fleet_agg.FleetAggregate`, or Fig. 1 from it.
 
     The scatter is the occupied density-cell midpoints (constant-size
     whatever the fleet size) and every summary note is answered by the
@@ -248,7 +280,9 @@ def _fleet_figure(spec: ScenarioSpec, aggregate) -> FigureData:
     ``spearman`` note is the rank correlation of the binned population
     (see :func:`repro.workload.fleet_agg.density_rank_correlation`).
     """
-    return FigureData(
+    if not _renders_figure(spec):
+        return ScenarioResult("\n".join(aggregate.format_lines()))
+    figure = FigureData(
         name=spec.name,
         title=spec.title,
         panels={},
@@ -264,43 +298,86 @@ def _fleet_figure(spec: ScenarioSpec, aggregate) -> FigureData:
                 aggregate.drop_fraction_low_util, 3),
         },
     )
+    return ScenarioResult(figure.render(), figure=figure)
 
 
-def figure_from_scenario(
+def _render_day(spec: ScenarioSpec, bins, base, snapshots
+                ) -> ScenarioResult:
+    return ScenarioResult(_table(
+        f"{'bin':>4} {'load':>5} {'antag':>6} "
+        f"{'link util':>10} {'drop %':>7} {'tput Gbps':>10}",
+        [f"{b.index:>4} {b.offered_load:>5.2f} {b.antagonist_cores:>6} "
+         f"{b.link_utilization:>10.2f} {b.drop_rate * 100:>7.2f} "
+         f"{b.app_throughput_gbps:>10.1f}" for b in bins]))
+
+
+def _render_isolation(spec: ScenarioSpec, results, base, snapshots
+                      ) -> ScenarioResult:
+    return ScenarioResult(_table(
+        f"{'case':>14} {'drop %':>7} {'victim p50':>11} "
+        f"{'victim p99':>11} {'elephant p99':>13} {'tput':>6}",
+        [f"{name:>14} {r.drop_rate * 100:>7.2f} {r.victim.p50:>11.1f} "
+         f"{r.victim.p99:>11.1f} {r.elephant.p99:>13.1f} "
+         f"{r.app_throughput_gbps:>6.1f}" for name, r in results.items()]))
+
+
+#: Every ``repro scenario run`` flag that some driver does not honour.
+RUN_FLAGS = ("--timeout-s", "--keep-failed", "--metrics-out", "--csv",
+             "--out")
+
+#: driver -> (its render binding over what ``ScenarioSpec.run``
+#: returns, the :data:`RUN_FLAGS` it honours).  ``--out`` writes the
+#: figure, so it also needs a spec that renders one.
+_BINDINGS = {
+    "sweep": (_render_sweep, RUN_FLAGS),
+    "fleet": (_render_fleet, ("--out",)),
+    "day": (_render_day, ()),
+    "isolation": (_render_isolation, ()),
+}
+
+
+def supported_flags(spec: ScenarioSpec) -> Tuple[str, ...]:
+    """The :data:`RUN_FLAGS` that running ``spec`` honours."""
+    return tuple(flag for flag in _BINDINGS[spec.driver][1]
+                 if flag != "--out" or _renders_figure(spec))
+
+
+def run_scenario(
     spec: ScenarioSpec,
     quality: Optional[str] = None,
     *,
-    workers: int | str | None = None,
-    cache: ResultCache | None = None,
     base: Optional[ExperimentConfig] = None,
     fidelity: Optional[str] = None,
-    events=None,
-    failures: str = "raise",
-) -> FigureData:
-    """Run a scenario and materialize its ``[render]`` section.
+    snapshots: bool = False,
+    **run_args,
+) -> ScenarioResult:
+    """Run any scenario once and render it the way its driver binds.
 
-    Sweep scenarios yield line-plot panels (with model / max-goodput
-    overlays where the spec asks for them); fleet scenarios yield the
-    utilization-vs-drops scatter with summary notes.  ``fidelity``
-    overrides the spec's engine choice (``--fidelity``); ``events`` and
-    ``failures`` pass through to the runner (live telemetry / keep
-    failed rows), as in :func:`repro.core.parallel.run_many`.
+    A ``panels`` sweep plots its completed runs and lists the failed
+    ones under the figure, a ``scatter`` fleet draws the Fig. 1
+    scatter, and every other spec reports its driver's table.
+    ``snapshots`` collects one metrics snapshot per sweep run; the
+    other keywords pass to :meth:`ScenarioSpec.run`.
     """
-    _check_quality(spec, quality)
-    if spec.driver == "fleet":
-        aggregate = spec.run_fleet_aggregate(
-            quality=quality, base=base, fidelity=fidelity,
-            workers=workers, events=events)
-        return _fleet_figure(spec, aggregate)
-    if spec.driver != "sweep":
+    render = _BINDINGS[spec.driver][0]
+    snapshots_out: Optional[list] = [] if snapshots else None
+    raw = spec.run(quality, base, snapshots_out=snapshots_out,
+                   fidelity=fidelity, **run_args)
+    return render(spec, raw, spec.base_config(quality, base, fidelity),
+                  snapshots_out)
+
+
+def figure_from_scenario(spec: ScenarioSpec,
+                         quality: Optional[str] = None,
+                         **run_args) -> FigureData:
+    """Run a scenario and return the figure its ``[render]`` section
+    draws; ``run_args`` are :func:`run_scenario`'s keywords."""
+    figure = run_scenario(spec, quality, **run_args).figure
+    if figure is None:
         raise ValueError(
             f"scenario {spec.name!r} (driver {spec.driver!r}) does "
             f"not render as a figure")
-    table = spec.run(quality=quality, base=base, fidelity=fidelity,
-                     workers=workers, cache=cache, events=events,
-                     failures=failures)
-    return _sweep_figure(spec, table,
-                         spec.base_config(quality, base, fidelity))
+    return figure
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +402,27 @@ def figure1(n_hosts: int = 60, seed: int = 7,
                                 fidelity=fidelity)
 
 
+def _bundled_figure(name: str, path: str, values: Sequence | None,
+                    **run_args) -> FigureData:
+    """Bundled figure ``name``, with axis ``path``'s grid replaced by
+    ``values`` when given.  An explicit grid wins over quality
+    presets, so the presets' values for that axis are dropped too."""
+    spec = load_bundled(name)
+    if values:
+        spec = dataclasses.replace(
+            spec,
+            axes=tuple(dataclasses.replace(axis, values=tuple(values))
+                       if axis.path == path else axis
+                       for axis in spec.axes),
+            quality={
+                q: QualityPreset(
+                    overrides=preset.overrides,
+                    axis_values={k: v for k, v in
+                                 preset.axis_values.items() if k != path})
+                for q, preset in spec.quality.items()})
+    return figure_from_scenario(spec, **run_args)
+
+
 def figure3(quality: str = "quick",
             cores: Sequence[int] | None = None,
             workers: int | str | None = None,
@@ -332,11 +430,9 @@ def figure3(quality: str = "quick",
             fidelity: Optional[str] = None) -> FigureData:
     """Fig. 3: throughput / drop % / IOTLB misses vs receiver cores,
     IOMMU ON vs OFF, plus the Little's-law model line."""
-    spec = load_bundled("figure3")
-    if cores:
-        spec = _override_axis(spec, "host.cpu.cores", tuple(cores))
-    return figure_from_scenario(spec, quality=quality, workers=workers,
-                                cache=cache, fidelity=fidelity)
+    return _bundled_figure("figure3", "host.cpu.cores", cores,
+                           quality=quality, workers=workers, cache=cache,
+                           fidelity=fidelity)
 
 
 def figure4(quality: str = "quick",
@@ -345,11 +441,9 @@ def figure4(quality: str = "quick",
             cache: ResultCache | None = None,
             fidelity: Optional[str] = None) -> FigureData:
     """Fig. 4: hugepages enabled vs disabled (IOMMU always on)."""
-    spec = load_bundled("figure4")
-    if cores:
-        spec = _override_axis(spec, "host.cpu.cores", tuple(cores))
-    return figure_from_scenario(spec, quality=quality, workers=workers,
-                                cache=cache, fidelity=fidelity)
+    return _bundled_figure("figure4", "host.cpu.cores", cores,
+                           quality=quality, workers=workers, cache=cache,
+                           fidelity=fidelity)
 
 
 def figure5(quality: str = "quick",
@@ -358,12 +452,9 @@ def figure5(quality: str = "quick",
             cache: ResultCache | None = None,
             fidelity: Optional[str] = None) -> FigureData:
     """Fig. 5: provisioning for larger BDPs worsens IOMMU contention."""
-    spec = load_bundled("figure5")
-    if region_mb:
-        spec = _override_axis(spec, "host.rx_region_bytes",
-                              tuple(region_mb))
-    return figure_from_scenario(spec, quality=quality, workers=workers,
-                                cache=cache, fidelity=fidelity)
+    return _bundled_figure("figure5", "host.rx_region_bytes", region_mb,
+                           quality=quality, workers=workers, cache=cache,
+                           fidelity=fidelity)
 
 
 def figure6(quality: str = "quick",
@@ -372,9 +463,6 @@ def figure6(quality: str = "quick",
             cache: ResultCache | None = None,
             fidelity: Optional[str] = None) -> FigureData:
     """Fig. 6: throughput and memory bandwidth vs STREAM cores."""
-    spec = load_bundled("figure6")
-    if antagonists:
-        spec = _override_axis(spec, "host.antagonist_cores",
-                              tuple(antagonists))
-    return figure_from_scenario(spec, quality=quality, workers=workers,
-                                cache=cache, fidelity=fidelity)
+    return _bundled_figure("figure6", "host.antagonist_cores",
+                           antagonists, quality=quality, workers=workers,
+                           cache=cache, fidelity=fidelity)

@@ -7,7 +7,7 @@ Commands:
   hosts from the paper baseline (an in-memory scenario), print a table
 - ``scenario`` — list, validate, or run declarative scenario specs
   (bundled ``repro.scenarios`` or ``.toml``/``.json`` files)
-- ``figure``   — regenerate one paper figure (ASCII + CSV + shape checks)
+- ``figure``   — ``scenario run figureN`` plus the paper-shape checks
 - ``fleet``    — stream a sampled fleet (Fig. 1) through the
   constant-memory aggregate pipeline: ``--shards/--shard-index``,
   atomic ``--checkpoint``/``--resume``, and ``fleet merge`` to
@@ -23,12 +23,14 @@ Commands:
 - ``top``      — dashboard view of a ledger (replay, or follow a
   sweep running in another terminal)
 
-``sweep``, ``figure``, and ``scenario run`` all route through the same
-pipeline: scenario-spec expansion into config lists, the parallel
-executor, and the on-disk result cache.
+``sweep``, ``figure``, and ``scenario run`` share one run-and-report
+path, :func:`repro.analysis.figures.run_scenario`, whatever the spec's
+driver; ``scenario run`` first rejects each flag the driver would not
+honour.
 
-``run`` and ``sweep`` accept ``--metrics-out metrics.json`` to dump the
-full metrics-registry snapshot (every component counter/gauge/histogram).
+``run``, ``sweep`` and ``scenario run`` accept ``--metrics-out
+metrics.json`` to dump the full metrics-registry snapshot (every
+component counter/gauge/histogram; one per run for a sweep).
 
 ``sweep``, ``figure``, and ``fleet`` accept ``--workers N|auto`` to fan
 independent runs out to worker processes (results are bit-identical to
@@ -67,12 +69,11 @@ from repro.core.config import (
 )
 from repro.core.experiment import run_experiment
 from repro.core.model import ThroughputModel
-from repro.core.results import FailedRun
 from repro.core.scenario import (
+    RenderSpec,
     ScenarioError,
     ScenarioSpec,
     SweepAxis,
-    run_configs,
 )
 
 __all__ = ["build_parser", "main"]
@@ -346,40 +347,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_sweep_table(table, x_key: str) -> None:
-    header = (f"{x_key:>16} {'iommu':>6} {'tput Gbps':>10} "
-              f"{'drop %':>7} {'misses/pkt':>11} {'mem GB/s':>9}")
-    print(header)
-    print("-" * len(header))
-    for result in table:
-        m = result.metrics
-        if isinstance(result, FailedRun):
-            print(f"{result.params[x_key]:>16} "
-                  f"{str(result.params['iommu']):>6} "
-                  f"  FAILED ({result.kind}): {result.error}")
-            continue
-        print(f"{result.params[x_key]:>16} "
-              f"{str(result.params['iommu']):>6} "
-              f"{m['app_throughput_gbps']:>10.1f} "
-              f"{m['drop_rate'] * 100:>7.2f} "
-              f"{m['iotlb_misses_per_packet']:>11.2f} "
-              f"{m['memory_total_GBps']:>9.1f}")
-
-
-def _report_sweep(args: argparse.Namespace, table, x_key: str, cache,
-                  snapshots: Optional[list]) -> int:
-    """Print a sweep's table and write its ``--csv``/``--metrics-out``."""
-    _print_sweep_table(table, x_key)
-    if cache is not None and cache.hits:
-        print(f"cache: {cache.hits} hit(s), {cache.misses} miss(es)")
-    if args.csv:
-        table.to_csv(args.csv)
-        print(f"wrote {args.csv}")
-    if args.metrics_out:
-        _write_metrics(args.metrics_out, snapshots)
-    return 0
-
-
 #: ``repro sweep <axis>``: the swept config path, its unit scale, the
 #: IOMMU states iterated outside it (empty: no IOMMU axis), and the
 #: table's x column.  The IOMMU order is each paper figure's loop order,
@@ -394,32 +361,29 @@ SWEEP_AXES = {
 }
 
 
-def sweep_configs(args: argparse.Namespace) -> List[ExperimentConfig]:
-    """The configs ``repro sweep`` runs: an in-memory scenario over the
-    chosen axis, expanded from the paper baseline."""
-    path, scale, iommu_states, _ = SWEEP_AXES[args.axis]
+def _sweep_spec(args: argparse.Namespace) -> ScenarioSpec:
+    """``repro sweep``'s in-memory scenario: the chosen axis over the
+    paper baseline (the config defaults)."""
+    path, scale, iommu_states, x_key = SWEEP_AXES[args.axis]
     axes = (SweepAxis(path, tuple(args.values), scale=scale),)
     if iommu_states:
         axes = (SweepAxis("host.iommu.enabled", iommu_states),) + axes
-    spec = ScenarioSpec(name=f"sweep-{args.axis}", axes=axes,
+    return ScenarioSpec(name=f"sweep-{args.axis}", axes=axes,
+                        base={"sim.warmup": args.warmup_ms * 1e-3,
+                              "sim.duration": args.duration_ms * 1e-3,
+                              "sim.seed": args.seed},
+                        render=RenderSpec(style="table", x=x_key),
                         source=f"<sweep {args.axis}>")
-    base = baseline_config(warmup=args.warmup_ms * 1e-3,
-                           duration=args.duration_ms * 1e-3,
-                           seed=args.seed)
-    return spec.expand(base=base, fidelity=args.fidelity)
+
+
+def sweep_configs(args: argparse.Namespace) -> List[ExperimentConfig]:
+    """The configs ``repro sweep`` runs."""
+    return _sweep_spec(args).expand(fidelity=args.fidelity)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    configs = sweep_configs(args)
-    snapshots: Optional[list] = [] if args.metrics_out else None
-    cache = _cache_from_args(args)
-    with _Telemetry(args, label=f"sweep-{args.axis}") as telemetry:
-        table = run_configs(
-            configs, snapshots_out=snapshots, workers=args.workers,
-            timeout=args.timeout_s, cache=cache, events=telemetry.sink,
-            failures="keep" if args.keep_failed else "raise")
-    return _report_sweep(args, table, SWEEP_AXES[args.axis][3], cache,
-                         snapshots)
+    spec = _sweep_spec(args)
+    return _run_scenario(spec, args, label=spec.name)
 
 
 def _scenario_specs(args: argparse.Namespace):
@@ -463,155 +427,87 @@ def cmd_scenario(args: argparse.Namespace) -> int:
                     print(f"FAIL {target}: {exc}")
                     failures += 1
                     continue
-                if spec.driver == "sweep":
-                    n = len(spec.expand())
-                    grids = ", ".join(
-                        f"{q}: {len(spec.expand(quality=q))}"
-                        for q in sorted(spec.quality))
-                    detail = f"{n} config(s)" + (
-                        f" ({grids})" if grids else "")
-                else:
-                    spec.base_config()
-                    detail = f"driver {spec.driver}"
-                print(f"OK   {spec.name} ({spec.source}): {detail}")
+                print(f"OK   {spec.name} ({spec.source}): "
+                      f"{spec.validate()}")
             return 1 if failures else 0
 
         # run
         spec = find_scenario(args.name)
-        return _run_scenario(spec, args)
+        _check_flags(spec, args)
+        print(f"scenario {spec.name} ({spec.source}): driver "
+              f"{spec.driver}, fidelity {args.fidelity or spec.fidelity}"
+              + (f", quality {args.quality}" if args.quality else ""))
+        return _run_scenario(spec, args, label=f"scenario-{spec.name}",
+                             quality=args.quality)
     except ScenarioError as exc:
         print(f"error: {exc}")
         return 1
 
 
-#: ``repro scenario run`` output flags, as (argparse dest, flag).
-_OUTPUT_FLAGS = (("metrics_out", "--metrics-out"), ("csv", "--csv"),
-                 ("out", "--out"))
+def _check_flags(spec, args: argparse.Namespace) -> None:
+    """Reject, before anything runs, each flag given that the
+    scenario's driver would not honour."""
+    from repro.analysis.figures import RUN_FLAGS, supported_flags
 
-
-def _check_output_flags(spec, args: argparse.Namespace,
-                        renders_figure: bool) -> None:
-    """Reject, before anything runs, each output flag the scenario's
-    driver would ignore: a sweep writes ``--metrics-out``/``--csv``,
-    and ``--out`` only when it renders a figure (which it does not
-    under ``--metrics-out``), a fleet writes ``--csv``/``--out`` only
-    when it renders a figure, and the day and isolation drivers write
-    none."""
-    if spec.driver == "sweep":
-        supported = ("metrics_out", "csv") + (
-            ("out",) if renders_figure and not args.metrics_out else ())
-    elif spec.driver == "fleet" and renders_figure:
-        supported = ("csv", "out")
-    else:
-        supported = ()
-    for dest, flag in _OUTPUT_FLAGS:
-        if getattr(args, dest) and dest not in supported:
+    supported = supported_flags(spec)
+    for flag in RUN_FLAGS:
+        if getattr(args, flag[2:].replace("-", "_")) not in (None, False) \
+                and flag not in supported:
             raise ScenarioError(
                 f"{flag} is not supported by the {spec.driver} driver "
                 f"(scenario {spec.name!r})")
 
 
-def _run_scenario(spec, args: argparse.Namespace) -> int:
-    from repro.analysis.figures import figure_from_scenario
+def _run_scenario(spec, args: argparse.Namespace, *, label: str,
+                  quality: Optional[str] = None,
+                  checks: bool = False) -> int:
+    """Run ``spec`` once with the run flags in ``args``, print its
+    report (and, with ``checks``, its paper-shape checks), then write
+    the output files asked for."""
+    from repro.analysis.figures import run_scenario
 
-    render = spec.render
-    renders_figure = (spec.driver in ("sweep", "fleet")
-                      and render is not None
-                      and render.style in ("panels", "scatter"))
-    _check_output_flags(spec, args, renders_figure)
-    fidelity = args.fidelity
-    print(f"scenario {spec.name} ({spec.source}): driver {spec.driver}"
-          + f", fidelity {fidelity or spec.fidelity}"
-          + (f", quality {args.quality}" if args.quality else ""))
-    failures = "keep" if args.keep_failed else "raise"
-    figure = renders_figure and not args.metrics_out
-    cache = _cache_from_args(args) if spec.driver == "sweep" else None
-    snapshots: Optional[list] = [] if args.metrics_out else None
+    cache = _cache_from_args(args)
+    with _Telemetry(args, label=label) as telemetry:
+        result = run_scenario(
+            spec, quality, fidelity=getattr(args, "fidelity", None),
+            workers=args.workers, cache=cache,
+            timeout=getattr(args, "timeout_s", None),
+            events=telemetry.sink,
+            failures=("keep" if getattr(args, "keep_failed", False)
+                      else "raise"),
+            snapshots=bool(getattr(args, "metrics_out", None)))
+    print(result.report)
+    if cache is not None and cache.hits:
+        print(f"cache: {cache.hits} hit(s), {cache.misses} miss(es)")
+    status = 0
+    if checks:
+        from repro.analysis.compare import check_figure
 
-    # Only sweep and fleet drivers emit lifecycle events; for the others
-    # the block just seals any ledger the flags opened.
-    with _Telemetry(args, label=f"scenario-{spec.name}") as telemetry:
-        if figure:
-            fig = figure_from_scenario(spec, quality=args.quality,
-                                       workers=args.workers, cache=cache,
-                                       fidelity=fidelity,
-                                       events=telemetry.sink,
-                                       failures=failures)
-        elif spec.driver == "sweep":
-            table = spec.run(quality=args.quality, workers=args.workers,
-                             timeout=args.timeout_s, cache=cache,
-                             snapshots_out=snapshots, fidelity=fidelity,
-                             events=telemetry.sink, failures=failures)
-
-    if figure:
-        print(fig.render())
-        if cache is not None and cache.hits:
-            print(f"cache: {cache.hits} hit(s), {cache.misses} miss(es)")
-        if args.out:
-            paths = fig.to_csv_dir(args.out)
-            print(f"wrote {len(paths)} CSV files to {args.out}")
-        if args.csv and fig.table is not None:
-            fig.table.to_csv(args.csv)
-            print(f"wrote {args.csv}")
-        return 0
-
-    if spec.driver == "sweep":
-        x_key = render.x if render is not None and render.x else "seed"
-        return _report_sweep(args, table, x_key, cache, snapshots)
-
-    if spec.driver == "day":
-        bins = spec.run(quality=args.quality, fidelity=fidelity)
-        header = (f"{'bin':>4} {'load':>5} {'antag':>6} "
-                  f"{'link util':>10} {'drop %':>7} {'tput Gbps':>10}")
-        print(header)
-        print("-" * len(header))
-        for b in bins:
-            print(f"{b.index:>4} {b.offered_load:>5.2f} "
-                  f"{b.antagonist_cores:>6} "
-                  f"{b.link_utilization:>10.2f} "
-                  f"{b.drop_rate * 100:>7.2f} "
-                  f"{b.app_throughput_gbps:>10.1f}")
-        return 0
-
-    # isolation
-    results = spec.run(quality=args.quality, fidelity=fidelity)
-    header = (f"{'case':>14} {'drop %':>7} {'victim p50':>11} "
-              f"{'victim p99':>11} {'elephant p99':>13} {'tput':>6}")
-    print(header)
-    print("-" * len(header))
-    for name, r in results.items():
-        print(f"{name:>14} {r.drop_rate * 100:>7.2f} "
-              f"{r.victim.p50:>11.1f} {r.victim.p99:>11.1f} "
-              f"{r.elephant.p99:>13.1f} "
-              f"{r.app_throughput_gbps:>6.1f}")
-    return 0
+        findings = check_figure(result.figure)
+        print()
+        for finding in findings:
+            print(finding)
+        status = 0 if all(f.passed for f in findings) else 1
+    if getattr(args, "out", None):
+        paths = result.figure.to_csv_dir(args.out)
+        print(f"wrote {len(paths)} CSV files to {args.out}")
+    if getattr(args, "csv", None):
+        result.table.to_csv(args.csv)
+        print(f"wrote {args.csv}")
+    if getattr(args, "metrics_out", None):
+        _write_metrics(args.metrics_out, result.snapshots)
+    return status
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    from repro.analysis import figures
-    from repro.analysis.compare import check_figure
+    from repro.core.scenario import load_bundled
 
-    cache = _cache_from_args(args)
-    opts = dict(quality=args.quality, workers=args.workers, cache=cache)
-    fn = {
-        "1": lambda: figures.figure1(n_hosts=args.hosts,
-                                     quality=args.quality,
-                                     workers=args.workers),
-        "3": lambda: figures.figure3(**opts),
-        "4": lambda: figures.figure4(**opts),
-        "5": lambda: figures.figure5(**opts),
-        "6": lambda: figures.figure6(**opts),
-    }[args.number]
-    fig = fn()
-    print(fig.render())
-    findings = check_figure(fig)
-    print()
-    for finding in findings:
-        print(finding)
-    if args.out:
-        paths = fig.to_csv_dir(args.out)
-        print(f"wrote {len(paths)} CSV files to {args.out}")
-    return 0 if all(f.passed for f in findings) else 1
+    spec = load_bundled(f"figure{args.number}")
+    if args.number == "1":
+        spec = dataclasses.replace(
+            spec, driver_args={**spec.driver_args, "n_hosts": args.hosts})
+    return _run_scenario(spec, args, label=f"figure-{args.number}",
+                         quality=args.quality, checks=True)
 
 
 #: ``--shards auto``: one shard (checkpoint granule) per this many

@@ -548,6 +548,17 @@ class ScenarioSpec:
                         point, ("sim", "seed"), seed))
         return configs
 
+    def validate(self) -> str:
+        """Resolve every config the spec names, under each quality
+        preset, and summarize its size (``repro scenario validate``)."""
+        if self.driver != "sweep":
+            self.base_config()
+            return f"driver {self.driver}"
+        grids = ", ".join(f"{q}: {len(self.expand(quality=q))}"
+                          for q in sorted(self.quality))
+        return f"{len(self.expand())} config(s)" + (
+            f" ({grids})" if grids else "")
+
     # -- execution ---------------------------------------------------------
 
     def run(
@@ -571,14 +582,14 @@ class ScenarioSpec:
         (the CLI's ``--fidelity``); results are cached under distinct
         keys per fidelity.
 
-        Returns a :class:`ResultTable` for sweep scenarios, a list of
-        :class:`~repro.workload.fleet.FleetSample` for fleet ones, a
-        list of :class:`~repro.workload.day.DayBin` for day ones, and
-        a dict of :class:`~repro.workload.isolation.IsolationResult`
-        for isolation ones.  ``events``/``failures`` stream lifecycle
-        telemetry and select crash semantics exactly as in
-        :func:`repro.core.parallel.run_many` (sweep and fleet drivers
-        only).
+        Returns a :class:`ResultTable` for sweep scenarios, a
+        :class:`~repro.workload.fleet_agg.FleetAggregate` for fleet
+        ones, a list of :class:`~repro.workload.day.DayBin` for day
+        ones, and a dict of
+        :class:`~repro.workload.isolation.IsolationResult` for
+        isolation ones.  ``workers``/``events`` reach the sweep and
+        fleet drivers, the other keywords the sweep driver only (as in
+        :func:`run_configs`).
         """
         if self.driver == "sweep":
             return run_configs(self.expand(quality, base, fidelity),
@@ -588,12 +599,16 @@ class ScenarioSpec:
                                cache=cache, events=events,
                                failures=failures)
         if self.driver == "fleet":
-            return self._run_fleet(quality, base, fidelity,
-                                   workers=workers, events=events)
+            return self.run_fleet_aggregate(quality, base, fidelity,
+                                            workers=workers,
+                                            events=events)
         if self.driver == "day":
             return self._run_day(quality, base, fidelity)
         if self.driver == "isolation":
-            return self._run_isolation(quality, base, fidelity)
+            from repro.workload.isolation import congested_vs_uncongested
+
+            return congested_vs_uncongested(
+                self.base_config(quality, base, fidelity))
         raise ScenarioError(
             f"{self.source}: unknown driver {self.driver!r}")
 
@@ -613,12 +628,6 @@ class ScenarioSpec:
             duration=config.sim.duration,
             fidelity=config.fidelity)
         return sampler, int(self.driver_args.get("n_hosts", 30))
-
-    def _run_fleet(self, quality, base, fidelity=None, *,
-                   workers: Workers = None, events=None):
-        sampler, n_hosts = self.fleet_sampler(quality, base, fidelity)
-        return list(sampler.stream(n_hosts, workers=workers,
-                                   events=events))
 
     def run_fleet_aggregate(self, quality=None, base=None,
                             fidelity=None, *,
@@ -663,12 +672,6 @@ class ScenarioSpec:
             config, schedule,
             bin_duration=float(args.get("bin_duration", 5e-3)),
             warmup_per_bin=float(args.get("warmup_per_bin", 1e-3)))
-
-    def _run_isolation(self, quality, base, fidelity=None):
-        from repro.workload.isolation import congested_vs_uncongested
-
-        config = self.base_config(quality, base, fidelity)
-        return congested_vs_uncongested(config)
 
 
 # ---------------------------------------------------------------------------

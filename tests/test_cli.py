@@ -411,6 +411,7 @@ x = "cores"
 
 @pytest.mark.parametrize("name, driver, flag", [
     ("figure1", "fleet", "--metrics-out"),
+    ("figure1", "fleet", "--csv"),
     ("one_host_day", "day", "--csv"),
     ("isolation", "isolation", "--out"),
 ])
@@ -434,7 +435,6 @@ def test_scenario_run_rejects_ignored_output_flag(monkeypatch, tmp_path,
 
 @pytest.mark.parametrize("name, flags", [
     ("iommu_contention", []),          # a ``table`` spec renders none
-    ("figure3", ["--metrics-out"]),    # a panels spec, but not here
 ])
 def test_scenario_sweep_rejects_out_without_a_figure(monkeypatch, tmp_path,
                                                      capsys, name, flags):
@@ -471,19 +471,93 @@ metric = "app_throughput_gbps"
 
 
 def test_scenario_sweep_accepts_every_output_flag(tmp_path, capsys):
-    # A panels sweep writes ``--out`` and ``--csv`` with its figure,
-    # and ``--csv`` and ``--metrics-out`` without one.
+    # A panels sweep runs once and writes its figure, table and
+    # snapshots together.
     spec = tmp_path / "tiny.toml"
     spec.write_text(TINY_PANELS_SPEC)
-    run = ["scenario", "run", str(spec), "--no-cache", "--fidelity", "fluid"]
-    figure_dir, figure_csv = tmp_path / "figure", tmp_path / "figure.csv"
-    assert main(run + ["--csv", str(figure_csv),
-                       "--out", str(figure_dir)]) == 0
-    assert figure_csv.exists()
+    figure_dir = tmp_path / "figure"
+    csv_path, metrics_path = tmp_path / "tiny.csv", tmp_path / "tiny.json"
+    assert main(["scenario", "run", str(spec), "--no-cache",
+                 "--fidelity", "fluid", "--csv", str(csv_path),
+                 "--out", str(figure_dir),
+                 "--metrics-out", str(metrics_path)]) == 0
+    assert "==== tiny: Tiny test scenario ====" in capsys.readouterr().out
     assert list(figure_dir.glob("*.csv"))
-    csv_path = tmp_path / "tiny.csv"
-    metrics_path = tmp_path / "tiny.json"
-    assert main(run + ["--csv", str(csv_path),
-                       "--metrics-out", str(metrics_path)]) == 0
-    assert csv_path.exists()
+    assert len(csv_path.read_text().splitlines()) == 3
     assert len(json.loads(metrics_path.read_text())) == 2
+
+
+def test_scenario_panels_sweep_lists_failed_runs(tmp_path, capsys):
+    # Every run times out: the figure still renders, from no rows, and
+    # the failed rows are listed under it.
+    spec = tmp_path / "tiny.toml"
+    spec.write_text(TINY_PANELS_SPEC)
+    assert main(["scenario", "run", str(spec), "--no-cache",
+                 "--timeout-s", "0.0001"]) == 0
+    out = capsys.readouterr().out
+    assert "==== tiny: Tiny test scenario ====" in out
+    assert out.count("FAILED (timeout)") == 2
+
+
+@pytest.mark.parametrize("name, driver, flags", [
+    ("figure1", "fleet", ["--timeout-s", "1"]),
+    ("one_host_day", "day", ["--keep-failed"]),
+    ("isolation", "isolation", ["--timeout-s", "1"]),
+])
+def test_scenario_run_rejects_ignored_run_flag(monkeypatch, capsys, name,
+                                               driver, flags):
+    from repro.core.scenario import ScenarioSpec
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the scenario ran")
+
+    monkeypatch.setattr(ScenarioSpec, "run", must_not_run)
+    assert main(["scenario", "run", name, *flags]) != 0
+    out = capsys.readouterr().out
+    assert flags[0] in out and driver in out and name in out
+
+
+def test_fleet_spec_without_render_prints_the_aggregate(tmp_path, capsys):
+    spec = tmp_path / "fleet.toml"
+    spec.write_text("""
+[scenario]
+name = "tiny-fleet"
+driver = "fleet"
+fidelity = "fluid"
+
+[base]
+"sim.warmup" = 5e-4
+"sim.duration" = 1e-3
+
+[driver_args]
+n_hosts = 2
+""")
+    assert main(["scenario", "run", str(spec)]) == 0
+    assert "hosts: 2 folded" in capsys.readouterr().out
+
+
+def _bundled_spec_names():
+    from repro.core.scenario import bundled_scenarios
+
+    return sorted(bundled_scenarios())
+
+
+@pytest.mark.parametrize("name", _bundled_spec_names())
+def test_bundled_spec_runs_through_the_cli(tmp_path, capsys, name):
+    # Every bundled spec runs at fluid fidelity with every output flag
+    # its driver declares, and writes each of them.
+    from repro.analysis.figures import supported_flags
+    from repro.core.scenario import load_bundled
+
+    spec = load_bundled(name)
+    argv = ["scenario", "run", name, "--fidelity", "fluid", "--no-cache"]
+    if "quick" in spec.quality:
+        argv += ["--quality", "quick"]
+    outputs = {flag: tmp_path / flag.strip("-")
+               for flag in supported_flags(spec)
+               if flag in ("--metrics-out", "--csv", "--out")}
+    for flag, path in outputs.items():
+        argv += [flag, str(path)]
+    assert main(argv) == 0
+    for path in outputs.values():
+        assert path.exists(), path

@@ -96,13 +96,13 @@ class TestStreaming:
                             fidelity="fluid")
 
     def test_run_equals_stream_fold_order(self):
-        # The scenario fleet driver's run returns the stream's hosts in
-        # index order.
+        # The scenario fleet driver's run folds the sampler's stream
+        # into the same aggregate.
         spec = ScenarioSpec(
             name="fleet", driver="fleet", fidelity="fluid",
             base={"sim.warmup": 0.5e-3, "sim.duration": 1e-3},
             driver_args={"seed": 5, "n_hosts": 8})
-        assert spec.run() == list(self.sampler().stream(8))
+        assert spec.run() == self.sampler().run_aggregate(8)
 
     def test_stream_carries_stratum_and_index(self):
         sampler = self.sampler()
