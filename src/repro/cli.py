@@ -79,19 +79,27 @@ from repro.core.scenario import (
 __all__ = ["build_parser", "main"]
 
 
-def _workers_arg(value: str):
-    """``--workers`` parser: a positive int or the string ``auto``."""
-    if value == "auto":
-        return value
-    count = int(value)
+def _positive_int(value: str) -> int:
+    """argparse type of a count flag: an integer >= 1."""
+    try:
+        count = int(value)
+    except ValueError:
+        count = 0
     if count < 1:
-        raise argparse.ArgumentTypeError("workers must be >= 1 or 'auto'")
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {value!r}")
     return count
+
+
+def _count_or_auto(value: str):
+    """argparse type of an ``N|auto`` flag (``--workers``,
+    ``--shards``): an integer >= 1 or the string ``auto``."""
+    return value if value == "auto" else _positive_int(value)
 
 
 def _parallel_args(parser: argparse.ArgumentParser,
                    cache_flags: bool = True) -> None:
-    parser.add_argument("--workers", type=_workers_arg, default=None,
+    parser.add_argument("--workers", type=_count_or_auto, default=None,
                         metavar="N|auto",
                         help="run experiments in N worker processes "
                              "('auto' = cpu_count - 1; default serial)")
@@ -518,10 +526,7 @@ _HOSTS_PER_SHARD = 32768
 def _fleet_shards(args: argparse.Namespace) -> int:
     if args.shards == "auto":
         return max(1, -(-args.hosts // _HOSTS_PER_SHARD))
-    count = int(args.shards)
-    if count < 1:
-        raise SystemExit("--shards must be >= 1 or 'auto'")
-    return count
+    return args.shards
 
 
 def _fleet_checkpoint_path(args: argparse.Namespace) -> Optional[str]:
@@ -548,17 +553,27 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 
     from repro.analysis.text_plots import scatter_plot
     from repro.workload.fleet import FleetSampler
+    from repro.workload.fleet_agg import shard_bounds
 
     sampler = FleetSampler(seed=args.seed,
                            warmup=args.warmup_ms * 1e-3,
                            duration=args.duration_ms * 1e-3,
                            fidelity=args.fidelity or "packet")
-    backend = sampler.resolve_backend(args.backend)
+    try:
+        backend = sampler.resolve_backend(args.backend)
+    except ValueError as exc:
+        print(f"error: --backend {args.backend}: {exc}")
+        return 1
+    shards = len(shard_bounds(args.hosts, _fleet_shards(args)))
+    if args.shard_index is not None and not 0 <= args.shard_index < shards:
+        print(f"error: --shard-index {args.shard_index} out of range "
+              f"for {shards} shard(s)")
+        return 1
     checkpoint = _fleet_checkpoint_path(args)
     start = time.perf_counter()
     with _Telemetry(args, label="fleet") as telemetry:
         aggregate = sampler.run_aggregate(
-            args.hosts, shards=_fleet_shards(args),
+            args.hosts, shards=shards,
             shard_index=args.shard_index, workers=args.workers,
             events=telemetry.sink, checkpoint=checkpoint,
             resume=args.resume, checkpoint_every=args.checkpoint_every,
@@ -602,11 +617,19 @@ def cmd_fleet_merge(args: argparse.Namespace) -> int:
 
     merged: Optional[FleetAggregate] = None
     for path in args.inputs:
-        state = json.loads(Path(path).read_text())
-        if "shards" in state and "meta" in state:
-            part = FleetCheckpoint.load(path).merged()
-        else:
-            part = FleetAggregate.from_dict(state)
+        try:
+            state = json.loads(Path(path).read_text())
+            if "shards" in state and "meta" in state:
+                part = FleetCheckpoint.load(path).merged()
+            else:
+                part = FleetAggregate.from_dict(state)
+        except OSError as exc:
+            print(f"error: {path}: {exc.strerror}")
+            return 1
+        except (ValueError, KeyError, TypeError) as exc:
+            print(f"error: {path}: not a fleet aggregate or checkpoint "
+                  f"({type(exc).__name__}: {exc})")
+            return 1
         merged = part if merged is None else merged.merge(part)
     assert merged is not None  # argparse enforces >= 1 input
     print(f"merged {len(args.inputs)} shard summaries:")
@@ -895,18 +918,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet_merge.add_argument("--json-out", default=None,
                                help="write the merged aggregate JSON")
     p_fleet_merge.set_defaults(func=cmd_fleet_merge)
-    p_fleet.add_argument("--hosts", type=int, default=30)
+    p_fleet.add_argument("--hosts", type=_positive_int, default=30)
     _shared_args(p_fleet, sim=(7, 3.0, 6.0), fidelity=None)
     p_fleet.add_argument("--backend", default="auto",
                          choices=("auto", "batched", "scalar"),
                          help="fleet execution backend (auto = "
                               "one numpy lane per host for fluid "
                               "fleets, scalar otherwise)")
-    p_fleet.add_argument("--batch-size", type=int, default=4096,
+    p_fleet.add_argument("--batch-size", type=_positive_int,
+                         default=4096,
                          metavar="N",
                          help="hosts per batched solver chunk "
                               "(default 4096)")
-    p_fleet.add_argument("--shards", default="1", metavar="N|auto",
+    p_fleet.add_argument("--shards", type=_count_or_auto, default=1,
+                         metavar="N|auto",
                          help="checkpoint granules ('auto' = one per "
                               f"{_HOSTS_PER_SHARD} hosts)")
     p_fleet.add_argument("--shard-index", type=int, default=None,

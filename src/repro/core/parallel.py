@@ -1,26 +1,44 @@
 """Parallel experiment execution.
 
 Every paper figure is a sweep of 8–20 *independent* ``run_experiment``
-calls, so sweeps are embarrassingly parallel.  This module fans the
-runs out to a :class:`~concurrent.futures.ProcessPoolExecutor` while
-keeping the output bit-identical to a serial run:
+calls, and every Figure 1 fleet is thousands more, so both fan out to
+a :class:`~concurrent.futures.ProcessPoolExecutor`.  One private loop,
+:func:`_ordered`, does that fan-out; three entry points wrap it:
 
-- each run derives **all** randomness from its own ``config.sim.seed``
-  (a fresh ``Simulator`` + ``RngRegistry`` per run, no module-level
-  RNG), so results do not depend on which process executes them;
-- results are reassembled in **submission order**, not completion
-  order, so the :class:`~repro.core.results.ResultTable` layout matches
-  the serial runner row for row;
-- pickling is exact for floats, so worker → parent transport does not
-  perturb a single bit.
+- :func:`run_many` — a sweep: cache hits are settled up front, every
+  miss is submitted at once, and a list of :class:`RunOutcome` comes
+  back;
+- :func:`run_stream` — the constant-memory sibling: configs are drawn
+  lazily, at most a bounded window (default ``2 × workers``) of runs
+  is in flight or buffered, and outcomes are yielded one at a time.
+  It drives the million-host fleet pipeline
+  (:meth:`repro.workload.fleet.FleetSampler.run_aggregate`), where the
+  parent folds every outcome into a mergeable aggregate and drops it;
+- :func:`map_stream` — the same loop over any picklable function and
+  argument tuples, without lifecycle events (the batched fleet
+  backend's index ranges).
+
+The ordering rule is the same for all three: **events in completion
+order, results in submission order**.  The loop's completion hook —
+cache put, ``finished``/``failed`` event, ``progress`` — runs as each
+task finishes, so dashboards and ledgers see work as it completes;
+results are reassembled in submission order, so a
+:class:`~repro.core.results.ResultTable` matches the serial runner row
+for row.  Output stays bit-identical to a serial run because each run
+derives **all** randomness from its own ``config.sim.seed`` (a fresh
+``Simulator`` + ``RngRegistry`` per run, no module-level RNG) and
+pickling is exact for floats.  Serial execution (``workers=1``) runs
+the same task function in-process — one code shape, one set of
+semantics.
 
 Failure semantics: a worker exception aborts the sweep with a
 :class:`SweepRunError` carrying the offending config — unless
 ``failures="keep"``, which instead yields a structured
 :class:`~repro.core.results.FailedRun` (exception class + truncated
-traceback attached) in the table.  A per-run *timeout* always yields a
-``FailedRun`` placeholder, so one pathological operating point cannot
-sink a 20-run figure sweep.
+traceback attached).  A per-run *timeout* always yields a ``FailedRun``
+placeholder, so one pathological operating point cannot sink a 20-run
+figure sweep.  Any exception — including a consumer abandoning a
+stream — cancels the queued work.
 
 Live telemetry: pass ``events`` (any callable taking a dict) and the
 runner streams lifecycle events — ``plan``, ``queued``, ``cached``,
@@ -31,20 +49,6 @@ multiprocessing queue that exists only while a sink is attached; with
 per-run stats collection happen at all.  Event dicts are exactly the
 rows of the JSONL run ledger (:mod:`repro.core.ledger`) and the input
 to :class:`~repro.obs.telemetry.RunAggregate`.
-
-Serial execution (``workers=1``) goes through the same single-run
-worker function as the pool path — one code shape, one set of
-semantics — and is the in-process fallback wherever a pool is not
-worth its fork cost.
-
-Streaming: :func:`run_stream` is the constant-memory sibling of
-:func:`run_many`.  It consumes its config iterable *lazily*, keeps at
-most a bounded window of runs in flight, and yields each
-:class:`RunOutcome` in submission order as soon as its turn completes
-— no config list, no result list, no O(n) parent state.  It is the
-execution engine of the million-host fleet pipeline
-(:meth:`repro.workload.fleet.FleetSampler.run_aggregate`), where the
-parent folds every outcome into a mergeable aggregate and drops it.
 """
 
 from __future__ import annotations
@@ -140,15 +144,23 @@ def _raise_timeout(signum, frame):
     raise _RunTimeout()
 
 
-#: Worker-side event channel: a managed queue's ``put``, installed by
-#: the pool initializer when (and only when) telemetry is on.  ``None``
-#: means silent — the default, and the entire cost when disabled.
+#: Event channel of the running task: the parent's sink while a serial
+#: task runs in-process, a managed queue's ``put`` in a pool worker
+#: (installed by :func:`_init_worker`).  ``None`` means silent — the
+#: default, and the entire cost when telemetry is off.
 _EVENT_SINK: Optional[EventSink] = None
 
 
-def _init_worker(queue) -> None:
+def _attach(sink: Optional[EventSink]) -> Optional[EventSink]:
+    """Install ``sink`` as this process's event channel; return the
+    one it replaces."""
     global _EVENT_SINK
-    _EVENT_SINK = queue.put
+    previous, _EVENT_SINK = _EVENT_SINK, sink
+    return previous
+
+
+def _init_worker(queue) -> None:
+    _attach(queue.put)
 
 
 def _peak_rss_kb() -> Optional[int]:
@@ -165,20 +177,19 @@ def _headline(result: ExperimentResult) -> Dict[str, float]:
 
 
 def _execute(index: int, config: ExperimentConfig, want_snapshot: bool,
-             timeout: Optional[float],
-             emit: Optional[EventSink] = None) -> Tuple[int, tuple]:
-    """Run one experiment (worker side — also the serial code path).
+             timeout: Optional[float]) -> tuple:
+    """Run one experiment — the task function of every run, pooled or
+    serial.
 
-    Returns ``(index, payload)`` where payload is one of
-    ``("ok", result, snapshot, stats)``,
+    Returns one of ``("ok", result, snapshot, stats)``,
     ``("timeout", failed_run, stats)``, or
     ``("error", message, traceback_text, exception_type, stats)``.
     Exceptions never escape: they are serialized so the parent can
-    attach the config.  ``stats`` is ``None`` unless an event sink is
-    attached (serial: ``emit``; pool: the initializer-installed queue)
-    — telemetry off means zero extra work here.
+    attach the config.  ``stats`` is ``None`` unless an event channel
+    is attached (:data:`_EVENT_SINK`) — telemetry off means zero extra
+    work here.
     """
-    sink = emit if emit is not None else _EVENT_SINK
+    sink = _EVENT_SINK
     if sink is not None:
         sink({"ev": "started", "index": index, "pid": os.getpid(),
               "ts": time.time()})
@@ -219,71 +230,190 @@ def _execute(index: int, config: ExperimentConfig, want_snapshot: bool,
             config, kind="timeout",
             error=f"run exceeded {timeout:g}s timeout",
             elapsed_s=elapsed)
-        return index, ("timeout", failed, stats_for(handles))
+        return ("timeout", failed, stats_for(handles))
     except Exception as exc:  # serialized for the parent to attach config
-        return index, ("error", repr(exc), traceback.format_exc(),
-                       type(exc).__name__, stats_for(handles))
+        return ("error", repr(exc), traceback.format_exc(),
+                type(exc).__name__, stats_for(handles))
     elapsed = time.perf_counter() - start
     if timeout is not None and not arm and elapsed > timeout:
         failed = FailedRun.from_config(
             config, kind="timeout",
             error=f"run exceeded {timeout:g}s timeout", elapsed_s=elapsed)
-        return index, ("timeout", failed, stats_for(handles))
-    return index, ("ok", result, snapshot, stats_for(handles))
+        return ("timeout", failed, stats_for(handles))
+    return ("ok", result, snapshot, stats_for(handles))
 
 
-def _settle(
-    index: int,
-    config: ExperimentConfig,
-    payload: tuple,
+def _settler(
     events: Optional[EventSink],
     failures: str,
     *,
     cache: Optional[ResultCache] = None,
     want_snapshots: bool = False,
-) -> RunOutcome:
-    """Convert a worker payload into a :class:`RunOutcome`.
+    progress: Optional[Callable[[int, ExperimentResult], None]] = None,
+) -> Callable[[tuple, tuple], RunOutcome]:
+    """The completion hook of :func:`run_many` and :func:`run_stream`.
 
-    Shared by :func:`run_many` and :func:`run_stream`: emits the
+    The returned ``settle(task, payload)`` converts an :func:`_execute`
+    payload into a :class:`RunOutcome`: it emits the
     ``finished``/``failed`` lifecycle event, stores successes in the
-    cache, and — under ``failures="raise"`` — raises
-    :class:`SweepRunError` with the offending config attached.
+    cache, calls ``progress`` — and, under ``failures="raise"``,
+    raises :class:`SweepRunError` with the offending config attached.
     """
-    kind = payload[0]
-    if kind == "error":
-        _, message, tb_text, exc_type, stats = payload
+    if failures not in ("raise", "keep"):
+        raise ValueError(
+            f"failures must be 'raise' or 'keep', got {failures!r}")
+
+    def settle(task: tuple, payload: tuple) -> RunOutcome:
+        index, config = task[0], task[1]
+        kind = payload[0]
+        if kind == "error":
+            _, message, tb_text, exc_type, stats = payload
+            if events is not None:
+                events({"ev": "failed", "index": index,
+                        "failure_kind": "error", "error": message,
+                        "exception_type": exc_type,
+                        "traceback_tail":
+                            tb_text[-FailedRun.TRACEBACK_LIMIT:],
+                        **(stats or {"ts": time.time()})})
+            if failures == "raise":
+                raise SweepRunError(index, config, message,
+                                    worker_traceback=tb_text)
+            failed = FailedRun.from_config(
+                config, kind="error", error=message,
+                elapsed_s=(stats or {}).get("wall_s", 0.0),
+                exception_type=exc_type, traceback_text=tb_text)
+            outcome = RunOutcome(index=index, result=failed,
+                                 snapshot=None)
+        elif kind == "timeout":
+            _, failed, stats = payload
+            if events is not None:
+                events({"ev": "failed", "index": index,
+                        "failure_kind": "timeout", "error": failed.error,
+                        **(stats or {"ts": time.time()})})
+            outcome = RunOutcome(index=index, result=failed,
+                                 snapshot=None)
+        else:
+            _, result, snapshot, stats = payload
+            if cache is not None:
+                cache.put(config, result, snapshot)
+            if events is not None:
+                events({"ev": "finished", "index": index,
+                        "params": config.describe(),
+                        "metrics": _headline(result),
+                        **(stats or {"ts": time.time()})})
+            outcome = RunOutcome(
+                index=index, result=result,
+                snapshot=snapshot if want_snapshots else None)
+        if progress is not None:
+            progress(index, outcome.result)
+        return outcome
+
+    return settle
+
+
+def _result(task: tuple, result):
+    return result
+
+
+def _ordered(
+    fn: Callable,
+    tasks: Iterable[tuple],
+    workers: Workers,
+    window: Optional[int] = None,
+    events: Optional[EventSink] = None,
+    on_done: Callable[[tuple, object], object] = _result,
+) -> Iterator:
+    """Yield ``on_done(task, fn(*task))`` for every task, in task order.
+
+    The one execution loop behind :func:`run_many`, :func:`run_stream`
+    and :func:`map_stream`.  ``tasks`` is drawn lazily and at most
+    ``window`` tasks (default ``2 * workers``; never more workers than
+    the window) are in flight or buffered at any moment, so parent
+    memory is bounded by the window, never the task count.
+    ``on_done`` runs as each task finishes — in completion order under
+    a pool — and its return value is what is yielded, in submission
+    order.  Submission tops up before each yield, so the pool keeps
+    working while the consumer holds a result, but never runs more
+    than the window ahead of it.
+
+    ``events`` attaches the task-side event channel
+    (:data:`_EVENT_SINK`): the sink itself around each in-process
+    task, or a manager queue that every pool worker writes and the
+    parent drains between completions.  Any exception — from ``fn``,
+    from ``on_done``, or the consumer abandoning the generator —
+    cancels the queued tasks before it propagates.
+    """
+    n_workers = resolve_workers(workers)
+    window = 2 * n_workers if window is None else int(window)
+    n_workers = max(1, min(n_workers, window))
+    if n_workers == 1:
+        for task in tasks:
+            previous = _attach(events)
+            try:
+                result = fn(*task)
+            finally:
+                _attach(previous)
+            yield on_done(task, result)
+        return
+
+    manager = queue = None
+    pool_args: dict = {}
+    try:
         if events is not None:
-            events({"ev": "failed", "index": index,
-                    "failure_kind": "error", "error": message,
-                    "exception_type": exc_type,
-                    "traceback_tail":
-                        tb_text[-FailedRun.TRACEBACK_LIMIT:],
-                    **(stats or {"ts": time.time()})})
-        if failures == "raise":
-            raise SweepRunError(index, config, message,
-                                worker_traceback=tb_text)
-        failed = FailedRun.from_config(
-            config, kind="error", error=message,
-            elapsed_s=(stats or {}).get("wall_s", 0.0),
-            exception_type=exc_type, traceback_text=tb_text)
-        return RunOutcome(index=index, result=failed, snapshot=None)
-    if kind == "timeout":
-        _, failed, stats = payload
-        if events is not None:
-            events({"ev": "failed", "index": index,
-                    "failure_kind": "timeout", "error": failed.error,
-                    **(stats or {"ts": time.time()})})
-        return RunOutcome(index=index, result=failed, snapshot=None)
-    _, result, snapshot, stats = payload
-    if cache is not None:
-        cache.put(config, result, snapshot)
-    if events is not None:
-        events({"ev": "finished", "index": index,
-                "params": config.describe(),
-                "metrics": _headline(result),
-                **(stats or {"ts": time.time()})})
-    return RunOutcome(index=index, result=result,
-                      snapshot=snapshot if want_snapshots else None)
+            manager = multiprocessing.Manager()
+            queue = manager.Queue()
+            pool_args = {"initializer": _init_worker,
+                         "initargs": (queue,)}
+        # With a queue to drain, wake up periodically even when no
+        # task completes, so in-worker ``started`` events flow live.
+        poll = None if queue is None else 0.2
+
+        def drain() -> None:
+            while queue is not None and not queue.empty():
+                events(queue.get_nowait())
+
+        tasks = iter(tasks)
+        in_flight: Dict = {}            # future -> (position, task)
+        ready: Dict[int, object] = {}   # position -> on_done value
+        submitted = next_yield = 0
+
+        def top_up() -> None:
+            nonlocal submitted
+            while len(in_flight) + len(ready) < window:
+                task = next(tasks, None)
+                if task is None:
+                    return
+                in_flight[pool.submit(fn, *task)] = (submitted, task)
+                submitted += 1
+
+        pool = ProcessPoolExecutor(max_workers=n_workers, **pool_args)
+        try:
+            top_up()
+            while in_flight or ready:
+                if next_yield in ready:
+                    value = ready.pop(next_yield)
+                    next_yield += 1
+                    top_up()
+                    yield value
+                    continue
+                done, _ = wait(in_flight, timeout=poll,
+                               return_when=FIRST_COMPLETED)
+                drain()
+                for future in done:
+                    position, task = in_flight.pop(future)
+                    ready[position] = on_done(task, future.result())
+        except BaseException:
+            # A failed task, Ctrl-C, or an abandoned stream: drop the
+            # queued work so it never runs.  No second shutdown may
+            # follow — it would clear the cancel request before the
+            # executor acts on it, so this is not a ``with`` block.
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
+        pool.shutdown()
+        drain()
+    finally:
+        if manager is not None:
+            manager.shutdown()
 
 
 def run_many(
@@ -299,9 +429,12 @@ def run_many(
 ) -> List[RunOutcome]:
     """Run every config and return outcomes in input order.
 
-    ``progress`` is invoked once per finished run with the run's table
-    index and result — in completion order under a pool, which is table
-    order only for serial execution.
+    Cache hits are settled (``cached`` events, ``progress``) before
+    any run starts; every miss is then submitted at once, so one slow
+    run cannot hold back the rest of the sweep.  ``progress`` is
+    invoked once per finished run with the run's table index and
+    result — in completion order under a pool, which is table order
+    only for serial execution.
 
     ``events`` receives lifecycle event dicts (see module docstring) as
     they happen; ``None`` disables all telemetry work.  ``failures``
@@ -309,9 +442,8 @@ def run_many(
     :class:`SweepRunError`; ``"keep"`` records a structured
     :class:`FailedRun` row and keeps sweeping.
     """
-    if failures not in ("raise", "keep"):
-        raise ValueError(
-            f"failures must be 'raise' or 'keep', got {failures!r}")
+    settle = _settler(events, failures, cache=cache,
+                      want_snapshots=want_snapshots, progress=progress)
     configs = list(configs)
     outcomes: List[Optional[RunOutcome]] = [None] * len(configs)
 
@@ -349,81 +481,11 @@ def run_many(
     # Snapshots are computed in-worker whenever they are wanted *or*
     # cached, so a later `--metrics-out` rerun can hit the same entry.
     want = want_snapshots or cache is not None
-
-    def finalize(index: int, payload: tuple) -> None:
-        outcomes[index] = _settle(index, configs[index], payload,
-                                  events, failures, cache=cache,
-                                  want_snapshots=want_snapshots)
-        if progress is not None:
-            progress(index, outcomes[index].result)
-
-    n_workers = min(resolve_workers(workers), max(1, len(pending)))
-    if n_workers == 1:
-        for index in pending:
-            _, payload = _execute(index, configs[index], want, timeout,
-                                  emit=events)
-            finalize(index, payload)
-    elif pending:
-        _run_pool(configs, pending, want, timeout, n_workers, events,
-                  finalize)
-
+    tasks = [(index, configs[index], want, timeout) for index in pending]
+    for outcome in _ordered(_execute, tasks, workers, len(tasks),
+                            events, settle):
+        outcomes[outcome.index] = outcome
     return outcomes  # type: ignore[return-value]
-
-
-def _run_pool(configs, pending, want, timeout, n_workers,
-              events: Optional[EventSink], finalize) -> None:
-    """Fan ``pending`` out to a process pool, streaming worker events.
-
-    When ``events`` is set, a manager-hosted queue is handed to every
-    worker via the pool initializer; the parent drains it between
-    future completions (and once more at the end), so in-worker
-    ``started`` events interleave with parent-side ``finished`` ones.
-    Ordering across processes is best-effort — consumers must not
-    assume ``started`` precedes its ``finished`` row.
-    """
-    manager = None
-    queue = None
-    pool_kwargs: dict = {}
-    try:
-        if events is not None:
-            manager = multiprocessing.Manager()
-            queue = manager.Queue()
-            pool_kwargs = {"initializer": _init_worker,
-                           "initargs": (queue,)}
-
-        def drain() -> None:
-            if queue is None:
-                return
-            while not queue.empty():
-                events(queue.get_nowait())
-
-        with ProcessPoolExecutor(max_workers=n_workers,
-                                 **pool_kwargs) as pool:
-            futures = {
-                pool.submit(_execute, index, configs[index], want, timeout)
-                for index in pending
-            }
-            try:
-                while futures:
-                    if queue is not None:
-                        done, futures = wait(futures, timeout=0.2,
-                                             return_when=FIRST_COMPLETED)
-                        drain()
-                    else:
-                        done, futures = wait(futures,
-                                             return_when=FIRST_COMPLETED)
-                    for future in done:
-                        index, payload = future.result()
-                        finalize(index, payload)
-            except BaseException:
-                # A failed run (or Ctrl-C) aborts the sweep: drop the
-                # queued work so shutdown does not run it to completion.
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
-        drain()
-    finally:
-        if manager is not None:
-            manager.shutdown()
 
 
 def run_stream(
@@ -442,10 +504,10 @@ def run_stream(
     consumed incrementally (never materialized), at most ``window``
     runs are in flight or buffered at any moment (default
     ``2 * workers``), and outcomes are yielded **in submission order**
-    — the reorder buffer is bounded by the window, so parent memory is
-    independent of the stream length.  Outcome indices count from
-    ``start_index`` (a sharded caller passes its shard's global
-    offset, so ledger rows carry fleet-wide host indices).
+    — parent memory is independent of the stream length.  Outcome
+    indices count from ``start_index`` (a sharded caller passes its
+    shard's global offset, so ledger rows carry fleet-wide host
+    indices).
 
     ``failures`` defaults to ``"keep"`` — one pathological host in a
     million-host stream yields a structured :class:`FailedRun` outcome
@@ -454,97 +516,11 @@ def run_stream(
     snapshot plumbing here: a streaming consumer folds each outcome
     and drops it, so memoizing per-run payloads would defeat the
     point.
-
-    Back-pressure note: submission pauses while the consumer holds an
-    outcome, so a slow fold slows the pool instead of letting results
-    pile up in the parent.
     """
-    if failures not in ("raise", "keep"):
-        raise ValueError(
-            f"failures must be 'raise' or 'keep', got {failures!r}")
-    numbered = iter(enumerate(configs, start=start_index))
-    n_workers = resolve_workers(workers)
-
-    if n_workers == 1:
-        for index, config in numbered:
-            _, payload = _execute(index, config, False, timeout,
-                                  emit=events)
-            yield _settle(index, config, payload, events, failures)
-        return
-
-    if window is None:
-        window = 2 * n_workers
-    window = max(int(window), n_workers)
-
-    manager = None
-    queue = None
-    pool_kwargs: dict = {}
-    try:
-        if events is not None:
-            manager = multiprocessing.Manager()
-            queue = manager.Queue()
-            pool_kwargs = {"initializer": _init_worker,
-                           "initargs": (queue,)}
-
-        def drain() -> None:
-            if queue is None:
-                return
-            while not queue.empty():
-                events(queue.get_nowait())
-
-        with ProcessPoolExecutor(max_workers=n_workers,
-                                 **pool_kwargs) as pool:
-            in_flight: Dict = {}       # future -> (index, config)
-            ready: Dict[int, tuple] = {}   # index -> (config, payload)
-            next_yield = start_index
-            exhausted = False
-
-            def top_up() -> None:
-                nonlocal exhausted
-                while (not exhausted
-                       and len(in_flight) + len(ready) < window):
-                    try:
-                        index, config = next(numbered)
-                    except StopIteration:
-                        exhausted = True
-                        return
-                    future = pool.submit(_execute, index, config,
-                                         False, timeout)
-                    in_flight[future] = (index, config)
-
-            try:
-                top_up()
-                while in_flight or ready:
-                    if in_flight:
-                        if queue is not None:
-                            done, _ = wait(in_flight, timeout=0.2,
-                                           return_when=FIRST_COMPLETED)
-                            drain()
-                        else:
-                            done, _ = wait(in_flight,
-                                           return_when=FIRST_COMPLETED)
-                        for future in done:
-                            index, config = in_flight.pop(future)
-                            _, payload = future.result()
-                            ready[index] = (config, payload)
-                    while next_yield in ready:
-                        config, payload = ready.pop(next_yield)
-                        outcome = _settle(next_yield, config, payload,
-                                          events, failures)
-                        next_yield += 1
-                        top_up()
-                        yield outcome
-                    top_up()
-            except BaseException:
-                # Consumer abandoned the stream (GeneratorExit), a
-                # run raised, or Ctrl-C: drop queued work so shutdown
-                # does not run the remaining million hosts.
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
-        drain()
-    finally:
-        if manager is not None:
-            manager.shutdown()
+    settle = _settler(events, failures)
+    tasks = ((index, config, False, timeout)
+             for index, config in enumerate(configs, start=start_index))
+    return _ordered(_execute, tasks, workers, window, events, settle)
 
 
 def map_stream(
@@ -562,59 +538,11 @@ def map_stream(
     a module-level (picklable) callable and ``tasks`` an iterable of
     argument tuples; yields ``(position, fn(*args))`` in submission
     order with at most ``window`` tasks in flight or buffered
-    (default ``2 * workers``), so parent memory is bounded by the
-    window, never the stream length.
+    (default ``2 * workers``).
 
     Failure semantics are the caller's: an exception raised by ``fn``
-    propagates (aborting the pool and cancelling queued tasks), so a
-    fault-tolerant caller catches inside ``fn`` and returns a
-    structured failure value instead.
+    propagates (cancelling queued tasks), so a fault-tolerant caller
+    catches inside ``fn`` and returns a structured failure value
+    instead.
     """
-    numbered = iter(enumerate(tasks))
-    n_workers = resolve_workers(workers)
-
-    if n_workers == 1:
-        for position, args in numbered:
-            yield position, fn(*args)
-        return
-
-    if window is None:
-        window = 2 * n_workers
-    window = max(int(window), n_workers)
-
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        in_flight: Dict = {}          # future -> position
-        ready: Dict[int, object] = {}  # position -> result
-        next_yield = 0
-        exhausted = False
-
-        def top_up() -> None:
-            nonlocal exhausted
-            while (not exhausted
-                   and len(in_flight) + len(ready) < window):
-                try:
-                    position, args = next(numbered)
-                except StopIteration:
-                    exhausted = True
-                    return
-                in_flight[pool.submit(fn, *args)] = position
-
-        try:
-            top_up()
-            while in_flight or ready:
-                if in_flight:
-                    done, _ = wait(in_flight,
-                                   return_when=FIRST_COMPLETED)
-                    for future in done:
-                        position = in_flight.pop(future)
-                        ready[position] = future.result()
-                while next_yield in ready:
-                    result = ready.pop(next_yield)
-                    position = next_yield
-                    next_yield += 1
-                    top_up()
-                    yield position, result
-                top_up()
-        except BaseException:
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
+    return enumerate(_ordered(fn, tasks, workers, window))

@@ -245,11 +245,13 @@ class FleetSampler:
             yield self.draw_config(index)
 
     def _sample_from(self, index: int, config: ExperimentConfig,
-                     result) -> FleetSample:
+                     utilization: float, drop_rate: float) -> FleetSample:
+        """Host ``index``'s scatter point — the one place a
+        :class:`FleetSample` is built, for both backends."""
         return FleetSample(
             host_index=index,
-            link_utilization=result.metrics["link_utilization"],
-            drop_rate=result.metrics["drop_rate"],
+            link_utilization=utilization,
+            drop_rate=drop_rate,
             transport=config.transport,
             cores=config.host.cpu.cores,
             antagonist_cores=config.host.antagonist_cores,
@@ -297,7 +299,8 @@ class FleetSampler:
             # config here is cheaper than holding it across the pool.
             yield self._sample_from(outcome.index,
                                     self.draw_config(outcome.index),
-                                    result)
+                                    result.metrics["link_utilization"],
+                                    result.metrics["drop_rate"])
 
     def resolve_backend(self, backend: str = "auto") -> str:
         """Normalize a fleet execution ``backend`` argument.
@@ -394,18 +397,8 @@ class FleetSampler:
             outcome = outcomes[index]
             if outcome[0] == "ok":
                 _, utilization, drop_rate, app_gbps = outcome
-                config = configs[index]
-                aggregate.add(FleetSample(
-                    host_index=index,
-                    link_utilization=utilization,
-                    drop_rate=drop_rate,
-                    transport=config.transport,
-                    cores=config.host.cpu.cores,
-                    antagonist_cores=config.host.antagonist_cores,
-                    iommu=config.host.iommu.enabled,
-                    hugepages=config.host.hugepages,
-                    stratum=self._draw_class(index),
-                ))
+                aggregate.add(self._sample_from(
+                    index, configs[index], utilization, drop_rate))
                 if host_rows is not None:
                     host_rows.append((index, "ok", {
                         "link_utilization": utilization,
@@ -418,6 +411,33 @@ class FleetSampler:
                     host_rows.append((index, kind,
                                       {"error": error}))
         return aggregate.to_dict(), host_rows
+
+    def _range_partials(self, cursor: int, stop: int, alpha: float,
+                        batch_size: int, workers,
+                        events: Optional[EventFn]
+                        ) -> Iterator[FleetAggregate]:
+        """Batched backend: the partial aggregates of hosts
+        ``[cursor, stop)``, one per ``batch_size`` range, in index
+        order — fanning each range's host rows out to ``events``."""
+        from repro.core.parallel import map_stream
+
+        tasks = ((self.seed, self.warmup, self.duration, self.fidelity,
+                  lo, min(lo + batch_size, stop), alpha,
+                  events is not None)
+                 for lo in range(cursor, stop, batch_size))
+        for _pos, (state, host_rows) in map_stream(
+                _solve_batch_range, tasks, workers=workers):
+            if events is not None:
+                stamp = time.time()
+                for index, kind, payload in host_rows:
+                    if kind == "ok":
+                        events({"ev": "finished", "index": index,
+                                "metrics": payload, "ts": stamp})
+                    else:
+                        events({"ev": "failed", "index": index,
+                                "failure_kind": kind, "ts": stamp,
+                                **payload})
+            yield FleetAggregate.from_dict(state)
 
     def run_aggregate(
         self,
@@ -486,6 +506,15 @@ class FleetSampler:
                 "warmup": self.warmup, "duration": self.duration,
                 "alpha": alpha}
 
+        if shard_index is not None:
+            if not 0 <= shard_index < len(bounds):
+                raise ValueError(
+                    f"shard_index {shard_index} out of range for "
+                    f"{len(bounds)} shards")
+            todo = [shard_index]
+        else:
+            todo = list(range(len(bounds)))
+
         ckpt: Optional[FleetCheckpoint] = None
         if checkpoint is not None:
             from pathlib import Path
@@ -498,15 +527,6 @@ class FleetSampler:
                 ckpt.save()
         else:
             ckpt = FleetCheckpoint.fresh("", meta, bounds, alpha=alpha)
-
-        if shard_index is not None:
-            if not 0 <= shard_index < len(bounds):
-                raise ValueError(
-                    f"shard_index {shard_index} out of range for "
-                    f"{len(bounds)} shards")
-            todo = [shard_index]
-        else:
-            todo = list(range(len(bounds)))
 
         done_hosts = sum(record["cursor"] - bounds[shard][0]
                          for shard, record in ckpt.shards.items())
@@ -527,60 +547,34 @@ class FleetSampler:
                         "stop": stop, "cursor": cursor,
                         "ts": time.time()})
             aggregate = record["aggregate"]
+            items = (self._range_partials(cursor, stop, alpha,
+                                          batch_size, workers, events)
+                     if batched else
+                     self.stream(stop, start=cursor, workers=workers,
+                                 events=events, timeout=timeout,
+                                 failures="keep", announce=False))
             since_save = 0
-            if batched:
-                from repro.core.parallel import map_stream
-                ranges = [(lo, min(lo + batch_size, stop))
-                          for lo in range(cursor, stop, batch_size)]
-                tasks = ((self.seed, self.warmup, self.duration,
-                          self.fidelity, lo, hi, alpha,
-                          events is not None)
-                         for lo, hi in ranges)
-                for _pos, (state, host_rows) in map_stream(
-                        _solve_batch_range, tasks, workers=workers):
-                    partial = FleetAggregate.from_dict(state)
-                    aggregate.merge(partial)
-                    folded = partial.hosts + partial.failed
-                    cursor += folded
-                    done_hosts += folded
-                    since_save += folded
-                    record["cursor"] = cursor
-                    if events is not None and host_rows:
-                        stamp = time.time()
-                        for index, kind, payload in host_rows:
-                            if kind == "ok":
-                                events({"ev": "finished",
-                                        "index": index,
-                                        "metrics": payload,
-                                        "ts": stamp})
-                            else:
-                                events({"ev": "failed", "index": index,
-                                        "failure_kind": kind,
-                                        "ts": stamp, **payload})
-                    if progress is not None:
-                        progress(done_hosts, n_hosts)
-                    if persist and since_save >= checkpoint_every:
-                        ckpt.save()
-                        since_save = 0
-            else:
-                for item in self.stream(stop, start=cursor,
-                                        workers=workers, events=events,
-                                        timeout=timeout,
-                                        failures="keep",
-                                        announce=False):
-                    if isinstance(item, FleetSample):
-                        aggregate.add(item)
-                    else:
-                        aggregate.add_failed(item)
-                    cursor += 1
-                    done_hosts += 1
-                    since_save += 1
-                    record["cursor"] = cursor
-                    if progress is not None:
-                        progress(done_hosts, n_hosts)
-                    if persist and since_save >= checkpoint_every:
-                        ckpt.save()
-                        since_save = 0
+            for item in items:
+                # A batched range merges whole; a scalar host folds
+                # as a sample or, when it failed, as its FailedRun.
+                if isinstance(item, FleetAggregate):
+                    aggregate.merge(item)
+                    folded = item.hosts + item.failed
+                elif isinstance(item, FleetSample):
+                    aggregate.add(item)
+                    folded = 1
+                else:
+                    aggregate.add_failed(item)
+                    folded = 1
+                cursor += folded
+                done_hosts += folded
+                since_save += folded
+                record["cursor"] = cursor
+                if progress is not None:
+                    progress(done_hosts, n_hosts)
+                if persist and since_save >= checkpoint_every:
+                    ckpt.save()
+                    since_save = 0
             record["done"] = True
             record["cursor"] = stop
             if persist:

@@ -300,6 +300,42 @@ def test_fleet_sharded_checkpoint_resume_and_merge(tmp_path, capsys):
     assert merged.hosts == 24  # both inputs cover the same 12 hosts
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--shards", "x"], "--shards"),
+    (["--hosts", "0"], "--hosts"),
+    (["--batch-size", "0"], "--batch-size"),
+    (["--shard-index", "5"], "--shard-index"),
+    (["--backend", "batched", "--fidelity", "packet"], "--backend"),
+])
+def test_fleet_rejects_bad_arguments_before_running(monkeypatch, capsys,
+                                                    flags, named):
+    from repro.workload.fleet import FleetSampler
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the fleet ran")
+
+    monkeypatch.setattr(FleetSampler, "run_aggregate", must_not_run)
+    try:
+        code = main(["fleet", "--warmup-ms", "0.5", "--duration-ms", "1",
+                     *flags])
+    except SystemExit as exc:  # argparse type errors exit 2
+        code = exc.code
+    assert code != 0
+    captured = capsys.readouterr()
+    errors = [line for line in (captured.out + captured.err).splitlines()
+              if "error:" in line]
+    assert len(errors) == 1 and named in errors[0], errors
+
+
+@pytest.mark.parametrize("content", ["", "{}", "[1, 2]"])
+def test_fleet_merge_rejects_a_file_that_is_not_an_aggregate(
+        tmp_path, capsys, content):
+    path = tmp_path / "not-an-aggregate.json"
+    path.write_text(content)
+    assert main(["fleet", "merge", str(path)]) == 1
+    assert capsys.readouterr().out.startswith(f"error: {path}: ")
+
+
 # ---------------------------------------------------------------------------
 # scenario subcommand
 # ---------------------------------------------------------------------------

@@ -7,8 +7,11 @@ the offending config attached, and per-run timeouts degrade to
 structured FailedRun placeholders instead of sinking the sweep.
 """
 
+import time
+
 import pytest
 
+from repro.core.cache import ResultCache
 from repro.core.config import (
     CpuConfig,
     ExperimentConfig,
@@ -20,6 +23,7 @@ from repro.core.config import (
 from repro.core.parallel import (
     RunOutcome,
     SweepRunError,
+    map_stream,
     resolve_workers,
     run_many,
     run_stream,
@@ -55,6 +59,20 @@ def crashing_config():
     config = tiny_config()
     object.__setattr__(config, "transport", "definitely-not-a-cc")
     return config
+
+
+def sleep_then_stamp(delay, value):
+    """Pool task: finish after ``delay`` seconds, report when."""
+    time.sleep(delay)
+    return value, time.monotonic()
+
+
+def touch_or_fail(path, fail):
+    """Pool task: raise at once, or leave a marker file a little later."""
+    if fail:
+        raise RuntimeError("task failed")
+    time.sleep(0.1)
+    path.touch()
 
 
 class TestResolveWorkers:
@@ -202,8 +220,7 @@ class TestRunStream:
         stream = run_stream(configs(), workers=2, window=2)
         first = next(stream)
         assert first.index == 0
-        # window=2 is clamped to n_workers=2; one yielded + at most
-        # the window drawn ahead.
+        # One yielded + at most the window drawn ahead.
         assert len(drawn) <= 4
         rest = list(stream)
         assert len(rest) == 7
@@ -246,3 +263,58 @@ class TestRunStream:
         first = next(stream)
         assert first.index == 0
         stream.close()  # GeneratorExit must cancel queued work
+
+
+class TestMapStream:
+    def test_results_in_task_order_when_tasks_finish_in_reverse(self):
+        tasks = [(0.6, "a"), (0.3, "b"), (0.0, "c")]
+        results = list(map_stream(sleep_then_stamp, tasks, workers=2))
+        assert [pos for pos, _ in results] == [0, 1, 2]
+        assert [value for _, (value, _) in results] == ["a", "b", "c"]
+        finished = [stamp for _, (_, stamp) in results]
+        assert finished[1] < finished[0] and finished[2] < finished[0]
+
+    def test_draws_at_most_window_tasks_ahead(self):
+        drawn = []
+
+        def tasks():
+            for n in range(10):
+                drawn.append(n)
+                yield (0.0, n)
+
+        stream = map_stream(sleep_then_stamp, tasks(), workers=2, window=3)
+        yielded = 0
+        for position, (value, _) in stream:
+            assert position == value == yielded
+            yielded += 1
+            assert len(drawn) <= yielded + 3
+        assert yielded == len(drawn) == 10
+
+    def test_exception_propagates_and_cancels_queued_tasks(self, tmp_path):
+        tasks = [(tmp_path / "0", True)] + [
+            (tmp_path / str(n), False) for n in range(1, 16)]
+        with pytest.raises(RuntimeError, match="task failed"):
+            list(map_stream(touch_or_fail, tasks, workers=2, window=16))
+        # Uncancelled, the 15 tasks would all be done in under a
+        # second; only those already handed to a worker may run.
+        time.sleep(2.0)
+        assert len(list(tmp_path.iterdir())) < 8
+
+
+class TestRunManyWithCache:
+    def test_cache_hit_plus_pool_keeps_order_and_reports_hits_first(
+            self, tmp_path):
+        configs = [tiny_config(seed=s) for s in (3, 4, 5)]
+        cache = ResultCache(tmp_path / "cache")
+        run_many([configs[1]], cache=cache)
+        events = []
+        outcomes = run_many(configs, workers=2, cache=cache,
+                            events=events.append)
+        assert [o.index for o in outcomes] == [0, 1, 2]
+        assert [o.cached for o in outcomes] == [False, True, False]
+        reference = run_many(configs)
+        assert [o.result for o in outcomes] == \
+            [o.result for o in reference]
+        kinds = [event["ev"] for event in events]
+        assert kinds.count("cached") == 1 and kinds.count("finished") == 2
+        assert kinds.index("cached") < kinds.index("finished")
