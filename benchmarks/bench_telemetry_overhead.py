@@ -1,8 +1,8 @@
 """Telemetry-plane overhead: sampler and ledger A/B measurements.
 
 The telemetry plane's contract is "free when off, cheap when on":
-``sample_interval=None`` (the default) builds no sampler, no bus, and
-no capture subscription, so the hot path is untouched; enabled, the
+``sample_interval=None`` (the default) builds no sampler and no
+sample ring, so the hot path is untouched; enabled, the
 drift-free sampler and the JSONL ledger sink must stay within a small
 single-digit-percent budget.  The paired test interleaves off/on runs
 (A/B/A/B) so machine drift hits both arms equally, and asserts a

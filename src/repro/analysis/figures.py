@@ -323,14 +323,14 @@ def _render_isolation(spec: ScenarioSpec, results, base, snapshots
 
 #: Every ``repro scenario run`` flag that some driver does not honour.
 RUN_FLAGS = ("--timeout-s", "--keep-failed", "--metrics-out", "--csv",
-             "--out")
+             "--out", "--workers", "--live", "--ledger")
 
 #: driver -> (its render binding over what ``ScenarioSpec.run``
 #: returns, the :data:`RUN_FLAGS` it honours).  ``--out`` writes the
 #: figure, so it also needs a spec that renders one.
 _BINDINGS = {
     "sweep": (_render_sweep, RUN_FLAGS),
-    "fleet": (_render_fleet, ("--out",)),
+    "fleet": (_render_fleet, ("--out", "--workers", "--live", "--ledger")),
     "day": (_render_day, ()),
     "isolation": (_render_isolation, ()),
 }

@@ -68,7 +68,6 @@ __all__ = [
     "AgreementReport",
     "Disagreement",
     "compare_day",
-    "compare_fleet",
     "compare_fleet_aggregate",
     "compare_fleet_backends",
     "compare_isolation",
@@ -428,53 +427,18 @@ def compare_isolation(scenario: str, packet: Dict[str, Any],
     return report
 
 
-def _spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
-    from repro.analysis.figures import spearman
-
-    return spearman(xs, ys)
-
-
-def compare_fleet(scenario: str, packet: Sequence,
-                  fluid: Sequence) -> AgreementReport:
-    """Cross-validate fleet populations (Fig. 1's two observations)."""
-    report = AgreementReport(scenario=scenario)
-    report.check(len(packet) == len(fluid), "population", "-",
-                 f"{len(packet)} packet hosts vs {len(fluid)} fluid")
-    if not packet or len(packet) != len(fluid):
-        return report
-    p_corr = _spearman([s.link_utilization for s in packet],
-                       [s.drop_rate for s in packet])
-    f_corr = _spearman([s.link_utilization for s in fluid],
-                       [s.drop_rate for s in fluid])
-    report.check(p_corr > 0 and f_corr > 0, "drop-correlation", "-",
-                 f"drop rate must correlate positively with "
-                 f"utilization at both fidelities "
-                 f"(packet {p_corr:.2f}, fluid {f_corr:.2f})")
-
-    def drop_fraction(samples):
-        return sum(1 for s in samples if s.drop_rate > 1e-4) \
-            / len(samples)
-
-    p_frac, f_frac = drop_fraction(packet), drop_fraction(fluid)
-    report.check(abs(p_frac - f_frac) <= 0.25, "dropper-fraction", "-",
-                 f"fraction of dropping hosts: packet {p_frac:.2f} vs "
-                 f"fluid {f_frac:.2f} (tolerance 0.25)")
-    return report
-
-
 #: Max |packet - fluid| gap in per-stratum median link utilization.
 STRATUM_UTIL_TOLERANCE = 0.15
 
 
 def compare_fleet_aggregate(scenario: str, packet,
                             fluid) -> AgreementReport:
-    """Cross-validate streamed fleet aggregates
-    (:class:`~repro.workload.fleet_agg.FleetAggregate`).
+    """Cross-validate fleet populations through their streamed
+    aggregates (:class:`~repro.workload.fleet_agg.FleetAggregate`).
 
-    The constant-memory sibling of :func:`compare_fleet`: the same
-    Fig. 1 contract — positive utilization–drop rank correlation and
-    matching dropper fractions at both fidelities — answered from the
-    mergeable aggregates, plus per-stratum median link-utilization
+    The Fig. 1 contract — positive utilization–drop rank correlation
+    and matching dropper fractions at both fidelities — answered from
+    the mergeable aggregates, plus per-stratum median link-utilization
     agreement (the strata are the population's ground truth, so their
     medians moving under a fidelity swap would mean the engines model
     different fleets).

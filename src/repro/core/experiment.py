@@ -21,7 +21,7 @@ from repro.core.metrics import summarize
 from repro.core.results import ExperimentResult
 from repro.core.topology import GraphBuilder
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import MetricsSampler, TelemetryBus
+from repro.obs.telemetry import MetricsSampler
 from repro.sim.engine import Simulator
 from repro.sim.tracing import Tracer
 
@@ -45,21 +45,16 @@ class ExperimentHandle:
         self.workload = self.topology
         self.host = self.topology.host
         self.topology.bind_metrics(self.metrics)
-        # Opt-in live telemetry: a sampler polling the registry onto a
-        # bus on a sim-time cadence.  Off (None) by default — building
-        # it costs nothing on the normal path, and its reads cannot
-        # perturb results (see obs.telemetry).
-        self.telemetry: Optional[TelemetryBus] = None
+        # Opt-in live telemetry: a sampler polling the registry into a
+        # bounded ring on a sim-time cadence.  Off (None) by default —
+        # the normal path builds nothing, and its reads cannot perturb
+        # results (see obs.telemetry).
         self.sampler: Optional[MetricsSampler] = None
-        self._telemetry_capture = None
         if config.sim.sample_interval is not None:
-            self.telemetry = TelemetryBus()
             self.sampler = MetricsSampler(
-                self.sim, self.metrics, self.telemetry,
+                self.sim, self.metrics,
                 interval=config.sim.sample_interval)
             self.sampler.bind_metrics(self.metrics)
-            self._telemetry_capture = self.telemetry.subscribe(
-                maxlen=262144)
         self._measuring = False
 
     def run_warmup(self) -> None:
@@ -88,22 +83,23 @@ class ExperimentHandle:
             "trace_records": len(self.tracer),
             "trace_dropped": self.tracer.dropped,
         }
-        if self._telemetry_capture is not None:
+        sampler = self.sampler
+        if sampler is not None:
             snapshot["telemetry"] = {
                 "interval": self.config.sim.sample_interval,
-                "ticks": self.sampler.ticks,
-                "dropped": self._telemetry_capture.dropped,
+                "ticks": sampler.ticks,
+                "dropped": sampler.dropped,
                 "samples": [sample.as_list()
-                            for sample in self._telemetry_capture],
+                            for sample in sampler.samples],
             }
         return snapshot
 
     def telemetry_samples(self) -> list:
         """Samples captured so far (non-draining); empty when the
         sampler is disabled."""
-        if self._telemetry_capture is None:
+        if self.sampler is None:
             return []
-        return list(self._telemetry_capture)
+        return list(self.sampler.samples)
 
     def collect(self) -> ExperimentResult:
         topology = self.topology

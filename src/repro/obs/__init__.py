@@ -19,10 +19,11 @@ Public surface:
 - :class:`~repro.obs.profiler.SimProfiler` — samples the event loop
   (events/sec per component, wall-time per callback class, heap depth,
   sim-time/wall-time ratio).
-- the live telemetry plane — :class:`~repro.obs.telemetry.TelemetryBus`
-  + :class:`~repro.obs.telemetry.MetricsSampler` poll the registry on a
-  sim-time cadence into a subscriber bus (the future Controller's read
-  API); :class:`~repro.obs.sketch.QuantileSketch` /
+- the live telemetry plane — :class:`~repro.obs.telemetry.MetricsSampler`
+  polls the registry on a sim-time cadence into a bounded ring of
+  :class:`~repro.obs.telemetry.TelemetrySample` records (the snapshot's
+  ``telemetry`` block and the trace's counter tracks);
+  :class:`~repro.obs.sketch.QuantileSketch` /
   :class:`~repro.obs.telemetry.RunAggregate` are the mergeable,
   constant-memory summaries the fleet-scale aggregation folds; and
   :class:`~repro.obs.live.LiveDashboard` renders the event stream as a
@@ -47,8 +48,6 @@ from repro.obs.sketch import CategoryTally, QuantileSketch
 from repro.obs.telemetry import (
     MetricsSampler,
     RunAggregate,
-    Subscription,
-    TelemetryBus,
     TelemetrySample,
     classify_root_cause,
 )
@@ -64,8 +63,6 @@ __all__ = [
     "QuantileSketch",
     "RunAggregate",
     "SimProfiler",
-    "Subscription",
-    "TelemetryBus",
     "TelemetrySample",
     "classify_root_cause",
     "to_counter_events",

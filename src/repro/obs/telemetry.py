@@ -1,19 +1,17 @@
-"""The live telemetry plane: in-sim sampling bus and run aggregation.
+"""The live telemetry plane: in-sim sampling and run aggregation.
 
 The paper's observation — hosts dropping packets while the fabric
 looks idle — was only visible because per-host interconnect counters
 were watched *live*, not post-hoc.  This module is the reproduction's
 equivalent read path, in two halves:
 
-**In-sim** (:class:`MetricsSampler` → :class:`TelemetryBus`): a
-sampler component polls the :class:`~repro.obs.metrics.MetricsRegistry`
-on a fixed sim-time interval — drift-free ``epoch + k·interval``
-scheduling, like the time-series recorder — and publishes typed
-:class:`TelemetrySample` records onto a bounded, subscriber-based bus.
-The bus is deliberately hook-first (subscribe/unsubscribe, last-value
-queries, windowed deltas and rates): it is the exact API a future
-in-sim Controller (ROADMAP item 5) will consume to actuate on live
-metrics.  Sampling reads counter/gauge values only — never histogram
+**In-sim** (:class:`MetricsSampler`): a sampler component polls the
+:class:`~repro.obs.metrics.MetricsRegistry` on a fixed sim-time
+interval — drift-free ``epoch + k·interval`` scheduling — into a
+bounded, drop-oldest ring of typed :class:`TelemetrySample` records.
+The run's metrics snapshot (its ``telemetry`` block) and the counter
+tracks of ``repro trace --sample-interval-us`` read that ring.
+Sampling reads counter/gauge values only — never histogram
 reservoirs, never deferred-flush hooks — so an attached sampler cannot
 perturb results: outputs stay bit-identical with telemetry on or off.
 
@@ -23,24 +21,21 @@ lifecycle event stream that workers emit during a sweep or fleet run
 events/sec, throughput, and drop rate go into mergeable
 :class:`~repro.obs.sketch.QuantileSketch` instances; failures and
 root-cause classes into :class:`~repro.obs.sketch.CategoryTally`.
-``RunAggregate.merge`` is the fleet-scale aggregation protocol of
-ROADMAP item 2: any partition of the event stream folds to the same
-aggregate.
+``RunAggregate.merge`` is the fleet-scale aggregation protocol: any
+partition of the event stream folds to the same aggregate.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional
 
 from repro.obs.sketch import CategoryTally, QuantileSketch
 
 __all__ = [
     "MetricsSampler",
     "RunAggregate",
-    "Subscription",
-    "TelemetryBus",
     "TelemetrySample",
     "classify_root_cause",
 ]
@@ -60,168 +55,32 @@ class TelemetrySample:
         return [self.time, self.name, self.kind, self.value]
 
 
-class Subscription:
-    """A bounded sample queue attached to the bus.
-
-    The queue keeps the most recent ``maxlen`` samples; older ones are
-    dropped (and counted in ``dropped``) rather than blocking the
-    publisher — a slow consumer must never stall the simulation.
-    """
-
-    def __init__(self, bus: "TelemetryBus", prefix: str, maxlen: int):
-        self.bus = bus
-        self.prefix = prefix
-        self.maxlen = maxlen
-        self.delivered = 0
-        self.dropped = 0
-        self._queue: Deque[TelemetrySample] = deque(maxlen=maxlen)
-
-    def _offer(self, sample: TelemetrySample) -> None:
-        if len(self._queue) == self.maxlen:
-            self.dropped += 1
-        self._queue.append(sample)
-        self.delivered += 1
-
-    def poll(self) -> List[TelemetrySample]:
-        """Drain and return every queued sample (oldest first)."""
-        out = list(self._queue)
-        self._queue.clear()
-        return out
-
-    def __iter__(self):
-        """Non-draining view of the queued samples."""
-        return iter(self._queue)
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def close(self) -> None:
-        self.bus.unsubscribe(self)
-
-
-class TelemetryBus:
-    """Fan-out point between the sampler and any number of consumers.
-
-    Besides per-subscriber queues, the bus keeps the last sample and a
-    bounded time/value history per metric name, so consumers that only
-    need "current value" or "change over the last window" — the
-    Controller's two primitives — never touch a queue at all.
-    """
-
-    def __init__(self, history: int = 256):
-        if history < 2:
-            raise ValueError(f"history must be >= 2, got {history}")
-        self.history_len = history
-        self.published = 0
-        self._subscribers: List[Subscription] = []
-        self._last: Dict[str, TelemetrySample] = {}
-        self._history: Dict[str, Deque[Tuple[float, float]]] = {}
-
-    # -- subscriber management ----------------------------------------------
-
-    def subscribe(self, prefix: str = "",
-                  maxlen: int = 4096) -> Subscription:
-        """Attach a bounded queue receiving samples whose full metric
-        name starts with ``prefix`` (empty prefix = everything)."""
-        if maxlen < 1:
-            raise ValueError(f"maxlen must be >= 1, got {maxlen}")
-        subscription = Subscription(self, prefix, maxlen)
-        self._subscribers.append(subscription)
-        return subscription
-
-    def unsubscribe(self, subscription: Subscription) -> bool:
-        try:
-            self._subscribers.remove(subscription)
-            return True
-        except ValueError:
-            return False
-
-    # -- publishing ---------------------------------------------------------
-
-    def publish(self, sample: TelemetrySample) -> None:
-        self.published += 1
-        self._last[sample.name] = sample
-        history = self._history.get(sample.name)
-        if history is None:
-            history = deque(maxlen=self.history_len)
-            self._history[sample.name] = history
-        history.append((sample.time, sample.value))
-        for subscription in self._subscribers:
-            if sample.name.startswith(subscription.prefix):
-                subscription._offer(sample)
-
-    # -- point queries (the Controller read API) ----------------------------
-
-    def names(self) -> List[str]:
-        return sorted(self._last)
-
-    def last(self, name: str) -> Optional[TelemetrySample]:
-        return self._last.get(name)
-
-    def value(self, name: str, default: float = 0.0) -> float:
-        sample = self._last.get(name)
-        return sample.value if sample is not None else default
-
-    def delta(self, name: str, window: float) -> Optional[float]:
-        """Change in ``name`` over the trailing ``window`` sim-seconds.
-
-        Baseline is the newest sample at or before ``now - window``
-        (the oldest retained sample if the history is shorter).
-        ``None`` until the metric has been sampled twice.
-        """
-        history = self._history.get(name)
-        if history is None or len(history) < 2:
-            return None
-        t_end, v_end = history[-1]
-        cutoff = t_end - window
-        baseline = history[0][1]
-        for t, v in history:
-            if t > cutoff:
-                break
-            baseline = v
-        return v_end - baseline
-
-    def rate(self, name: str, window: float) -> Optional[float]:
-        """Average per-second change of ``name`` over the window."""
-        history = self._history.get(name)
-        if history is None or len(history) < 2:
-            return None
-        t_end, v_end = history[-1]
-        cutoff = t_end - window
-        t_base, v_base = history[0]
-        for t, v in history:
-            if t > cutoff:
-                break
-            t_base, v_base = t, v
-        if t_end <= t_base:
-            return None
-        return (v_end - v_base) / (t_end - t_base)
-
-
 class MetricsSampler:
-    """SimComponent that polls the registry onto the bus on a schedule.
+    """SimComponent that polls the registry into a ring on a schedule.
 
     Ticks fire at absolute times ``epoch + k · interval`` (epoch =
     sim-time of :meth:`start`), so the cadence never drifts however
     long a poll takes.  Each tick reads counters and gauges through
     :meth:`MetricsRegistry.live_values` — a pure read that skips
     deferred flushes and histogram reservoirs, keeping the measurement
-    unperturbed.  ``select`` optionally restricts polling to metric
-    names starting with any of the given prefixes.
+    unperturbed — and appends one sample per metric to ``samples``.
+    The ring keeps the newest :attr:`maxlen` samples; older ones are
+    dropped (and counted in ``dropped``), so a long run's memory stays
+    bounded.
     """
 
     label = "sampler"
+    #: Ring capacity in samples.
+    maxlen = 262144
 
-    def __init__(self, sim, registry, bus: TelemetryBus,
-                 interval: float,
-                 select: Optional[Tuple[str, ...]] = None):
+    def __init__(self, sim, registry, interval: float):
         if interval <= 0:
             raise ValueError(f"interval must be > 0, got {interval}")
         self.sim = sim
         self.registry = registry
-        self.bus = bus
         self.interval = interval
-        self.select = tuple(select) if select else None
+        self.samples: Deque[TelemetrySample] = deque(maxlen=self.maxlen)
+        self.dropped = 0
         self.ticks = 0
         self.samples_emitted = 0
         self._running = False
@@ -252,13 +111,12 @@ class MetricsSampler:
         self._tick_index += 1
         self.ticks += 1
         now = self.sim.now
+        samples = self.samples
         for name, kind, value in self.registry.live_values():
-            if self.select is not None and not any(
-                    name.startswith(prefix) for prefix in self.select):
-                continue
-            self.bus.publish(
-                TelemetrySample(time=now, name=name, kind=kind,
-                                value=float(value)))
+            if len(samples) == samples.maxlen:
+                self.dropped += 1
+            samples.append(TelemetrySample(time=now, name=name, kind=kind,
+                                           value=float(value)))
             self.samples_emitted += 1
         self.sim.at(self._next_tick_time(), self._tick)
 
@@ -287,7 +145,8 @@ class MetricsSampler:
 def classify_root_cause(params: Dict) -> str:
     """Root-cause label for one run's config (the Fig. 1 taxonomy).
 
-    Mirrors :attr:`repro.workload.fleet.FleetSample.congestion_class`:
+    The one copy of the rule; fleet hosts label themselves through it
+    (:attr:`repro.workload.fleet.FleetSample.congestion_class`):
     heavy memory antagonists collapse the NIC-to-memory path
     ("memory-bus"); many-core IOMMU hosts thrash the IOTLB ("iommu");
     everything else is CPU-bound or healthy.
@@ -317,8 +176,8 @@ class RunAggregate:
     partial aggregates from different workers/files via :meth:`merge`.
     Because every statistic inside is itself mergeable (counts,
     sketches, tallies), ``fold(a + b) == fold(a).merge(fold(b))`` for
-    any split of the stream — the property ROADMAP item 2's
-    million-host aggregation relies on.
+    any split of the stream — the property fleet-scale aggregation
+    relies on.
     """
 
     SKETCH_KEYS = ("wall_s", "events_per_sec", "throughput_gbps",

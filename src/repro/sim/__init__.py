@@ -1,22 +1,18 @@
 """Discrete-event simulation engine.
 
-A small, dependency-free engine in the style of SimPy, tuned for the hot
-paths of the host-interconnect model: the core loop dispatches plain
-callbacks from a binary heap, and an optional :class:`~repro.sim.engine.Process`
-wrapper runs generator-style processes on top of it for the components
-where sequential logic reads better (DMA engines, senders).
+A small, dependency-free engine tuned for the hot paths of the
+host-interconnect model: the loop dispatches plain callbacks from a
+binary heap, and every datapath stage (NIC, PCIe, IOMMU, memory, CPU,
+fabric hop) is a callback that schedules the next one.
 
 Public surface:
 
-- :class:`~repro.sim.engine.Simulator` — event loop.
-- :class:`~repro.sim.engine.Event` / :class:`~repro.sim.engine.Process` —
-  awaitable primitives for generator processes.
-- :class:`~repro.sim.resources.CreditPool` — counting resource with FIFO
-  waiters (models PCIe flow-control credits).
-- :class:`~repro.sim.resources.Store` — unbounded FIFO hand-off between
-  producer and consumer processes.
+- :class:`~repro.sim.engine.Simulator` — event loop (``at``, ``call``,
+  ``schedule_timer``, ``run``, ``peek``).
+- :class:`~repro.sim.resources.CreditPool` — non-blocking counting
+  resource (models PCIe flow-control credits).
 - :class:`~repro.sim.queues.ByteQueue` — finite byte-capacity tail-drop
-  queue with occupancy/drop accounting (models the NIC input SRAM).
+  queue with enqueue/dequeue/drop counters (models the NIC input SRAM).
 - :class:`~repro.sim.wheel.TimerHandle` /
   :class:`~repro.sim.wheel.TimerWheel` — O(1)-cancellable timers behind
   :meth:`~repro.sim.engine.Simulator.schedule_timer`.
@@ -29,10 +25,10 @@ Public surface:
 """
 
 from repro.sim.component import Component, SimComponent, join_name
-from repro.sim.engine import Event, Interrupt, Process, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.queues import ByteQueue
 from repro.sim.randoms import RngRegistry
-from repro.sim.resources import CreditPool, Gate, Store
+from repro.sim.resources import CreditPool
 from repro.sim.tracing import Tracer
 from repro.sim.wheel import TimerHandle, TimerWheel
 
@@ -40,14 +36,9 @@ __all__ = [
     "ByteQueue",
     "Component",
     "CreditPool",
-    "Event",
-    "Gate",
-    "Interrupt",
-    "Process",
     "RngRegistry",
     "SimComponent",
     "Simulator",
-    "Store",
     "TimerHandle",
     "TimerWheel",
     "Tracer",

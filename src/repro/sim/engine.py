@@ -1,4 +1,4 @@
-"""Event loop, events, and generator processes.
+"""The event loop: plain callbacks on a heap, plus cancellable timers.
 
 Time is a ``float`` in **seconds**. Events scheduled at equal times fire
 in insertion order (a monotonically increasing sequence number breaks
@@ -24,227 +24,15 @@ Hot-path layout (see DESIGN.md "Kernel performance"):
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Optional
 
 from repro.sim.wheel import TimerHandle, TimerWheel
 
-__all__ = ["Event", "Interrupt", "Process", "Simulator", "SimulationError",
-           "TimerHandle"]
+__all__ = ["Simulator", "SimulationError", "TimerHandle"]
 
 
 class SimulationError(RuntimeError):
     """Raised for invalid uses of the engine (e.g. scheduling in the past)."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process that is interrupted while waiting.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
-class Event:
-    """A one-shot occurrence that callbacks and processes can wait on.
-
-    An event starts *pending*; :meth:`succeed` or :meth:`fail` triggers it
-    exactly once, after which its callbacks run within the current
-    simulation step.
-
-    Events are recyclable: :meth:`recycle` parks a spent event on a
-    free list and :meth:`Simulator.event` reuses it, so steady-state
-    event churn allocates nothing.  Recycling is strictly opt-in — only
-    the owner of an event may recycle it, and only once nothing else
-    holds a reference.
-    """
-
-    __slots__ = ("sim", "_callbacks", "_value", "_ok", "triggered")
-
-    #: Free list shared by all simulators (events carry no cross-run
-    #: state once recycled).
-    _free: list = []
-
-    def __init__(self, sim: "Simulator"):
-        self.sim = sim
-        self._callbacks: list[Callable[["Event"], None]] = []
-        self._value: Any = None
-        self._ok: Optional[bool] = None
-        self.triggered = False
-
-    @classmethod
-    def acquire(cls, sim: "Simulator") -> "Event":
-        """A fresh pending event, reusing a recycled one if available."""
-        free = cls._free
-        if free:
-            ev = free.pop()
-            ev.sim = sim
-            ev._value = None
-            ev._ok = None
-            ev.triggered = False
-            return ev
-        return cls(sim)
-
-    def recycle(self) -> None:
-        """Return this event to the free list for reuse.
-
-        The caller asserts ownership: no other component may still hold
-        a reference or expect a callback.  Pending callbacks make the
-        event unreclaimable and raise.
-        """
-        if self._callbacks:
-            raise SimulationError(
-                "cannot recycle an event with pending callbacks")
-        self.sim = None  # break the reference cycle while parked
-        Event._free.append(self)
-
-    @property
-    def value(self) -> Any:
-        return self._value
-
-    @property
-    def ok(self) -> Optional[bool]:
-        """True/False once triggered, None while pending."""
-        return self._ok
-
-    def add_callback(self, fn: Callable[["Event"], None]) -> None:
-        if self.triggered:
-            # Fire immediately but asynchronously, preserving run-to-
-            # completion semantics of the current step.
-            self.sim.call(0.0, fn, self)
-        else:
-            self._callbacks.append(fn)
-
-    def remove_callback(self, fn: Callable[["Event"], None]) -> bool:
-        """Detach a pending callback; True if it was registered.
-
-        Lets race constructs (:meth:`Simulator.any_of`) drop their
-        closures from losing events instead of leaking them for the
-        event's lifetime.
-        """
-        try:
-            self._callbacks.remove(fn)
-            return True
-        except ValueError:
-            return False
-
-    def succeed(self, value: Any = None) -> "Event":
-        self._trigger(True, value)
-        return self
-
-    def fail(self, exc: BaseException) -> "Event":
-        if not isinstance(exc, BaseException):
-            raise TypeError("Event.fail() requires an exception instance")
-        self._trigger(False, exc)
-        return self
-
-    def _trigger(self, ok: bool, value: Any) -> None:
-        if self.triggered:
-            raise SimulationError("event triggered twice")
-        self.triggered = True
-        self._ok = ok
-        self._value = value
-        callbacks, self._callbacks = self._callbacks, []
-        for fn in callbacks:
-            fn(self)
-
-
-class Process:
-    """A generator running inside the simulation.
-
-    The generator may ``yield``:
-
-    - a ``float``/``int`` — sleep for that many seconds;
-    - an :class:`Event` — resume when it triggers (the ``yield``
-      expression evaluates to the event's value, or raises if it failed);
-    - another :class:`Process` — wait for it to finish.
-
-    A process is itself an :class:`Event` facade: waiting on it resumes
-    when the generator returns (value = the ``StopIteration`` value).
-    """
-
-    __slots__ = ("sim", "name", "_gen", "_done", "_waiting_on", "_interrupted")
-
-    def __init__(self, sim: "Simulator", gen: Generator, name: str = "proc"):
-        self.sim = sim
-        self.name = name
-        self._gen = gen
-        self._done = Event(sim)
-        self._waiting_on: Optional[Event] = None
-        self._interrupted = False
-        sim.call(0.0, self._step, None, None)
-
-    @property
-    def done(self) -> Event:
-        return self._done
-
-    @property
-    def is_alive(self) -> bool:
-        return not self._done.triggered
-
-    def add_callback(self, fn: Callable[[Event], None]) -> None:
-        self._done.add_callback(fn)
-
-    @property
-    def triggered(self) -> bool:
-        return self._done.triggered
-
-    @property
-    def value(self) -> Any:
-        return self._done.value
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its next step."""
-        if not self.is_alive:
-            return
-        self._interrupted = True
-        self.sim.call(0.0, self._step, None, Interrupt(cause))
-
-    def _on_event(self, event: Event) -> None:
-        if event.ok:
-            self._step(event.value, None)
-        else:
-            self._step(None, event.value)
-
-    def _step(self, value: Any, exc: Optional[BaseException]) -> None:
-        if self._done.triggered:
-            return
-        if isinstance(exc, Interrupt):
-            self._interrupted = False
-        self._waiting_on = None
-        try:
-            if exc is not None:
-                target = self._gen.throw(exc)
-            else:
-                target = self._gen.send(value)
-        except StopIteration as stop:
-            self._done.succeed(stop.value)
-            return
-        except BaseException as err:  # propagate process crashes loudly
-            self._done.fail(err)
-            raise
-        self._wait_on(target)
-
-    def _wait_on(self, target: Any) -> None:
-        if isinstance(target, (int, float)):
-            if target < 0:
-                self._step(None, SimulationError("negative delay"))
-                return
-            self.sim.call(float(target), self._step, None, None)
-        elif isinstance(target, Process):
-            target._done.add_callback(self._on_event)
-            self._waiting_on = target._done
-        elif isinstance(target, Event):
-            target.add_callback(self._on_event)
-            self._waiting_on = target
-        else:
-            self._step(
-                None,
-                SimulationError(f"process {self.name!r} yielded {target!r}"),
-            )
 
 
 class Simulator:
@@ -255,12 +43,11 @@ class Simulator:
         sim = Simulator()
         sim.call(1e-6, my_callback, arg)        # callback API (hot path)
         handle = sim.schedule_timer(1e-3, rto_fired)   # cancellable
-        sim.process(my_generator())              # process API
         sim.run(until=0.01)
     """
 
-    __slots__ = ("now", "_heap", "_seq", "_stopped", "_n_dispatched",
-                 "_dispatch_hook", "_wheel")
+    __slots__ = ("now", "_heap", "_seq", "_n_dispatched", "_dispatch_hook",
+                 "_wheel")
 
     def __init__(self) -> None:
         #: Current simulation time in seconds.  A plain attribute — the
@@ -270,7 +57,6 @@ class Simulator:
         self.now = 0.0
         self._heap: list = []
         self._seq = 0
-        self._stopped = False
         self._n_dispatched = 0
         self._dispatch_hook: Optional[Callable] = None
         #: Created lazily on the first schedule_timer() call; plain
@@ -338,68 +124,6 @@ class Simulator:
         """
         heappush(self._heap, [time, -1, None, key])
 
-    def event(self) -> Event:
-        return Event.acquire(self)
-
-    def timeout(self, delay: float, value: Any = None) -> Event:
-        """An event that succeeds after ``delay`` seconds."""
-        ev = Event.acquire(self)
-        self.call(delay, ev.succeed, value)
-        return ev
-
-    def process(self, gen: Generator, name: str = "proc") -> Process:
-        return Process(self, gen, name=name)
-
-    def any_of(self, events: Iterable[Event]) -> Event:
-        """An event that succeeds when the first of ``events`` does.
-
-        The winner detaches the race's callback from every still-pending
-        loser, so long-lived events that keep losing races do not
-        accumulate dead closures.
-        """
-        out = Event(self)
-        entrants = list(events)
-
-        def fire(ev: Event) -> None:
-            if not out.triggered:
-                out.succeed(ev.value)
-                for other in entrants:
-                    if other is not ev and not other.triggered:
-                        other.remove_callback(fire)
-                entrants.clear()
-
-        for ev in entrants:
-            ev.add_callback(fire)
-        return out
-
-    def all_of(self, events: Iterable[Event]) -> Event:
-        """An event that succeeds when all of ``events`` have."""
-        out = Event(self)
-        pending = list(events)
-        remaining = len(pending)
-        if remaining == 0:
-            out.succeed([])
-            return out
-        values: list[Any] = [None] * remaining
-
-        def make(i: int) -> Callable[[Event], None]:
-            def fire(ev: Event) -> None:
-                nonlocal remaining
-                values[i] = ev.value
-                remaining -= 1
-                if remaining == 0 and not out.triggered:
-                    out.succeed(values)
-
-            return fire
-
-        for i, ev in enumerate(pending):
-            ev.add_callback(make(i))
-        return out
-
-    def stop(self) -> None:
-        """Stop :meth:`run` after the current callback returns."""
-        self._stopped = True
-
     def set_dispatch_hook(
         self, hook: Optional[Callable[[float, Callable, tuple], None]],
     ) -> None:
@@ -421,14 +145,13 @@ class Simulator:
         (even if the heap drained earlier), so repeated ``run`` calls
         compose predictably.
         """
-        self._stopped = False
         heap = self._heap
         hook = self._dispatch_hook
         pop = heappop
         n = 0
         try:
             if hook is not None:
-                n = self._run_hooked(hook, until)
+                self._run_hooked(hook, until)
             elif until is None:
                 while heap:
                     t, _seq, fn, args = pop(heap)
@@ -439,8 +162,6 @@ class Simulator:
                     self.now = t
                     n += 1
                     fn(*args)
-                    if self._stopped:
-                        break
             else:
                 while heap:
                     entry = pop(heap)
@@ -455,16 +176,15 @@ class Simulator:
                     self.now = t
                     n += 1
                     fn(*args)
-                    if self._stopped:
-                        break
         finally:
             self._n_dispatched += n
-        if until is not None and self.now < until and not self._stopped:
+        if until is not None and self.now < until:
             self.now = until
         return self.now
 
-    def _run_hooked(self, hook: Callable, until: Optional[float]) -> int:
-        """Slow-path loop used while a dispatch hook (profiler) is set."""
+    def _run_hooked(self, hook: Callable, until: Optional[float]) -> None:
+        """Slow-path loop used while a dispatch hook (profiler) is set;
+        it accounts its own dispatches, even when a callback raises."""
         heap = self._heap
         n = 0
         try:
@@ -481,13 +201,8 @@ class Simulator:
                 self.now = t
                 n += 1
                 hook(t, fn, args)
-                if self._stopped:
-                    break
         finally:
-            # run() adds the returned n once more only on a clean exit,
-            # so account here and return 0 to keep the total exact.
             self._n_dispatched += n
-        return 0
 
     def peek(self) -> Optional[float]:
         """Time of the next scheduled event, or None if none is pending.

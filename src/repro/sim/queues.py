@@ -1,10 +1,9 @@
-"""Finite byte-capacity queues with drop and occupancy accounting.
+"""Finite byte-capacity queues with drop accounting.
 
 The NIC input buffer is the central queue of the paper: a small SRAM
 (≈1 MB) where all host-congestion drops happen.  :class:`ByteQueue`
-therefore tracks, besides the items themselves, everything the analysis
-needs: drop counts/bytes, an occupancy-time integral (for mean depth),
-and the peak occupancy.
+therefore counts, besides holding the items themselves, what went in,
+out and over the edge (items and bytes), and the peak occupancy.
 """
 
 from __future__ import annotations
@@ -34,15 +33,14 @@ class ByteQueue:
         self.capacity_bytes = capacity_bytes
         self._items: Deque[Tuple[Any, int, float]] = deque()
         self._bytes = 0
-        # Telemetry.
+        # Counters: offered = enqueued + dropped, and
+        # enqueued = dequeued + len(self).
         self.enqueued_count = 0
         self.enqueued_bytes = 0
         self.dropped_count = 0
         self.dropped_bytes = 0
         self.dequeued_count = 0
         self.peak_bytes = 0
-        self._occupancy_integral = 0.0
-        self._last_change = sim.now
 
     def __len__(self) -> int:
         return len(self._items)
@@ -55,18 +53,6 @@ class ByteQueue:
     def bytes_free(self) -> int:
         return self.capacity_bytes - self._bytes
 
-    def _account(self) -> None:
-        now = self.sim.now
-        self._occupancy_integral += self._bytes * (now - self._last_change)
-        self._last_change = now
-
-    def mean_occupancy_bytes(self, elapsed: float) -> float:
-        """Time-averaged queue depth in bytes over ``elapsed`` seconds."""
-        if elapsed <= 0:
-            return 0.0
-        self._account()
-        return self._occupancy_integral / elapsed
-
     def offer(self, item: Any, size_bytes: int) -> bool:
         """Enqueue if it fits; otherwise drop (tail drop) and return False."""
         if size_bytes < 0:
@@ -76,10 +62,7 @@ class ByteQueue:
             self.dropped_count += 1
             self.dropped_bytes += size_bytes
             return False
-        now = self.sim.now
-        self._occupancy_integral += used * (now - self._last_change)
-        self._last_change = now
-        self._items.append((item, size_bytes, now))
+        self._items.append((item, size_bytes, self.sim.now))
         used = self._bytes = used + size_bytes
         self.enqueued_count += 1
         self.enqueued_bytes += size_bytes
@@ -96,36 +79,15 @@ class ByteQueue:
         """
         if not self._items:
             return None
-        now = self.sim.now
-        self._occupancy_integral += self._bytes * (now - self._last_change)
-        self._last_change = now
-        item, size, t_in = self._items.popleft()
-        self._bytes -= size
+        entry = self._items.popleft()
+        self._bytes -= entry[1]
         self.dequeued_count += 1
-        return item, size, t_in
+        return entry
 
     def peek(self) -> Optional[Tuple[Any, int, float]]:
         if not self._items:
             return None
         return self._items[0]
-
-    def head_sojourn(self) -> float:
-        """How long the current head item has been queued (0 if empty)."""
-        if not self._items:
-            return 0.0
-        return self.sim.now - self._items[0][2]
-
-    def clear(self) -> int:
-        """Discard everything; returns number of items removed.
-
-        Cleared items are not counted as drops — this is for teardown,
-        not for policy.
-        """
-        self._account()
-        n = len(self._items)
-        self._items.clear()
-        self._bytes = 0
-        return n
 
     def drop_rate(self) -> float:
         """Fraction of offered items that were dropped."""

@@ -1,27 +1,20 @@
-"""Shared resources for simulation processes.
-
-These are deliberately small: the host model mostly uses the callback
-API, and these classes exist for the places where a blocking idiom reads
-better (PCIe credits, producer/consumer hand-offs).
-"""
+"""Counting resources for the callback-driven datapath."""
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Callable, Deque, Optional
+from repro.sim.engine import SimulationError, Simulator
 
-from repro.sim.engine import Event, SimulationError, Simulator
-
-__all__ = ["CreditPool", "Gate", "Store"]
+__all__ = ["CreditPool"]
 
 
 class CreditPool:
-    """A counting resource with FIFO waiters.
+    """A non-blocking counting resource.
 
-    Models PCIe flow-control credits: a DMA engine acquires credits
-    before issuing a write transaction and the root complex releases
-    them on completion.  ``acquire`` is callback-based so the NIC hot
-    path never allocates generator frames.
+    Models PCIe flow-control credits: a DMA engine takes credits with
+    :meth:`try_acquire` before issuing a write transaction, and the
+    root complex releases them on completion.  A caller that finds too
+    few credits retries on its own next release, so nothing waits
+    inside the pool.
     """
 
     def __init__(self, sim: Simulator, capacity: int):
@@ -30,10 +23,6 @@ class CreditPool:
         self.sim = sim
         self.capacity = capacity
         self._available = capacity
-        self._waiters: Deque[tuple[int, Callable[[], None]]] = deque()
-        # Telemetry: integral of in-use credits over time -> mean usage.
-        self._in_use_integral = 0.0
-        self._last_change = sim.now
 
     @property
     def available(self) -> int:
@@ -43,18 +32,6 @@ class CreditPool:
     def in_use(self) -> int:
         return self.capacity - self._available
 
-    def _account(self) -> None:
-        now = self.sim.now
-        self._in_use_integral += self.in_use * (now - self._last_change)
-        self._last_change = now
-
-    def mean_in_use(self, elapsed: float) -> float:
-        """Time-average credits in use over ``elapsed`` seconds."""
-        if elapsed <= 0:
-            return 0.0
-        self._account()
-        return self._in_use_integral / elapsed
-
     def try_acquire(self, n: int = 1) -> bool:
         """Take ``n`` credits if immediately available."""
         if n > self.capacity:
@@ -62,114 +39,12 @@ class CreditPool:
                 f"requested {n} credits > capacity {self.capacity}"
             )
         available = self._available
-        if self._waiters or available < n:
+        if available < n:
             return False
-        now = self.sim.now
-        self._in_use_integral += ((self.capacity - available)
-                                  * (now - self._last_change))
-        self._last_change = now
         self._available = available - n
         return True
 
-    def acquire(self, n: int, callback: Callable[[], None]) -> None:
-        """Take ``n`` credits, invoking ``callback`` when granted.
-
-        Grants are strictly FIFO: a large request at the head blocks
-        smaller requests behind it (no starvation of wide requests).
-        """
-        if n > self.capacity:
-            raise SimulationError(
-                f"requested {n} credits > capacity {self.capacity}"
-            )
-        if not self._waiters and self._available >= n:
-            self._account()
-            self._available -= n
-            callback()
-        else:
-            self._waiters.append((n, callback))
-
     def release(self, n: int = 1) -> None:
-        now = self.sim.now
-        self._in_use_integral += self.in_use * (now - self._last_change)
-        self._last_change = now
-        self._available += n
-        if self._available > self.capacity:
+        available = self._available = self._available + n
+        if available > self.capacity:
             raise SimulationError("released more credits than acquired")
-        while self._waiters and self._available >= self._waiters[0][0]:
-            need, callback = self._waiters.popleft()
-            self._available -= need
-            callback()
-
-    def waiting(self) -> int:
-        """Number of pending acquire requests."""
-        return len(self._waiters)
-
-
-class Store:
-    """An unbounded FIFO hand-off between processes.
-
-    ``get`` returns an :class:`Event` that succeeds with the next item;
-    if items are already queued it succeeds immediately.
-    """
-
-    def __init__(self, sim: Simulator):
-        self.sim = sim
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        ev = Event(self.sim)
-        if self._items:
-            ev.succeed(self._items.popleft())
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking pop; None when empty."""
-        if self._items:
-            return self._items.popleft()
-        return None
-
-
-class Gate:
-    """A level-triggered barrier: processes wait until it is opened.
-
-    Unlike :class:`~repro.sim.engine.Event`, a gate can close and reopen;
-    each ``wait`` call gets a fresh event bound to the *current* state.
-    """
-
-    def __init__(self, sim: Simulator, open_: bool = False):
-        self.sim = sim
-        self._open = open_
-        self._waiters: list[Event] = []
-
-    @property
-    def is_open(self) -> bool:
-        return self._open
-
-    def open(self) -> None:
-        self._open = True
-        waiters, self._waiters = self._waiters, []
-        for ev in waiters:
-            ev.succeed()
-
-    def close(self) -> None:
-        self._open = False
-
-    def wait(self) -> Event:
-        ev = Event(self.sim)
-        if self._open:
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
-        return ev

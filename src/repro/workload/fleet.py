@@ -44,6 +44,7 @@ from repro.core.config import (
     SimConfig,
     WorkloadConfig,
 )
+from repro.obs.telemetry import classify_root_cause
 from repro.workload.fleet_agg import (
     FleetAggregate,
     FleetCheckpoint,
@@ -144,12 +145,10 @@ class FleetSample:
 
     @property
     def congestion_class(self) -> str:
-        """Rough root-cause label for analysis."""
-        if self.antagonist_cores >= 8:
-            return "memory-bus"
-        if self.iommu and self.cores > 8:
-            return "iommu"
-        return "cpu-or-none"
+        """Rough root-cause label for analysis: the Fig. 1 taxonomy of
+        :func:`~repro.obs.telemetry.classify_root_cause`, read from
+        this host's ``antagonist_cores``/``iommu``/``cores`` fields."""
+        return classify_root_cause(vars(self))
 
 
 class FleetSampler:

@@ -182,8 +182,9 @@ class FleetAggregate:
             if dropper:
                 self.low_util_band_droppers += 1
         stratum = getattr(sample, "stratum", "") or "unknown"
+        cause = sample.congestion_class
         self.strata.add(stratum)
-        self.root_causes.add(sample.congestion_class)
+        self.root_causes.add(cause)
         self.transports.add(sample.transport)
         self.drop_sketch.observe(drop_rate)
         self.util_sketch.observe(utilization)
@@ -192,8 +193,7 @@ class FleetAggregate:
         for key, value in values.items():
             self._group(self.stratum_sketches, stratum)[key].observe(
                 value)
-            self._group(self.cause_sketches,
-                        sample.congestion_class)[key].observe(value)
+            self._group(self.cause_sketches, cause)[key].observe(value)
         self.density.observe(utilization, drop_rate)
         return self
 

@@ -539,6 +539,9 @@ def test_scenario_panels_sweep_lists_failed_runs(tmp_path, capsys):
     ("figure1", "fleet", ["--timeout-s", "1"]),
     ("one_host_day", "day", ["--keep-failed"]),
     ("isolation", "isolation", ["--timeout-s", "1"]),
+    ("one_host_day", "day", ["--workers", "2"]),
+    ("one_host_day", "day", ["--ledger"]),
+    ("isolation", "isolation", ["--live"]),
 ])
 def test_scenario_run_rejects_ignored_run_flag(monkeypatch, capsys, name,
                                                driver, flags):

@@ -81,23 +81,12 @@ def test_day_bins_agree():
     _assert_agrees(report)
 
 
-def test_fleet_shapes_agree():
-    # 24 hosts: large enough that both engines sample a few droppers
-    # (12 hosts at 2 ms leaves the deterministic fluid population
-    # drop-free and degenerates the correlation check).
-    def run(fidelity):
-        sampler = FleetSampler(seed=7, warmup=1e-3, duration=3e-3,
-                               fidelity=fidelity)
-        return list(sampler.stream(24, workers="auto"))
-
-    report = xval.compare_fleet("shrunk_fleet", run("packet"),
-                                run("fluid"))
-    _assert_agrees(report)
-
-
 def test_fleet_aggregates_agree():
-    """The streaming-aggregate contract on the same shrunk fleet: the
-    path `repro fleet` and CI's fluid-xval actually exercise."""
+    """The fleet contract on a shrunk fleet, through the streaming
+    aggregate that `repro fleet` and CI's fluid-xval exercise.  24
+    hosts: large enough that both engines sample a few droppers (12
+    hosts at 2 ms leaves the deterministic fluid population drop-free
+    and degenerates the correlation check)."""
     def run(fidelity):
         sampler = FleetSampler(seed=7, warmup=1e-3, duration=3e-3,
                                fidelity=fidelity)

@@ -5,7 +5,7 @@ import pytest
 from repro.core.metrics import percentile, summarize
 from repro.core.results import ExperimentResult, ResultTable
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import MetricsSampler, TelemetryBus
+from repro.obs.telemetry import MetricsSampler
 from repro.sim import Simulator
 
 
@@ -54,44 +54,41 @@ class TestSummarize:
         assert set(d) == {"count", "mean", "p50", "p90", "p99", "max"}
 
 
-class TestTimeSeriesRecorder:
+class TestSamplerTimeSeries:
     """A ``MetricsSampler`` polling one gauge records a time series."""
 
     def make(self, interval=1e-3):
         sim = Simulator()
         registry = MetricsRegistry()
         registry.gauge("now", "probe", fn=lambda: sim.now)
-        bus = TelemetryBus()
-        sub = bus.subscribe(prefix="probe.now")
-        sampler = MetricsSampler(sim, registry, bus, interval=interval)
-        return sim, sub, sampler
+        sampler = MetricsSampler(sim, registry, interval=interval)
+        return sim, sampler
 
     def test_samples_at_interval(self):
-        sim, sub, sampler = self.make()
+        sim, sampler = self.make()
         sampler.start()
         sim.run(until=5.5e-3)
-        samples = sub.poll()
+        samples = list(sampler.samples)
         assert len(samples) == 5
         assert [s.value for s in samples] == pytest.approx(
             [1e-3, 2e-3, 3e-3, 4e-3, 5e-3])
 
     def test_stop_halts_sampling(self):
-        sim, sub, sampler = self.make()
+        sim, sampler = self.make()
         sampler.start()
         sim.call(2.5e-3, sampler.stop)
         sim.run(until=10e-3)
-        assert len(sub.poll()) == 2
+        assert len(sampler.samples) == 2
 
     def test_bad_interval_rejected(self):
         with pytest.raises(ValueError):
-            MetricsSampler(Simulator(), MetricsRegistry(), TelemetryBus(),
-                           interval=0)
+            MetricsSampler(Simulator(), MetricsRegistry(), interval=0)
 
     def test_starts_from_current_time_epoch(self):
-        sim, sub, sampler = self.make()
+        sim, sampler = self.make()
         sim.call(0.25e-3, sampler.start)
         sim.run(until=3.5e-3)
-        assert [s.time for s in sub.poll()] == pytest.approx(
+        assert [s.time for s in sampler.samples] == pytest.approx(
             [1.25e-3, 2.25e-3, 3.25e-3])
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Interrupt, Simulator
+from repro.sim import Simulator
 from repro.sim.engine import SimulationError
 
 
@@ -71,18 +71,6 @@ def test_negative_delay_raises():
         sim.call(-1e-9, lambda: None)
 
 
-def test_stop_halts_dispatch():
-    sim = Simulator()
-    fired = []
-    sim.call(1e-6, fired.append, "a")
-    sim.call(2e-6, sim.stop)
-    sim.call(3e-6, fired.append, "b")
-    sim.run()
-    assert fired == ["a"]
-    sim.run()
-    assert fired == ["a", "b"]
-
-
 def test_events_dispatched_counter():
     sim = Simulator()
     for _ in range(5):
@@ -96,253 +84,3 @@ def test_peek_returns_next_event_time():
     assert sim.peek() is None
     sim.call(7e-6, lambda: None)
     assert sim.peek() == pytest.approx(7e-6)
-
-
-class TestEvent:
-    def test_succeed_delivers_value_to_callbacks(self):
-        sim = Simulator()
-        got = []
-        ev = sim.event()
-        ev.add_callback(lambda e: got.append(e.value))
-        ev.succeed(42)
-        assert got == [42]
-        assert ev.ok is True
-
-    def test_callback_added_after_trigger_fires_async(self):
-        sim = Simulator()
-        got = []
-        ev = sim.event()
-        ev.succeed("v")
-        ev.add_callback(lambda e: got.append(e.value))
-        assert got == []  # not synchronous
-        sim.run()
-        assert got == ["v"]
-
-    def test_double_trigger_raises(self):
-        sim = Simulator()
-        ev = sim.event()
-        ev.succeed()
-        with pytest.raises(SimulationError):
-            ev.succeed()
-
-    def test_fail_requires_exception(self):
-        sim = Simulator()
-        ev = sim.event()
-        with pytest.raises(TypeError):
-            ev.fail("not an exception")
-
-    def test_timeout_fires_at_delay(self):
-        sim = Simulator()
-        got = []
-        ev = sim.timeout(5e-6, "done")
-        ev.add_callback(lambda e: got.append((sim.now, e.value)))
-        sim.run()
-        assert got == [(5e-6, "done")]
-
-    def test_any_of_fires_on_first(self):
-        sim = Simulator()
-        got = []
-        e1 = sim.timeout(2e-6, "slowish")
-        e2 = sim.timeout(1e-6, "fast")
-        sim.any_of([e1, e2]).add_callback(lambda e: got.append(e.value))
-        sim.run()
-        assert got == ["fast"]
-
-    def test_all_of_collects_all_values(self):
-        sim = Simulator()
-        got = []
-        events = [sim.timeout(i * 1e-6, i) for i in (3, 1, 2)]
-        sim.all_of(events).add_callback(lambda e: got.append(e.value))
-        sim.run()
-        assert got == [[3, 1, 2]]
-
-    def test_all_of_empty_succeeds_immediately(self):
-        sim = Simulator()
-        ev = sim.all_of([])
-        assert ev.triggered
-
-    def test_any_of_detaches_callbacks_from_losers(self):
-        # Regression: any_of used to leave its `fire` closure on every
-        # losing event forever.  A long-lived event that loses many
-        # races then accumulates dead callbacks — each carrying the
-        # whole race's entrant list — until the event finally triggers.
-        sim = Simulator()
-        long_lived = sim.event()
-        for i in range(10_000):
-            sim.any_of([long_lived, sim.timeout(1e-9 * (i + 1), i)])
-        sim.run()
-        assert long_lived._callbacks == [], (
-            f"{len(long_lived._callbacks)} leaked race callbacks")
-
-    def test_any_of_winner_value_wins_with_shared_loser(self):
-        # Same race shape as the leak test, but checking semantics:
-        # every race resolves with its timeout's value, and the shared
-        # loser firing later does not re-trigger resolved races.
-        sim = Simulator()
-        shared = sim.event()
-        got = []
-        for i in range(50):
-            sim.any_of([shared, sim.timeout(1e-9, i)]).add_callback(
-                lambda e: got.append(e.value))
-        sim.run()
-        shared.succeed("late")
-        sim.run()
-        assert sorted(got) == list(range(50))
-
-    def test_event_recycle_roundtrip(self):
-        sim = Simulator()
-        ev = sim.event()
-        ev.succeed(7)
-        ev.recycle()
-        again = sim.event()
-        assert again is ev
-        assert again.triggered is False
-        assert again.value is None
-
-    def test_recycle_with_pending_callbacks_raises(self):
-        sim = Simulator()
-        ev = sim.event()
-        ev.add_callback(lambda e: None)
-        with pytest.raises(SimulationError):
-            ev.recycle()
-
-
-class TestProcess:
-    def test_process_sleeps_on_numeric_yield(self):
-        sim = Simulator()
-        times = []
-
-        def proc():
-            times.append(sim.now)
-            yield 1e-6
-            times.append(sim.now)
-            yield 2e-6
-            times.append(sim.now)
-
-        sim.process(proc())
-        sim.run()
-        assert times == [0.0, 1e-6, 3e-6]
-
-    def test_process_waits_on_event_and_gets_value(self):
-        sim = Simulator()
-        got = []
-
-        def proc(ev):
-            value = yield ev
-            got.append(value)
-
-        ev = sim.event()
-        sim.process(proc(ev))
-        sim.call(4e-6, ev.succeed, "payload")
-        sim.run()
-        assert got == ["payload"]
-        assert sim.now == 4e-6
-
-    def test_process_return_value_visible_on_done(self):
-        sim = Simulator()
-
-        def proc():
-            yield 1e-6
-            return "result"
-
-        p = sim.process(proc())
-        sim.run()
-        assert p.done.value == "result"
-        assert not p.is_alive
-
-    def test_process_can_wait_on_another_process(self):
-        sim = Simulator()
-        got = []
-
-        def child():
-            yield 2e-6
-            return "child-val"
-
-        def parent():
-            value = yield sim.process(child())
-            got.append((sim.now, value))
-
-        sim.process(parent())
-        sim.run()
-        assert got == [(2e-6, "child-val")]
-
-    def test_interrupt_raises_inside_process(self):
-        sim = Simulator()
-        caught = []
-
-        def proc():
-            try:
-                yield 100e-6
-            except Interrupt as intr:
-                caught.append((sim.now, intr.cause))
-
-        p = sim.process(proc())
-        sim.call(5e-6, p.interrupt, "reason")
-        sim.run()
-        assert caught == [(5e-6, "reason")]
-
-    def test_interrupt_on_dead_process_is_noop(self):
-        sim = Simulator()
-
-        def proc():
-            yield 1e-6
-
-        p = sim.process(proc())
-        sim.run()
-        p.interrupt()  # should not raise
-        sim.run()
-
-    def test_failed_event_raises_in_waiting_process(self):
-        sim = Simulator()
-        caught = []
-
-        def proc(ev):
-            try:
-                yield ev
-            except ValueError as err:
-                caught.append(str(err))
-
-        ev = sim.event()
-        sim.process(proc(ev))
-        sim.call(1e-6, ev.fail, ValueError("boom"))
-        sim.run()
-        assert caught == ["boom"]
-
-    def test_yielding_garbage_fails_the_process(self):
-        sim = Simulator()
-
-        def proc():
-            yield "not-a-valid-target"
-
-        p = sim.process(proc())
-        with pytest.raises(SimulationError):
-            sim.run()
-        assert p.done.triggered
-        assert p.done.ok is False
-
-    def test_negative_yield_fails_the_process(self):
-        sim = Simulator()
-
-        def proc():
-            yield -1.0
-
-        sim.process(proc())
-        with pytest.raises(SimulationError):
-            sim.run()
-
-    def test_many_interleaved_processes_deterministic(self):
-        def run_once():
-            sim = Simulator()
-            log = []
-
-            def worker(tag, period):
-                for _ in range(3):
-                    yield period
-                    log.append((sim.now, tag))
-
-            for tag, period in (("a", 1e-6), ("b", 1.5e-6), ("c", 0.7e-6)):
-                sim.process(worker(tag, period))
-            sim.run()
-            return log
-
-        assert run_once() == run_once()

@@ -83,36 +83,9 @@ def test_enqueue_time_recorded_for_sojourn():
     sim, q = make_queue()
     sim.call(1e-6, q.offer, "a", 10)
     sim.run(until=5e-6)
-    assert q.head_sojourn() == pytest.approx(4e-6)
     item, _, t_in = q.pop()
     assert item == "a"
     assert t_in == pytest.approx(1e-6)
-
-
-def test_head_sojourn_zero_when_empty():
-    _, q = make_queue()
-    assert q.head_sojourn() == 0.0
-
-
-def test_mean_occupancy_integral():
-    sim, q = make_queue()
-    q.offer("a", 100)          # 100 B from t=0
-    sim.call(1.0, q.offer, "b", 100)   # 200 B from t=1
-    sim.call(2.0, lambda: q.pop())     # 100 B from t=2
-    sim.call(2.0, lambda: q.pop())     # 0 B   from t=2
-    sim.run(until=4.0)
-    # integral = 100*1 + 200*1 + 0*2 = 300 over 4s -> 75
-    assert q.mean_occupancy_bytes(elapsed=4.0) == pytest.approx(75.0)
-
-
-def test_clear_discards_without_counting_drops():
-    _, q = make_queue()
-    q.offer("a", 10)
-    q.offer("b", 10)
-    assert q.clear() == 2
-    assert q.bytes_used == 0
-    assert q.dropped_count == 0
-    assert len(q) == 0
 
 
 def test_counters_after_mixed_operations():

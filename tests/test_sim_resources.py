@@ -1,8 +1,8 @@
-"""Unit tests for CreditPool, Store, and Gate."""
+"""Unit tests for CreditPool."""
 
 import pytest
 
-from repro.sim import CreditPool, Gate, Simulator, Store
+from repro.sim import CreditPool, Simulator
 from repro.sim.engine import SimulationError
 
 
@@ -32,134 +32,9 @@ class TestCreditPool:
         pool = CreditPool(sim, capacity=2)
         with pytest.raises(SimulationError):
             pool.try_acquire(3)
-        with pytest.raises(SimulationError):
-            pool.acquire(3, lambda: None)
 
     def test_over_release_raises(self):
         sim = Simulator()
         pool = CreditPool(sim, capacity=1)
         with pytest.raises(SimulationError):
             pool.release()
-
-    def test_acquire_callback_fires_immediately_when_available(self):
-        sim = Simulator()
-        pool = CreditPool(sim, capacity=1)
-        fired = []
-        pool.acquire(1, lambda: fired.append(sim.now))
-        assert fired == [0.0]
-
-    def test_waiters_served_fifo_on_release(self):
-        sim = Simulator()
-        pool = CreditPool(sim, capacity=1)
-        order = []
-        assert pool.try_acquire()
-        pool.acquire(1, lambda: order.append("first"))
-        pool.acquire(1, lambda: order.append("second"))
-        assert pool.waiting() == 2
-        pool.release()
-        assert order == ["first"]
-        pool.release()
-        assert order == ["first", "second"]
-
-    def test_wide_request_blocks_narrow_behind_it(self):
-        # FIFO grant order must hold even when a later, smaller request
-        # could be satisfied first (no starvation of wide requests).
-        sim = Simulator()
-        pool = CreditPool(sim, capacity=4)
-        order = []
-        assert pool.try_acquire(4)
-        pool.acquire(3, lambda: order.append("wide"))
-        pool.acquire(1, lambda: order.append("narrow"))
-        pool.release(2)
-        assert order == []  # wide still waiting; narrow must not jump it
-        pool.release(1)
-        assert order == ["wide"]
-        pool.release(1)  # wide holds 3, 1 free -> narrow can go
-        assert order == ["wide", "narrow"]
-
-    def test_try_acquire_respects_waiters(self):
-        sim = Simulator()
-        pool = CreditPool(sim, capacity=2)
-        assert pool.try_acquire(2)
-        pool.acquire(2, lambda: None)
-        pool.release(1)
-        # One credit free but a waiter queued: try_acquire must fail.
-        assert not pool.try_acquire(1)
-
-    def test_mean_in_use_accounting(self):
-        sim = Simulator()
-        pool = CreditPool(sim, capacity=2)
-        sim.call(0.0, pool.try_acquire, 2)
-        sim.call(1.0, pool.release, 2)
-        sim.run(until=2.0)
-        # 2 credits for 1s out of 2s -> mean 1.0
-        assert pool.mean_in_use(elapsed=2.0) == pytest.approx(1.0)
-
-
-class TestStore:
-    def test_put_then_get(self):
-        sim = Simulator()
-        store = Store(sim)
-        store.put("x")
-        ev = store.get()
-        assert ev.triggered and ev.value == "x"
-
-    def test_get_then_put_wakes_getter(self):
-        sim = Simulator()
-        store = Store(sim)
-        ev = store.get()
-        assert not ev.triggered
-        store.put("y")
-        assert ev.triggered and ev.value == "y"
-
-    def test_fifo_ordering_of_items_and_getters(self):
-        sim = Simulator()
-        store = Store(sim)
-        store.put(1)
-        store.put(2)
-        assert store.get().value == 1
-        assert store.get().value == 2
-        g1, g2 = store.get(), store.get()
-        store.put("a")
-        store.put("b")
-        assert g1.value == "a" and g2.value == "b"
-
-    def test_try_get(self):
-        sim = Simulator()
-        store = Store(sim)
-        assert store.try_get() is None
-        store.put(9)
-        assert store.try_get() == 9
-        assert len(store) == 0
-
-    def test_len_counts_items(self):
-        sim = Simulator()
-        store = Store(sim)
-        store.put(1)
-        store.put(2)
-        assert len(store) == 2
-
-
-class TestGate:
-    def test_wait_on_open_gate_succeeds_immediately(self):
-        sim = Simulator()
-        gate = Gate(sim, open_=True)
-        assert gate.wait().triggered
-
-    def test_wait_on_closed_gate_blocks_until_open(self):
-        sim = Simulator()
-        gate = Gate(sim)
-        ev = gate.wait()
-        assert not ev.triggered
-        gate.open()
-        assert ev.triggered
-
-    def test_gate_reuse_after_close(self):
-        sim = Simulator()
-        gate = Gate(sim, open_=True)
-        gate.close()
-        ev = gate.wait()
-        assert not ev.triggered
-        gate.open()
-        assert ev.triggered
-        assert gate.is_open

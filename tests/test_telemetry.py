@@ -1,8 +1,8 @@
-"""The in-sim telemetry plane: bus semantics, sampler cadence, and the
+"""The in-sim telemetry plane: sampler ring, cadence, and the
 non-perturbation guarantee.
 
-The load-bearing properties: the bus never stalls or perturbs the
-publisher (bounded queues, drop counting), the sampler ticks at
+The load-bearing properties: the sampler's ring stays bounded (drop
+oldest, counted), the sampler ticks at
 drift-free ``epoch + k·interval`` absolute sim times, and attaching a
 sampler leaves every experiment output bit-identical — including
 across worker counts.
@@ -24,15 +24,15 @@ from repro.core.scenario import run_configs
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import (
     MetricsSampler,
-    TelemetryBus,
     TelemetrySample,
     classify_root_cause,
 )
 from repro.sim.engine import Simulator
 
 
-def sample(time, name, value, kind="counter"):
-    return TelemetrySample(time=time, name=name, kind=kind, value=value)
+def polled(sampler, name="nic.polls"):
+    """The sampler's ring, filtered to one metric."""
+    return [s for s in sampler.samples if s.name == name]
 
 
 def tiny_config(seed=3, sample_interval=None):
@@ -44,133 +44,55 @@ def tiny_config(seed=3, sample_interval=None):
     )
 
 
-class TestTelemetryBus:
-    def test_subscribe_receives_published(self):
-        bus = TelemetryBus()
-        sub = bus.subscribe()
-        bus.publish(sample(1.0, "nic.drops", 3))
-        bus.publish(sample(2.0, "nic.drops", 5))
-        got = sub.poll()
-        assert [(s.time, s.value) for s in got] == [(1.0, 3), (2.0, 5)]
-        assert sub.poll() == []  # poll drains
-
-    def test_prefix_filtering(self):
-        bus = TelemetryBus()
-        nic_only = bus.subscribe(prefix="nic.")
-        everything = bus.subscribe()
-        bus.publish(sample(1.0, "nic.drops", 1))
-        bus.publish(sample(1.0, "host.throughput", 9, kind="gauge"))
-        assert [s.name for s in nic_only.poll()] == ["nic.drops"]
-        assert len(everything.poll()) == 2
-
-    def test_unsubscribe_stops_delivery(self):
-        bus = TelemetryBus()
-        sub = bus.subscribe()
-        assert bus.unsubscribe(sub) is True
-        assert bus.unsubscribe(sub) is False  # already gone
-        bus.publish(sample(1.0, "nic.drops", 1))
-        assert sub.poll() == []
-
-    def test_close_is_unsubscribe(self):
-        bus = TelemetryBus()
-        sub = bus.subscribe()
-        sub.close()
-        bus.publish(sample(1.0, "nic.drops", 1))
-        assert len(sub) == 0
-
-    def test_bounded_queue_drops_oldest_and_counts(self):
-        bus = TelemetryBus()
-        sub = bus.subscribe(maxlen=2)
-        for i in range(5):
-            bus.publish(sample(float(i), "nic.drops", i))
-        assert sub.dropped == 3
-        assert sub.delivered == 5
-        # Most recent survive — a slow consumer sees fresh data.
-        assert [s.value for s in sub.poll()] == [3, 4]
-
-    def test_last_value_queries(self):
-        bus = TelemetryBus()
-        bus.publish(sample(1.0, "nic.drops", 3))
-        bus.publish(sample(2.0, "nic.drops", 7))
-        assert bus.names() == ["nic.drops"]
-        assert bus.last("nic.drops").time == 2.0
-        assert bus.value("nic.drops") == 7
-        assert bus.value("missing", default=-1.0) == -1.0
-        assert bus.last("missing") is None
-
-    def test_delta_and_rate_over_window(self):
-        bus = TelemetryBus()
-        for t, v in ((0.0, 0.0), (1.0, 10.0), (2.0, 30.0),
-                     (3.0, 60.0)):
-            bus.publish(sample(t, "nic.drops", v))
-        # Window of 2s from t=3: baseline is the sample at t=1.
-        assert bus.delta("nic.drops", window=2.0) == 50.0
-        assert bus.rate("nic.drops", window=2.0) == 25.0
-        # Window larger than history falls back to the oldest sample.
-        assert bus.delta("nic.drops", window=100.0) == 60.0
-
-    def test_delta_needs_two_samples(self):
-        bus = TelemetryBus()
-        assert bus.delta("nic.drops", 1.0) is None
-        bus.publish(sample(1.0, "nic.drops", 5))
-        assert bus.delta("nic.drops", 1.0) is None
-        assert bus.rate("nic.drops", 1.0) is None
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TelemetryBus(history=1)
-        with pytest.raises(ValueError):
-            TelemetryBus().subscribe(maxlen=0)
-
-
 class TestMetricsSampler:
-    def make(self, interval=1e-4, select=None):
+    def make(self, interval=1e-4, cls=MetricsSampler):
         sim = Simulator()
         registry = MetricsRegistry()
         counter = registry.counter("polls", "nic")
         registry.gauge("depth", "nic", fn=lambda: 2.5)
-        bus = TelemetryBus()
-        sampler = MetricsSampler(sim, registry, bus,
-                                 interval=interval, select=select)
-        return sim, counter, bus, sampler
+        sampler = cls(sim, registry, interval=interval)
+        return sim, counter, sampler
 
     def test_drift_free_absolute_tick_times(self):
-        sim, _counter, bus, sampler = self.make(interval=1e-4)
-        sub = bus.subscribe(prefix="nic.polls")
+        sim, _counter, sampler = self.make(interval=1e-4)
         sim.at(3e-4, sampler.start)  # epoch mid-run, not at zero
         sim.run(until=8.05e-4)
-        times = [s.time for s in sub.poll()]
+        times = [s.time for s in polled(sampler)]
         assert times == pytest.approx(
             [4e-4, 5e-4, 6e-4, 7e-4, 8e-4], abs=1e-12)
         assert sampler.ticks == 5
 
     def test_samples_carry_live_registry_values(self):
-        sim, counter, bus, sampler = self.make(interval=1e-4)
-        sub = bus.subscribe(prefix="nic.polls")
+        sim, counter, sampler = self.make(interval=1e-4)
         sim.at(0.5e-4, lambda: counter.inc(3))
         sim.at(1.5e-4, lambda: counter.inc(4))
         sampler.start()
         sim.run(until=2.5e-4)
-        assert [s.value for s in sub.poll()] == [3.0, 7.0]
+        assert [s.value for s in polled(sampler)] == [3.0, 7.0]
 
-    def test_select_restricts_polled_names(self):
-        sim, _counter, bus, sampler = self.make(
-            interval=1e-4, select=("nic.depth",))
-        sub = bus.subscribe()
+    def test_ring_drops_oldest_and_counts(self):
+        class SmallRing(MetricsSampler):
+            maxlen = 3
+
+        sim, _counter, sampler = self.make(interval=1e-4, cls=SmallRing)
         sampler.start()
-        sim.run(until=1.5e-4)
-        names = {s.name for s in sub.poll()}
-        assert names == {"nic.depth"}
+        sim.run(until=2.5e-4)
+        # Two ticks of two metrics: four samples into a ring of three.
+        assert sampler.samples_emitted == 4
+        assert sampler.dropped == 1
+        # The newest survive — a reader sees fresh data.
+        assert [s.time for s in sampler.samples] == pytest.approx(
+            [1e-4, 2e-4, 2e-4], abs=1e-12)
 
     def test_stop_disarms_pending_tick(self):
-        sim, _counter, bus, sampler = self.make(interval=1e-4)
+        sim, _counter, sampler = self.make(interval=1e-4)
         sampler.start()
         sim.at(2.5e-4, sampler.stop)
         sim.run(until=9e-4)
         assert sampler.ticks == 2  # ticks at 1e-4 and 2e-4 only
 
     def test_start_is_idempotent(self):
-        sim, _counter, _bus, sampler = self.make(interval=1e-4)
+        sim, _counter, sampler = self.make(interval=1e-4)
         sampler.start()
         sampler.start()
         sim.run(until=1.5e-4)
@@ -179,24 +101,22 @@ class TestMetricsSampler:
     def test_rejects_nonpositive_interval(self):
         sim = Simulator()
         with pytest.raises(ValueError):
-            MetricsSampler(sim, MetricsRegistry(), TelemetryBus(),
-                           interval=0.0)
+            MetricsSampler(sim, MetricsRegistry(), interval=0.0)
 
     def test_no_drift_over_long_run(self):
         # 1e-4 is inexact in binary: over tens of thousands of ticks,
         # chained relative delays would accumulate float error.  Every
         # tick must land exactly on the epoch + k * interval grid.
-        sim, _counter, bus, sampler = self.make(interval=1e-4)
-        sub = bus.subscribe(prefix="nic.polls", maxlen=20_000)
+        sim, _counter, sampler = self.make(interval=1e-4)
         sampler.start()
         sim.run(until=2.0)
-        times = [s.time for s in sub.poll()]
+        times = [s.time for s in polled(sampler)]
         assert len(times) == 20_000
         for k, t in enumerate(times, start=1):
             assert t == k * 1e-4, f"tick {k} drifted: {t!r}"
 
     def test_stop_lets_the_heap_drain(self):
-        sim, _counter, _bus, sampler = self.make(interval=1e-4)
+        sim, _counter, sampler = self.make(interval=1e-4)
         sampler.start()
         sim.at(2.5e-4, sampler.stop)
         # No `until`: the run must end on its own, so the stopped
@@ -206,8 +126,7 @@ class TestMetricsSampler:
         assert sim.peek() is None
 
     def test_restart_after_stop_rebases_epoch(self):
-        sim, _counter, bus, sampler = self.make(interval=1e-4)
-        sub = bus.subscribe(prefix="nic.polls")
+        sim, _counter, sampler = self.make(interval=1e-4)
         sampler.start()
         sim.run(until=2.5e-4)
         sampler.stop()
@@ -216,7 +135,7 @@ class TestMetricsSampler:
         sim.run(until=9.5e-4)
         # Two ticks before the stop, then 8.2e-4 and 9.2e-4 after the
         # restart.
-        assert [s.time for s in sub.poll()] == pytest.approx(
+        assert [s.time for s in polled(sampler)] == pytest.approx(
             [1e-4, 2e-4, 8.2e-4, 9.2e-4], abs=1e-12)
 
 
@@ -238,7 +157,6 @@ class TestExperimentIntegration:
     def test_disabled_by_default(self):
         handle = ExperimentHandle(tiny_config())
         assert handle.sampler is None
-        assert handle.telemetry is None
         assert handle.telemetry_samples() == []
         handle.run_warmup()
         handle.run_measurement()
