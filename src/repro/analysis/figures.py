@@ -20,9 +20,10 @@ density / window length:
 from __future__ import annotations
 
 import dataclasses
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.series import Series, series_from_table
 from repro.analysis.text_plots import line_plot, scatter_plot
@@ -51,6 +52,7 @@ __all__ = [
     "figure5",
     "figure6",
     "figure_from_scenario",
+    "fleet_summary",
     "run_scenario",
     "supported_flags",
 ]
@@ -72,14 +74,7 @@ class FigureData:
     def render(self) -> str:
         blocks = [f"==== {self.name}: {self.title} ===="]
         if self.scatter:
-            blocks.append(
-                scatter_plot(
-                    self.scatter,
-                    title=self.title,
-                    x_label="link utilization",
-                    y_label="drop rate",
-                )
-            )
+            blocks.append(_fleet_scatter(self.scatter, self.title))
         for panel, (x_label, y_label, series) in self.panels.items():
             if not any(s.x for s in series):
                 blocks.append(f"  {panel}: no completed runs to plot")
@@ -133,6 +128,9 @@ class ScenarioResult:
     #: One metrics snapshot per run, when asked for (sweep driver).
     snapshots: list | None = None
     figure: FigureData | None = None
+    #: The ``--json-out`` document (a fleet spec without a figure):
+    #: the aggregate's dict plus a ``run_info`` block on the run.
+    payload: dict | None = None
 
 
 def _rank(values: Sequence[float]) -> List[float]:
@@ -239,9 +237,9 @@ def _sweep_table(results, x_key: str) -> str:
                   [_sweep_row(result, x_key) for result in results])
 
 
-def _render_sweep(spec: ScenarioSpec, table: ResultTable,
-                  base: ExperimentConfig,
-                  snapshots: Optional[list]) -> ScenarioResult:
+def _render_sweep(spec: ScenarioSpec, table: ResultTable, *,
+                  base: ExperimentConfig, snapshots: Optional[list],
+                  **_) -> ScenarioResult:
     """The sweep's table, or the figure its ``panels`` draw from the
     completed runs with the failed ones tabled under it."""
     render = spec.render or RenderSpec()
@@ -269,10 +267,27 @@ def _render_sweep(spec: ScenarioSpec, table: ResultTable,
     return ScenarioResult(report, table, snapshots, figure)
 
 
-def _render_fleet(spec: ScenarioSpec, aggregate, base, snapshots
-                  ) -> ScenarioResult:
-    """The summary of a streamed
-    :class:`~repro.workload.fleet_agg.FleetAggregate`, or Fig. 1 from it.
+def _fleet_scatter(points, title: str) -> str:
+    """Fig. 1's axes: drop rate over link utilization."""
+    return scatter_plot(points, title=title, x_label="link utilization",
+                        y_label="drop rate")
+
+
+def fleet_summary(aggregate, detail: str = "") -> str:
+    """A :class:`~repro.workload.fleet_agg.FleetAggregate`'s summary
+    lines and its ``D/H hosts dropping`` footer, with ``detail`` in
+    parentheses after it (``repro fleet`` and ``fleet merge``)."""
+    footer = f"{aggregate.droppers}/{aggregate.hosts} hosts dropping"
+    return "\n".join([*aggregate.format_lines(), "",
+                      f"{footer} ({detail})" if detail else footer])
+
+
+def _render_fleet(spec: ScenarioSpec, aggregate, *,
+                  base: ExperimentConfig, elapsed: float,
+                  run_args: Mapping[str, Any], **_) -> ScenarioResult:
+    """Fig. 1 from a streamed
+    :class:`~repro.workload.fleet_agg.FleetAggregate`, or its scatter,
+    summary and footer (wall time, hosts/s, fidelity/backend).
 
     The scatter is the occupied density-cell midpoints (constant-size
     whatever the fleet size) and every summary note is answered by the
@@ -280,29 +295,53 @@ def _render_fleet(spec: ScenarioSpec, aggregate, base, snapshots
     ``spearman`` note is the rank correlation of the binned population
     (see :func:`repro.workload.fleet_agg.density_rank_correlation`).
     """
-    if not _renders_figure(spec):
-        return ScenarioResult("\n".join(aggregate.format_lines()))
-    figure = FigureData(
-        name=spec.name,
-        title=spec.title,
-        panels={},
-        scatter=aggregate.scatter_points(),
-        notes={
-            "hosts": aggregate.hosts,
-            "spearman": round(aggregate.rank_correlation(), 3),
-            "hosts_with_drops": aggregate.droppers,
-            "low_util_hosts_with_drops": aggregate.low_util_droppers,
-            "drop_fraction_high_util": round(
-                aggregate.drop_fraction_high_util, 3),
-            "drop_fraction_low_util": round(
-                aggregate.drop_fraction_low_util, 3),
-        },
-    )
-    return ScenarioResult(figure.render(), figure=figure)
+    if _renders_figure(spec):
+        figure = FigureData(
+            name=spec.name,
+            title=spec.title,
+            panels={},
+            scatter=aggregate.scatter_points(),
+            notes={
+                "hosts": aggregate.hosts,
+                "spearman": round(aggregate.rank_correlation(), 3),
+                "hosts_with_drops": aggregate.droppers,
+                "low_util_hosts_with_drops": aggregate.low_util_droppers,
+                "drop_fraction_high_util": round(
+                    aggregate.drop_fraction_high_util, 3),
+                "drop_fraction_low_util": round(
+                    aggregate.drop_fraction_low_util, 3),
+            },
+        )
+        return ScenarioResult(figure.render(), figure=figure)
+    from repro.core.cache import code_version
+    from repro.workload.fleet import FleetSampler
+
+    knobs = spec.fleet_knobs()
+    backend = FleetSampler(fidelity=base.fidelity).resolve_backend(
+        knobs["backend"])
+    hosts_per_s = aggregate.hosts / elapsed if elapsed > 0 else 0.0
+    report = [
+        _fleet_scatter(aggregate.scatter_points(),
+                       "fleet drop rate vs utilization"),
+        fleet_summary(aggregate, f"{elapsed:.1f}s wall, "
+                                 f"{hosts_per_s:.0f} hosts/s, "
+                                 f"{base.fidelity}/{backend}")]
+    if run_args.get("checkpoint") is not None:
+        report.append(f"checkpoint: {run_args['checkpoint']}")
+    # FleetAggregate.from_dict ignores the extra key, so the payload
+    # stays loadable by ``repro fleet merge``.
+    payload = {**aggregate.to_dict(), "run_info": {
+        "fidelity": base.fidelity, "backend": backend,
+        "hosts_per_s": round(hosts_per_s, 1),
+        "elapsed_s": round(elapsed, 3),
+        "batch_size": knobs["batch_size"],
+        "workers": run_args.get("workers"),
+        "code_version": code_version(),
+    }}
+    return ScenarioResult("\n".join(report), payload=payload)
 
 
-def _render_day(spec: ScenarioSpec, bins, base, snapshots
-                ) -> ScenarioResult:
+def _render_day(spec: ScenarioSpec, bins, **_) -> ScenarioResult:
     return ScenarioResult(_table(
         f"{'bin':>4} {'load':>5} {'antag':>6} "
         f"{'link util':>10} {'drop %':>7} {'tput Gbps':>10}",
@@ -311,8 +350,7 @@ def _render_day(spec: ScenarioSpec, bins, base, snapshots
          f"{b.app_throughput_gbps:>10.1f}" for b in bins]))
 
 
-def _render_isolation(spec: ScenarioSpec, results, base, snapshots
-                      ) -> ScenarioResult:
+def _render_isolation(spec: ScenarioSpec, results, **_) -> ScenarioResult:
     return ScenarioResult(_table(
         f"{'case':>14} {'drop %':>7} {'victim p50':>11} "
         f"{'victim p99':>11} {'elephant p99':>13} {'tput':>6}",
@@ -322,12 +360,16 @@ def _render_isolation(spec: ScenarioSpec, results, base, snapshots
 
 
 #: Every ``repro scenario run`` flag that some driver does not honour.
+#: ``--no-cache`` is not one: only sweeps read or write the cache, so
+#: every driver already runs uncached.
 RUN_FLAGS = ("--timeout-s", "--keep-failed", "--metrics-out", "--csv",
-             "--out", "--workers", "--live", "--ledger")
+             "--out", "--workers", "--live", "--ledger", "--cache-dir")
 
 #: driver -> (its render binding over what ``ScenarioSpec.run``
-#: returns, the :data:`RUN_FLAGS` it honours).  ``--out`` writes the
-#: figure, so it also needs a spec that renders one.
+#: returns, called with the keywords ``base``, ``snapshots``,
+#: ``elapsed`` and ``run_args``; the :data:`RUN_FLAGS` it honours).
+#: ``--out`` writes the figure, so it also needs a spec that renders
+#: one.
 _BINDINGS = {
     "sweep": (_render_sweep, RUN_FLAGS),
     "fleet": (_render_fleet, ("--out", "--workers", "--live", "--ledger")),
@@ -355,16 +397,19 @@ def run_scenario(
 
     A ``panels`` sweep plots its completed runs and lists the failed
     ones under the figure, a ``scatter`` fleet draws the Fig. 1
-    scatter, and every other spec reports its driver's table.
-    ``snapshots`` collects one metrics snapshot per sweep run; the
-    other keywords pass to :meth:`ScenarioSpec.run`.
+    scatter, any other fleet its scatter and summary, and every other
+    spec reports its driver's table.  ``snapshots`` collects one
+    metrics snapshot per sweep run; the other keywords pass to
+    :meth:`ScenarioSpec.run`.
     """
     render = _BINDINGS[spec.driver][0]
     snapshots_out: Optional[list] = [] if snapshots else None
+    start = time.perf_counter()
     raw = spec.run(quality, base, snapshots_out=snapshots_out,
                    fidelity=fidelity, **run_args)
-    return render(spec, raw, spec.base_config(quality, base, fidelity),
-                  snapshots_out)
+    return render(spec, raw, base=spec.base_config(quality, base, fidelity),
+                  snapshots=snapshots_out,
+                  elapsed=time.perf_counter() - start, run_args=run_args)
 
 
 def figure_from_scenario(spec: ScenarioSpec,

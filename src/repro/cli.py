@@ -8,10 +8,10 @@ Commands:
 - ``scenario`` — list, validate, or run declarative scenario specs
   (bundled ``repro.scenarios`` or ``.toml``/``.json`` files)
 - ``figure``   — ``scenario run figureN`` plus the paper-shape checks
-- ``fleet``    — stream a sampled fleet (Fig. 1) through the
-  constant-memory aggregate pipeline: ``--shards/--shard-index``,
-  atomic ``--checkpoint``/``--resume``, and ``fleet merge`` to
-  combine shard summaries (multi-machine joins)
+- ``fleet``    — stream a sampled fleet (Fig. 1, an in-memory fleet
+  scenario) through the constant-memory aggregate pipeline:
+  ``--shards/--shard-index``, atomic ``--checkpoint``/``--resume``,
+  and ``fleet merge`` to combine shard summaries (multi-machine joins)
 - ``model``    — evaluate the analytical model at a grid of miss rates
 - ``trace``    — run one experiment traced, export Perfetto JSON
   (``--sample-interval-us`` adds counter tracks from the telemetry
@@ -23,25 +23,20 @@ Commands:
 - ``top``      — dashboard view of a ledger (replay, or follow a
   sweep running in another terminal)
 
-``sweep``, ``figure``, and ``scenario run`` share one run-and-report
-path, :func:`repro.analysis.figures.run_scenario`, whatever the spec's
-driver; ``scenario run`` first rejects each flag the driver would not
-honour.
+``sweep``, ``figure``, ``fleet`` and ``scenario run`` share one
+run-and-report path, :func:`repro.analysis.figures.run_scenario`,
+whatever the spec's driver; ``scenario run`` first rejects each flag
+the driver would not honour.  On that path ``--workers N|auto`` fans
+independent runs out to worker processes (bit-identical to serial),
+sweeps memoize results in the on-disk cache (``--no-cache`` /
+``--cache-dir``), ``--live`` redraws a dashboard in place, and
+``--ledger`` appends a durable JSONL event log (read back with
+``repro runs`` / ``repro top``); ``--keep-failed`` records crashed
+sweep runs as FAILED rows instead of aborting.
 
 ``run``, ``sweep`` and ``scenario run`` accept ``--metrics-out
 metrics.json`` to dump the full metrics-registry snapshot (every
 component counter/gauge/histogram; one per run for a sweep).
-
-``sweep``, ``figure``, and ``fleet`` accept ``--workers N|auto`` to fan
-independent runs out to worker processes (results are bit-identical to
-serial execution); ``sweep`` and ``figure`` memoize results in the
-on-disk cache by default (``--no-cache`` / ``--cache-dir`` to control).
-
-``sweep``, ``fleet``, and ``scenario run`` accept ``--live`` (a
-redraw-in-place dashboard) and ``--ledger`` (a durable JSONL event
-log, inspected later with ``repro runs`` / ``repro top``); sweeps also
-accept ``--keep-failed`` to record crashes as structured FAILED rows
-instead of aborting.
 
 Every command prints to stdout and returns a process exit code, so the
 CLI composes with shell pipelines and CI.
@@ -50,6 +45,7 @@ CLI composes with shell pipelines and CI.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -111,14 +107,6 @@ def _parallel_args(parser: argparse.ArgumentParser,
                                  "$REPRO_CACHE_DIR or ~/.cache/repro)")
 
 
-def _cache_from_args(args: argparse.Namespace):
-    from repro.core.cache import ResultCache
-
-    if getattr(args, "no_cache", False):
-        return None
-    return ResultCache(args.cache_dir)
-
-
 def _telemetry_args(parser: argparse.ArgumentParser,
                     keep_failed: bool = True) -> None:
     parser.add_argument("--live", action="store_true",
@@ -137,48 +125,40 @@ def _telemetry_args(parser: argparse.ArgumentParser,
                                  "aborting the sweep")
 
 
-class _Telemetry:
-    """CLI-side composition of the optional event sinks.
+@contextlib.contextmanager
+def _telemetry(args: argparse.Namespace, label: str):
+    """The runner's ``events=`` sink for ``--ledger``/``--live``.
 
-    ``sink`` is the ``events=`` callable for the runner (``None`` when
-    neither ``--live`` nor ``--ledger`` was given — the runner then
-    does zero telemetry work); ``finish(ok)`` seals the ledger and
-    paints the dashboard's final frame.
+    Yields ``None`` when neither flag was given (the runner then does
+    zero telemetry work); on exit it paints the dashboard's final
+    frame and seals the ledger.
     """
+    ledger = dashboard = None
+    if getattr(args, "ledger", False):
+        from repro.core.ledger import LedgerWriter
 
-    def __init__(self, args: argparse.Namespace, label: str):
-        self.ledger = None
-        self.dashboard = None
-        if getattr(args, "ledger", False):
-            from repro.core.ledger import LedgerWriter
+        ledger = LedgerWriter(directory=args.ledger_dir, label=label)
+    if getattr(args, "live", False):
+        from repro.obs.live import LiveDashboard
 
-            self.ledger = LedgerWriter(directory=args.ledger_dir,
-                                       label=label)
-        if getattr(args, "live", False):
-            from repro.obs.live import LiveDashboard
+        dashboard = LiveDashboard()
 
-            self.dashboard = LiveDashboard()
-        self.sink = None
-        if self.ledger is not None or self.dashboard is not None:
-            def sink(event: dict) -> None:
-                if self.ledger is not None:
-                    self.ledger.append(event)
-                if self.dashboard is not None:
-                    self.dashboard.update(event)
-            self.sink = sink
+    def sink(event: dict) -> None:
+        if ledger is not None:
+            ledger.append(event)
+        if dashboard is not None:
+            dashboard.update(event)
 
-    def finish(self, ok: bool = True) -> None:
-        if self.dashboard is not None:
-            self.dashboard.close()
-        if self.ledger is not None:
-            self.ledger.close(ok=ok)
-            print(f"ledger: {self.ledger.path}")
-
-    def __enter__(self) -> "_Telemetry":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.finish(ok=exc_type is None)
+    ok = False
+    try:
+        yield sink if ledger is not None or dashboard is not None else None
+        ok = True
+    finally:
+        if dashboard is not None:
+            dashboard.close()
+        if ledger is not None:
+            ledger.close(ok=ok)
+            print(f"ledger: {ledger.path}")
 
 
 def _transport_choices() -> tuple:
@@ -405,51 +385,47 @@ def _scenario_specs(args: argparse.Namespace):
 def cmd_scenario(args: argparse.Namespace) -> int:
     from repro.core.scenario import find_scenario
 
-    try:
-        if args.scenario_command == "list":
-            specs = _scenario_specs(args)
-            width = max(len(name) for name in specs)
-            tags = {name: f"{spec.driver}/{spec.fidelity}"
-                    for name, spec in specs.items()}
-            tag_width = max(len(tag) for tag in tags.values())
-            for name, spec in sorted(specs.items()):
-                print(f"{name:<{width}}  [{tags[name]:<{tag_width}}]  "
-                      f"{spec.title}")
-            return 0
+    if args.scenario_command == "list":
+        specs = _scenario_specs(args)
+        width = max(len(name) for name in specs)
+        tags = {name: f"{spec.driver}/{spec.fidelity}"
+                for name, spec in specs.items()}
+        tag_width = max(len(tag) for tag in tags.values())
+        for name, spec in sorted(specs.items()):
+            print(f"{name:<{width}}  [{tags[name]:<{tag_width}}]  "
+                  f"{spec.title}")
+        return 0
 
-        if args.scenario_command == "validate":
-            from repro.core.scenario import load_scenario_file
+    if args.scenario_command == "validate":
+        from repro.core.scenario import load_scenario_file
 
-            known = _scenario_specs(args)
-            targets = args.names or sorted(known)
-            failures = 0
-            for target in targets:
-                try:
-                    if target in known:
-                        spec = known[target]
-                    elif Path(target).exists():
-                        spec = load_scenario_file(target)
-                    else:
-                        spec = find_scenario(target)
-                except ScenarioError as exc:
-                    print(f"FAIL {target}: {exc}")
-                    failures += 1
-                    continue
-                print(f"OK   {spec.name} ({spec.source}): "
-                      f"{spec.validate()}")
-            return 1 if failures else 0
+        known = _scenario_specs(args)
+        targets = args.names or sorted(known)
+        failures = 0
+        for target in targets:
+            try:
+                if target in known:
+                    spec = known[target]
+                elif Path(target).exists():
+                    spec = load_scenario_file(target)
+                else:
+                    spec = find_scenario(target)
+            except ScenarioError as exc:
+                print(f"FAIL {target}: {exc}")
+                failures += 1
+                continue
+            print(f"OK   {spec.name} ({spec.source}): "
+                  f"{spec.validate()}")
+        return 1 if failures else 0
 
-        # run
-        spec = find_scenario(args.name)
-        _check_flags(spec, args)
-        print(f"scenario {spec.name} ({spec.source}): driver "
-              f"{spec.driver}, fidelity {args.fidelity or spec.fidelity}"
-              + (f", quality {args.quality}" if args.quality else ""))
-        return _run_scenario(spec, args, label=f"scenario-{spec.name}",
-                             quality=args.quality)
-    except ScenarioError as exc:
-        print(f"error: {exc}")
-        return 1
+    # run
+    spec = find_scenario(args.name)
+    _check_flags(spec, args)
+    print(f"scenario {spec.name} ({spec.source}): driver "
+          f"{spec.driver}, fidelity {args.fidelity or spec.fidelity}"
+          + (f", quality {args.quality}" if args.quality else ""))
+    return _run_scenario(spec, args, label=f"scenario-{spec.name}",
+                         quality=args.quality)
 
 
 def _check_flags(spec, args: argparse.Namespace) -> None:
@@ -468,22 +444,24 @@ def _check_flags(spec, args: argparse.Namespace) -> None:
 
 def _run_scenario(spec, args: argparse.Namespace, *, label: str,
                   quality: Optional[str] = None,
-                  checks: bool = False) -> int:
-    """Run ``spec`` once with the run flags in ``args``, print its
-    report (and, with ``checks``, its paper-shape checks), then write
-    the output files asked for."""
+                  checks: bool = False, **stream_args) -> int:
+    """Run ``spec`` once with the run flags in ``args`` (and a fleet
+    with ``stream_args``), print its report (and, with ``checks``, its
+    paper-shape checks), then write the output files asked for."""
     from repro.analysis.figures import run_scenario
+    from repro.core.cache import ResultCache
 
-    cache = _cache_from_args(args)
-    with _Telemetry(args, label=label) as telemetry:
+    cache = (None if getattr(args, "no_cache", False)
+             else ResultCache(getattr(args, "cache_dir", None)))
+    with _telemetry(args, label=label) as sink:
         result = run_scenario(
             spec, quality, fidelity=getattr(args, "fidelity", None),
             workers=args.workers, cache=cache,
-            timeout=getattr(args, "timeout_s", None),
-            events=telemetry.sink,
+            timeout=getattr(args, "timeout_s", None), events=sink,
             failures=("keep" if getattr(args, "keep_failed", False)
                       else "raise"),
-            snapshots=bool(getattr(args, "metrics_out", None)))
+            snapshots=bool(getattr(args, "metrics_out", None)),
+            **stream_args)
     print(result.report)
     if cache is not None and cache.hits:
         print(f"cache: {cache.hits} hit(s), {cache.misses} miss(es)")
@@ -504,6 +482,9 @@ def _run_scenario(spec, args: argparse.Namespace, *, label: str,
         print(f"wrote {args.csv}")
     if getattr(args, "metrics_out", None):
         _write_metrics(args.metrics_out, result.snapshots)
+    if getattr(args, "json_out", None):
+        Path(args.json_out).write_text(json.dumps(result.payload))
+        print(f"aggregate: {args.json_out}")
     return status
 
 
@@ -523,12 +504,6 @@ def cmd_figure(args: argparse.Namespace) -> int:
 _HOSTS_PER_SHARD = 32768
 
 
-def _fleet_shards(args: argparse.Namespace) -> int:
-    if args.shards == "auto":
-        return max(1, -(-args.hosts // _HOSTS_PER_SHARD))
-    return args.shards
-
-
 def _fleet_checkpoint_path(args: argparse.Namespace) -> Optional[str]:
     """Resolve ``--checkpoint [PATH]`` / ``--resume`` to a path.
 
@@ -536,10 +511,7 @@ def _fleet_checkpoint_path(args: argparse.Namespace) -> Optional[str]:
     deterministic per-population file next to the run ledger, so a
     crashed invocation resumes with the same flags plus ``--resume``.
     """
-    wants = args.checkpoint is not None or args.resume
-    if not wants:
-        return None
-    if args.checkpoint not in (None, ""):
+    if args.checkpoint or (args.checkpoint is None and not args.resume):
         return args.checkpoint
     from repro.core.ledger import default_ledger_dir
 
@@ -549,70 +521,41 @@ def _fleet_checkpoint_path(args: argparse.Namespace) -> Optional[str]:
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.analysis.text_plots import scatter_plot
-    from repro.workload.fleet import FleetSampler
     from repro.workload.fleet_agg import shard_bounds
 
-    sampler = FleetSampler(seed=args.seed,
-                           warmup=args.warmup_ms * 1e-3,
-                           duration=args.duration_ms * 1e-3,
-                           fidelity=args.fidelity or "packet")
+    shards = len(shard_bounds(args.hosts, args.shards if args.shards != "auto"
+                              else -(-args.hosts // _HOSTS_PER_SHARD)))
+    spec = ScenarioSpec(
+        name="fleet", driver="fleet",
+        base={"sim.warmup": args.warmup_ms * 1e-3,
+              "sim.duration": args.duration_ms * 1e-3},
+        driver_args={"n_hosts": args.hosts, "seed": args.seed,
+                     "shards": shards, "backend": args.backend,
+                     "batch_size": args.batch_size},
+        source="<fleet>")
+    sampler, _ = spec.fleet_sampler(fidelity=args.fidelity)
     try:
-        backend = sampler.resolve_backend(args.backend)
+        sampler.resolve_backend(args.backend)
     except ValueError as exc:
         print(f"error: --backend {args.backend}: {exc}")
         return 1
-    shards = len(shard_bounds(args.hosts, _fleet_shards(args)))
-    if args.shard_index is not None and not 0 <= args.shard_index < shards:
-        print(f"error: --shard-index {args.shard_index} out of range "
-              f"for {shards} shard(s)")
-        return 1
-    checkpoint = _fleet_checkpoint_path(args)
-    start = time.perf_counter()
-    with _Telemetry(args, label="fleet") as telemetry:
-        aggregate = sampler.run_aggregate(
-            args.hosts, shards=shards,
-            shard_index=args.shard_index, workers=args.workers,
-            events=telemetry.sink, checkpoint=checkpoint,
-            resume=args.resume, checkpoint_every=args.checkpoint_every,
-            stop_after_shard=args.stop_after_shard,
-            backend=backend, batch_size=args.batch_size)
-    elapsed = time.perf_counter() - start
-    hosts_per_s = aggregate.hosts / elapsed if elapsed > 0 else 0.0
-    print(scatter_plot(aggregate.scatter_points(),
-                       title="fleet drop rate vs utilization",
-                       x_label="link utilization", y_label="drop rate"))
-    for line in aggregate.format_lines():
-        print(line)
-    print(f"\n{aggregate.droppers}/{aggregate.hosts} hosts dropping "
-          f"({elapsed:.1f}s wall, {hosts_per_s:.0f} hosts/s, "
-          f"{sampler.fidelity}/{backend})")
-    if checkpoint is not None:
-        print(f"checkpoint: {checkpoint}")
-    if args.json_out:
-        # Extra keys are ignored by FleetAggregate.from_dict, so the
-        # file stays directly loadable by ``repro fleet merge`` while
-        # making every quoted throughput number self-describing.
-        from repro.core.cache import code_version
-
-        state = aggregate.to_dict()
-        state["run_info"] = {
-            "fidelity": sampler.fidelity, "backend": backend,
-            "hosts_per_s": round(hosts_per_s, 1),
-            "elapsed_s": round(elapsed, 3),
-            "batch_size": args.batch_size, "workers": args.workers,
-            "code_version": code_version(),
-        }
-        Path(args.json_out).write_text(json.dumps(state))
-        print(f"aggregate: {args.json_out}")
-    return 0
+    for flag, shard in (("--shard-index", args.shard_index),
+                        ("--stop-after-shard", args.stop_after_shard)):
+        if shard is not None and not 0 <= shard < shards:
+            print(f"error: {flag} {shard} out of range for {shards} "
+                  f"shard(s)")
+            return 1
+    return _run_scenario(
+        spec, args, label="fleet", shard_index=args.shard_index,
+        checkpoint=_fleet_checkpoint_path(args), resume=args.resume,
+        checkpoint_every=args.checkpoint_every,
+        stop_after_shard=args.stop_after_shard)
 
 
 def cmd_fleet_merge(args: argparse.Namespace) -> int:
     """Merge shard aggregates (``--json-out`` files and/or checkpoint
     files) into one fleet summary — the multi-machine join step."""
+    from repro.analysis.figures import fleet_summary
     from repro.workload.fleet_agg import FleetAggregate, FleetCheckpoint
 
     merged: Optional[FleetAggregate] = None
@@ -633,9 +576,7 @@ def cmd_fleet_merge(args: argparse.Namespace) -> int:
         merged = part if merged is None else merged.merge(part)
     assert merged is not None  # argparse enforces >= 1 input
     print(f"merged {len(args.inputs)} shard summaries:")
-    for line in merged.format_lines():
-        print(line)
-    print(f"\n{merged.droppers}/{merged.hosts} hosts dropping")
+    print(fleet_summary(merged))
     if args.json_out:
         Path(args.json_out).write_text(json.dumps(merged.to_dict()))
         print(f"aggregate: {args.json_out}")
@@ -946,7 +887,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument("--resume", action="store_true",
                          help="resume from the checkpoint instead of "
                               "starting over")
-    p_fleet.add_argument("--checkpoint-every", type=int, default=2000,
+    p_fleet.add_argument("--checkpoint-every", type=_positive_int,
+                         default=2000,
                          metavar="N",
                          help="hosts between checkpoint saves "
                               "(default 2000)")
@@ -1015,6 +957,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ScenarioError as exc:
+        print(f"error: {exc}")
+        return 1
     except BrokenPipeError:
         # ``repro runs tail | head`` closes stdout mid-print; exit
         # quietly like other unix tools.  Redirect the dangling fd so

@@ -575,6 +575,7 @@ class ScenarioSpec:
         cache: Optional[ResultCache] = None,
         events: Optional[Callable[[dict], None]] = None,
         failures: str = "raise",
+        **stream_args,
     ):
         """Run the scenario through the shared execution pipeline.
 
@@ -588,9 +589,13 @@ class ScenarioSpec:
         ones, and a dict of
         :class:`~repro.workload.isolation.IsolationResult` for
         isolation ones.  ``workers``/``events`` reach the sweep and
-        fleet drivers, the other keywords the sweep driver only (as in
-        :func:`run_configs`).
+        fleet drivers, ``stream_args`` the fleet driver only (as in
+        :meth:`run_fleet_aggregate`), the other keywords the sweep
+        driver only (as in :func:`run_configs`).
         """
+        if stream_args and self.driver != "fleet":
+            raise TypeError(f"{self.driver} driver: unexpected stream "
+                            f"arguments {sorted(stream_args)}")
         if self.driver == "sweep":
             return run_configs(self.expand(quality, base, fidelity),
                                progress=progress,
@@ -601,7 +606,7 @@ class ScenarioSpec:
         if self.driver == "fleet":
             return self.run_fleet_aggregate(quality, base, fidelity,
                                             workers=workers,
-                                            events=events)
+                                            events=events, **stream_args)
         if self.driver == "day":
             return self._run_day(quality, base, fidelity)
         if self.driver == "isolation":
@@ -629,6 +634,14 @@ class ScenarioSpec:
             fidelity=config.fidelity)
         return sampler, int(self.driver_args.get("n_hosts", 30))
 
+    def fleet_knobs(self) -> Dict[str, Any]:
+        """The fleet's ``shards``, ``backend`` (``"auto"`` = batched
+        for fluid fleets) and ``batch_size``, defaults filled in."""
+        args = self.driver_args
+        return {"shards": int(args.get("shards", 1)),
+                "backend": str(args.get("backend", "auto")),
+                "batch_size": int(args.get("batch_size", 4096))}
+
     def run_fleet_aggregate(self, quality=None, base=None,
                             fidelity=None, *,
                             workers: Workers = None, events=None,
@@ -640,22 +653,15 @@ class ScenarioSpec:
         ``stream_args`` pass straight to
         :meth:`~repro.workload.fleet.FleetSampler.run_aggregate`
         (``shards=``, ``checkpoint=``, ``resume=``, ...); the spec's
-        ``driver_args`` supply the default shard count, execution
-        backend (``"auto"`` = lane-batched for fluid fleets), and
-        batch size.
+        :meth:`fleet_knobs` supply the default shard count, execution
+        backend, and batch size.
         """
         sampler, spec_hosts = self.fleet_sampler(quality, base,
                                                  fidelity)
-        stream_args.setdefault(
-            "shards", int(self.driver_args.get("shards", 1)))
-        stream_args.setdefault(
-            "backend", str(self.driver_args.get("backend", "auto")))
-        stream_args.setdefault(
-            "batch_size", int(self.driver_args.get("batch_size", 4096)))
         return sampler.run_aggregate(
             spec_hosts if n_hosts is None else int(n_hosts),
             workers=workers, events=events, progress=progress,
-            **stream_args)
+            **{**self.fleet_knobs(), **stream_args})
 
     def _run_day(self, quality, base, fidelity=None):
         from repro.workload.day import diurnal_schedule, simulate_day

@@ -1,7 +1,9 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -191,6 +193,21 @@ def test_fleet_command(capsys):
     assert "hosts dropping" in out
 
 
+#: ``repro fleet``'s footer timing, which varies run to run.
+_FLEET_TIMING = re.compile(r"\([0-9.]+s wall, [0-9]+ hosts/s, ")
+
+
+def test_fleet_report_matches_golden(capsys):
+    # Captured before `repro fleet` moved onto the scenario path: its
+    # stdout must stay byte-identical except the footer's timing.
+    golden = Path(__file__).parent / "data" / "fleet_cli_tiny.txt"
+    assert main(["fleet", "--hosts", "12", "--fidelity", "fluid",
+                 "--warmup-ms", "0.5", "--duration-ms", "1"]) == 0
+    out = _FLEET_TIMING.sub("(Xs wall, X hosts/s, ",
+                            capsys.readouterr().out)
+    assert out == golden.read_text()
+
+
 def test_figure_choices_validated():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["figure", "2"])  # fig 2 is a diagram
@@ -282,6 +299,9 @@ def test_fleet_sharded_checkpoint_resume_and_merge(tmp_path, capsys):
     from repro.core.cache import code_version
 
     clean_state = json.loads(clean_json.read_text())
+    assert set(clean_state["run_info"]) == {
+        "fidelity", "backend", "hosts_per_s", "elapsed_s", "batch_size",
+        "workers", "code_version"}
     assert clean_state["run_info"]["code_version"] == code_version()
     assert clean_state["run_info"]["backend"] == "batched"
     clean = FleetAggregate.from_dict(clean_state)
@@ -306,6 +326,10 @@ def test_fleet_sharded_checkpoint_resume_and_merge(tmp_path, capsys):
     (["--batch-size", "0"], "--batch-size"),
     (["--shard-index", "5"], "--shard-index"),
     (["--backend", "batched", "--fidelity", "packet"], "--backend"),
+    (["--checkpoint-every", "0"], "--checkpoint-every"),
+    (["--stop-after-shard", "-1"], "--stop-after-shard"),
+    (["--shards", "2", "--stop-after-shard", "2"], "--stop-after-shard"),
+    (["--duration-ms", "-1"], "sim.duration"),
 ])
 def test_fleet_rejects_bad_arguments_before_running(monkeypatch, capsys,
                                                     flags, named):
@@ -542,18 +566,23 @@ def test_scenario_panels_sweep_lists_failed_runs(tmp_path, capsys):
     ("one_host_day", "day", ["--workers", "2"]),
     ("one_host_day", "day", ["--ledger"]),
     ("isolation", "isolation", ["--live"]),
+    ("figure1", "fleet", ["--cache-dir", "{tmp}/cache"]),
+    ("one_host_day", "day", ["--cache-dir", "{tmp}/cache"]),
+    ("isolation", "isolation", ["--cache-dir", "{tmp}/cache"]),
 ])
-def test_scenario_run_rejects_ignored_run_flag(monkeypatch, capsys, name,
-                                               driver, flags):
+def test_scenario_run_rejects_ignored_run_flag(monkeypatch, tmp_path,
+                                               capsys, name, driver, flags):
     from repro.core.scenario import ScenarioSpec
 
     def must_not_run(*args, **kwargs):
         raise AssertionError("the scenario ran")
 
     monkeypatch.setattr(ScenarioSpec, "run", must_not_run)
+    flags = [flag.format(tmp=tmp_path) for flag in flags]
     assert main(["scenario", "run", name, *flags]) != 0
     out = capsys.readouterr().out
     assert flags[0] in out and driver in out and name in out
+    assert not (tmp_path / "cache").exists()
 
 
 def test_fleet_spec_without_render_prints_the_aggregate(tmp_path, capsys):
@@ -572,7 +601,11 @@ fidelity = "fluid"
 n_hosts = 2
 """)
     assert main(["scenario", "run", str(spec)]) == 0
-    assert "hosts: 2 folded" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    # The same report `repro fleet` prints: scatter, summary, footer.
+    assert "fleet drop rate vs utilization" in out
+    assert "hosts: 2 folded" in out
+    assert "/2 hosts dropping (" in out and "fluid/batched)" in out
 
 
 def _bundled_spec_names():

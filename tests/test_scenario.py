@@ -398,3 +398,10 @@ class TestProgrammaticSpecs:
         (result,) = list(table)
         assert result.params["cores"] == 2
         assert result.metrics["app_throughput_gbps"] > 0
+
+    def test_run_takes_stream_arguments_on_the_fleet_driver_only(self):
+        # A fleet's per-invocation stream arguments (checkpoint, shard
+        # index, ...) must not be silently dropped by another driver.
+        spec = ScenarioSpec(name="inline", driver="day")
+        with pytest.raises(TypeError, match="checkpoint"):
+            spec.run(checkpoint="fleet.ckpt.json")
