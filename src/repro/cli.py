@@ -420,7 +420,6 @@ def cmd_scenario(args: argparse.Namespace) -> int:
 
     # run
     spec = find_scenario(args.name)
-    _check_flags(spec, args)
     print(f"scenario {spec.name} ({spec.source}): driver "
           f"{spec.driver}, fidelity {args.fidelity or spec.fidelity}"
           + (f", quality {args.quality}" if args.quality else ""))
@@ -435,8 +434,8 @@ def _check_flags(spec, args: argparse.Namespace) -> None:
 
     supported = supported_flags(spec)
     for flag in RUN_FLAGS:
-        if getattr(args, flag[2:].replace("-", "_")) not in (None, False) \
-                and flag not in supported:
+        given = getattr(args, flag[2:].replace("-", "_"), None)
+        if given not in (None, False) and flag not in supported:
             raise ScenarioError(
                 f"{flag} is not supported by the {spec.driver} driver "
                 f"(scenario {spec.name!r})")
@@ -451,6 +450,7 @@ def _run_scenario(spec, args: argparse.Namespace, *, label: str,
     from repro.analysis.figures import run_scenario
     from repro.core.cache import ResultCache
 
+    _check_flags(spec, args)
     cache = (None if getattr(args, "no_cache", False)
              else ResultCache(getattr(args, "cache_dir", None)))
     with _telemetry(args, label=label) as sink:
@@ -842,7 +842,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("number", choices=("1", "3", "4", "5", "6"))
     p_fig.add_argument("--quality", default="quick",
                        choices=("quick", "full"))
-    p_fig.add_argument("--hosts", type=int, default=60,
+    p_fig.add_argument("--hosts", type=_positive_int, default=60,
                        help="fleet size for figure 1")
     p_fig.add_argument("--out", help="directory for CSV export")
     _parallel_args(p_fig)

@@ -47,7 +47,7 @@ __all__ = [
 
 #: The ``repro`` source a result depends on: these packages whole, plus
 #: the core modules that build, run and shape a result.
-_SALT_PACKAGES = ("sim", "net", "host", "transport", "workload")
+_SALT_PACKAGES = ("sim", "net", "host", "transport", "workload", "obs")
 _SALT_CORE_MODULES = ("config", "calibration", "experiment", "fluid",
                       "topology", "results")
 _REPRO_ROOT = Path(__file__).resolve().parent.parent

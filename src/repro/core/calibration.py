@@ -111,6 +111,8 @@ PAGE_2M = 2 * 2**20
 #: each of the rx descriptor, rx completion, tx descriptor, and tx
 #: completion rings.
 HOT_RING_PAGES = 4
+#: Non-payload page touches per packet: conn×2, rx ring×2, tx ring×3.
+CONTROL_ACCESSES_PER_PACKET = 7
 
 # --------------------------------------------------------------------------
 # Memory subsystem (paper §3, §3.2)

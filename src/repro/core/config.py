@@ -257,6 +257,28 @@ class HostConfig:
         _require(self.remote_antagonist_cores >= 0,
                  "negative remote antagonist cores")
 
+    @property
+    def data_page_bytes(self) -> int:
+        """Page size of the Rx data mappings."""
+        return cal.PAGE_2M if self.hugepages else cal.PAGE_4K
+
+    @property
+    def data_pages_per_thread(self) -> int:
+        """IOMMU pages of one thread's Rx data region."""
+        return -(-self.rx_region_bytes // self.data_page_bytes)
+
+    @property
+    def hot_pages_per_thread(self) -> int:
+        """Control pages one thread touches in steady state: connection
+        state, ACK staging, and one hot page per ring."""
+        return (self.nic.conn_state_pages + self.nic.ack_staging_pages
+                + cal.HOT_RING_PAGES)
+
+    @property
+    def payload_pages_per_packet(self) -> int:
+        """Data pages one MTU payload spans."""
+        return 1 if self.hugepages else 2
+
     def with_(self, **changes: Any) -> "HostConfig":
         """A copy with the given fields replaced (sweep helper)."""
         return replace(self, **changes)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.calibration import HOT_RING_PAGES, PAGE_2M, PAGE_4K
+from repro.core.calibration import CONTROL_ACCESSES_PER_PACKET
 from repro.core.config import ExperimentConfig, HostConfig, MemoryConfig
 from repro.host.memory import queue_delay_for
 
@@ -78,17 +78,12 @@ def iotlb_working_set(config: HostConfig) -> WorkingSet:
     This is what determines whether the IOTLB thrashes, and predicts
     the paper's Fig. 3 knee (8 threads × 16 pages = 128 entries).
     """
-    data_page = PAGE_2M if config.hugepages else PAGE_4K
-    data_pages = -(-config.rx_region_bytes // data_page)
-    nic = config.nic
-    per_thread = (data_pages + nic.conn_state_pages
-                  + nic.ack_staging_pages + HOT_RING_PAGES)
-    payload_pages = 1 if config.hugepages else 2
-    accesses = payload_pages + 2 + 2 + 3  # payload, conn×2, rx×2, tx×3
+    per_thread = config.data_pages_per_thread + config.hot_pages_per_thread
     return WorkingSet(
         pages_per_thread=per_thread,
         total_pages=per_thread * config.cpu.cores,
-        accesses_per_packet=accesses,
+        accesses_per_packet=(config.payload_pages_per_packet
+                             + CONTROL_ACCESSES_PER_PACKET),
     )
 
 

@@ -107,10 +107,8 @@ class Nic(Component):
         self._dma_latency_sum = 0.0
         # Bound by bind_metrics(); None keeps the hot path at one branch.
         # While bound, per-packet samples land in plain lists and drain
-        # into the histograms only at registry flush points (snapshot /
-        # warmup boundary) — an append is far cheaper than reservoir
-        # bookkeeping per event, and replaying in order leaves the
-        # reservoir RNG state identical to eager observation.
+        # into the histograms only at snapshot() — an append costs less
+        # than half a sketch observe.  The warmup boundary clears them.
         self._m_host_delay = None
         self._m_dma_latency = None
         self._host_delay_pending: List[float] = []
@@ -147,25 +145,16 @@ class Nic(Component):
              lambda: self.mean_dma_latency() * 1e6),
         ):
             registry.gauge(name, component, unit, fn=fn)
-        self._m_host_delay = registry.histogram(
-            "host_delay_us", component, unit="us")
-        self._m_dma_latency = registry.histogram(
-            "dma_latency_us", component, unit="us")
+        self._m_host_delay = registry.histogram("host_delay_us", component)
+        self._m_dma_latency = registry.histogram("dma_latency_us", component)
         registry.add_flush_callback(self.flush_metric_samples)
 
     def flush_metric_samples(self) -> None:
         """Drain buffered histogram samples (registry flush hook)."""
-        pending = self._dma_latency_pending
-        if pending:
-            observe = self._m_dma_latency.observe
-            for value in pending:
-                observe(value)
-            pending.clear()
-        pending = self._host_delay_pending
-        if pending:
-            observe = self._m_host_delay.observe
-            for value in pending:
-                observe(value)
+        for sketch, pending in (
+                (self._m_host_delay, self._host_delay_pending),
+                (self._m_dma_latency, self._dma_latency_pending)):
+            sketch.extend(pending)
             pending.clear()
 
     # -- receive path -------------------------------------------------------
@@ -324,7 +313,8 @@ class Nic(Component):
         return self.dropped_packets / self.rx_packets
 
     def reset_own_stats(self) -> None:
-        """Zero window counters (warmup boundary)."""
+        """Zero window counters and drop buffered samples (warmup
+        boundary)."""
         self.rx_packets = 0
         self.rx_bytes = 0
         self.dropped_packets = 0
@@ -334,6 +324,8 @@ class Nic(Component):
         self.acks_sent = 0
         self._nic_delay_sum = 0.0
         self._dma_latency_sum = 0.0
+        self._host_delay_pending.clear()
+        self._dma_latency_pending.clear()
         self.buffer.peak_bytes = self.buffer.bytes_used
 
     def own_snapshot(self) -> dict:

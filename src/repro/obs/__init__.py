@@ -11,8 +11,8 @@ loop itself is measurable with :class:`SimProfiler`.
 Public surface:
 
 - :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges, and
-  reservoir-sampled histograms labeled by component instance, with a
-  ``snapshot()``/``to_json()`` API.
+  histograms (each a :class:`~repro.obs.sketch.QuantileSketch`) labeled
+  by component instance, with a ``snapshot()``/``to_json()`` API.
 - :func:`~repro.obs.perfetto.to_perfetto` /
   :func:`~repro.obs.perfetto.write_trace` — Chrome/Perfetto
   trace-event JSON export for :class:`~repro.sim.tracing.Tracer`.
@@ -34,7 +34,6 @@ from repro.obs.live import LiveDashboard
 from repro.obs.metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
 )
 from repro.obs.perfetto import (
@@ -56,7 +55,6 @@ __all__ = [
     "CategoryTally",
     "Counter",
     "Gauge",
-    "Histogram",
     "LiveDashboard",
     "MetricsRegistry",
     "MetricsSampler",

@@ -1,11 +1,14 @@
-"""Metrics registry: counters, gauges, and reservoir histograms.
+"""Metrics registry: counters, gauges, and quantile-sketch histograms.
 
 Each metric belongs to one *component instance* (``nic``, ``iommu``,
 ``cpu3``, ``memory`` …) and has a short name; the full name is
 ``component.name``.  Components either update metrics in place
-(:meth:`Counter.inc`, :meth:`Histogram.observe`) or register a
+(:meth:`Counter.inc`, :meth:`QuantileSketch.observe`) or register a
 zero-cost *reader* callable so the registry can pull the value of an
 existing attribute at snapshot time — the hot path then pays nothing.
+A histogram is a :class:`~repro.obs.sketch.QuantileSketch`: exact
+count/mean/min/max, percentiles within its relative error ``alpha``,
+and mergeable across hosts, shards and workers.
 
 The registry is the single enumeration point for every paper
 observable: drop rate, IOTLB misses per packet, memory bandwidth,
@@ -16,16 +19,11 @@ plain nested dict; ``to_json()`` serializes it.
 from __future__ import annotations
 
 import json
-import random
-import zlib
 from typing import Callable, Dict, List, Optional
 
-from repro.core.metrics import percentile
+from repro.obs.sketch import QuantileSketch
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
-
-#: Default histogram reservoir size (algorithm-R uniform sample).
-DEFAULT_RESERVOIR = 4096
+__all__ = ["Counter", "Gauge", "MetricsRegistry"]
 
 
 class Counter:
@@ -84,79 +82,6 @@ class Gauge:
         return self._fn() if self._fn is not None else self._value
 
 
-class Histogram:
-    """A sample distribution with bounded memory.
-
-    Keeps exact ``count``/``sum``/``min``/``max`` plus a uniform random
-    reservoir (Vitter's algorithm R) of at most ``reservoir`` values
-    for percentile queries.  The replacement RNG is seeded from the
-    metric name so runs stay reproducible.
-    """
-
-    __slots__ = ("name", "unit", "reservoir_size", "count", "total",
-                 "minimum", "maximum", "_reservoir", "_rng")
-
-    def __init__(self, name: str, unit: str = "",
-                 reservoir: int = DEFAULT_RESERVOIR):
-        if reservoir <= 0:
-            raise ValueError(f"reservoir must be positive, got {reservoir}")
-        self.name = name
-        self.unit = unit
-        self.reservoir_size = reservoir
-        self._rng = random.Random(zlib.crc32(name.encode()))
-        self.count = 0
-        self.total = 0.0
-        self.minimum = float("inf")
-        self.maximum = float("-inf")
-        self._reservoir: List[float] = []
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-        if len(self._reservoir) < self.reservoir_size:
-            self._reservoir.append(value)
-        else:
-            slot = self._rng.randrange(self.count)
-            if slot < self.reservoir_size:
-                self._reservoir[slot] = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def percentile(self, p: float) -> float:
-        """The ``p``-th percentile of the sampled reservoir (exact while
-        fewer than ``reservoir`` observations have been made)."""
-        if not self._reservoir:
-            return 0.0
-        return percentile(self._reservoir, p)
-
-    def summary(self) -> Dict[str, float]:
-        if self.count == 0:
-            return {"count": 0, "mean": 0.0, "p50": 0.0, "p90": 0.0,
-                    "p99": 0.0, "min": 0.0, "max": 0.0}
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "p50": self.percentile(50),
-            "p90": self.percentile(90),
-            "p99": self.percentile(99),
-            "min": self.minimum,
-            "max": self.maximum,
-        }
-
-    def reset(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.minimum = float("inf")
-        self.maximum = float("-inf")
-        self._reservoir.clear()
-
-
 class MetricsRegistry:
     """All metrics of one simulation, keyed ``component.name``.
 
@@ -167,7 +92,7 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
+        self._histograms: Dict[str, QuantileSketch] = {}
         self._flush_callbacks: List[Callable[[], None]] = []
 
     # -- registration ------------------------------------------------------
@@ -199,11 +124,10 @@ class MetricsRegistry:
         self._gauges[full] = metric
         return metric
 
-    def histogram(self, name: str, component: str = "", unit: str = "",
-                  reservoir: int = DEFAULT_RESERVOIR) -> Histogram:
+    def histogram(self, name: str, component: str = "") -> QuantileSketch:
         full = self._full_name(name, component)
         self._claim(full)
-        metric = Histogram(full, unit, reservoir)
+        metric = QuantileSketch()
         self._histograms[full] = metric
         return metric
 
@@ -232,10 +156,10 @@ class MetricsRegistry:
         """Register a drain hook for a component that buffers hot-path
         samples locally instead of observing per event.
 
-        Callbacks run — in registration order, which keeps histogram
-        reservoir sampling deterministic — before every ``snapshot()``
-        and before ``reset_window()`` touches the histograms, so the
-        deferral is invisible to every reader of the registry.
+        Callbacks run in registration order before every
+        ``snapshot()``, so the deferral is invisible to every reader of
+        the registry.  Samples a component buffers during warmup are
+        its own to drop at its ``reset_stats()``.
         """
         self._flush_callbacks.append(fn)
 
@@ -273,8 +197,8 @@ class MetricsRegistry:
         """Yield ``(full_name, kind, value)`` for counters and gauges.
 
         The *sampling* read path: unlike :meth:`snapshot` it does not
-        flush deferred samples and never touches histogram reservoirs,
-        so a mid-run poll cannot perturb the measurement — results stay
+        flush deferred samples and never touches the histograms, so a
+        mid-run poll cannot perturb the measurement — results stay
         bit-identical with or without a sampler attached.  Iteration is
         in sorted name order for deterministic sample streams.
         """
@@ -291,14 +215,10 @@ class MetricsRegistry:
     def reset_window(self) -> None:
         """Warmup boundary: zero stored counters and histogram samples.
 
-        Reader-backed metrics follow their source attributes, which the
-        owning components reset through their own ``reset_stats()``.
-        Deferred samples buffered during warmup are flushed *first* —
-        they must pass through the histograms before the reset so the
-        reservoir RNGs advance exactly as they would under per-event
-        observation (``Histogram.reset()`` does not reseed ``_rng``).
+        Reader-backed metrics follow their source attributes, and
+        deferred samples their buffers, which the owning components
+        reset through their own ``reset_stats()``.
         """
-        self.flush()
         for counter in self._counters.values():
             if counter._fn is None:
                 counter.reset()

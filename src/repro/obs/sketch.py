@@ -59,14 +59,9 @@ class QuantileSketch:
         self.max_bins = max_bins
         self._gamma = (1.0 + alpha) / (1.0 - alpha)
         self._log_gamma = math.log(self._gamma)
-        self.count = 0
-        self.total = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-        self.zero_count = 0
         self._bins: Dict[int, int] = {}       # key i: (gamma^(i-1), gamma^i]
         self._neg_bins: Dict[int, int] = {}   # mirrored for negatives
-        self.collapsed = False
+        self.reset()
 
     # -- ingest -------------------------------------------------------------
 
@@ -158,37 +153,55 @@ class QuantileSketch:
         target = p / 100.0 * (self.count - 1)
         cumulative = 0
         # Walk value order: negatives (descending key = ascending
-        # value), zeros, positives (ascending key).
+        # value), zeros, positives (ascending key).  A bucket midpoint
+        # is clamped into [minimum, maximum], which only moves it
+        # closer to the values the bucket holds.
         for key in sorted(self._neg_bins, reverse=True):
             cumulative += self._neg_bins[key]
             if cumulative > target:
-                return max(-self._midpoint(key), self.minimum)
+                return self._clamp(-self._midpoint(key))
         cumulative += self.zero_count
         if cumulative > target:
             return 0.0
         for key in sorted(self._bins):
             cumulative += self._bins[key]
             if cumulative > target:
-                return min(self._midpoint(key), self.maximum)
+                return self._clamp(self._midpoint(key))
         return self.maximum
+
+    def _clamp(self, value: float) -> float:
+        return min(max(value, self.minimum), self.maximum)
 
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
     def summary(self) -> Dict[str, float]:
-        """Headline statistics, mirroring ``Histogram.summary()``."""
+        """Headline statistics in the metrics-snapshot field order; an
+        empty sketch reports every field as zero."""
         if self.count == 0:
-            return {"count": 0}
+            return {"count": 0, "mean": 0.0, "p50": 0.0, "p90": 0.0,
+                    "p99": 0.0, "min": 0.0, "max": 0.0}
         return {
             "count": self.count,
             "mean": self.mean,
-            "min": self.minimum,
-            "max": self.maximum,
             "p50": self.quantile(50),
             "p90": self.quantile(90),
             "p99": self.quantile(99),
+            "min": self.minimum,
+            "max": self.maximum,
         }
+
+    def reset(self) -> None:
+        """Forget every observation; parameters are kept."""
+        self.count = 0
+        self.total = 0.0
+        self.minimum = math.inf
+        self.maximum = -math.inf
+        self.zero_count = 0
+        self._bins.clear()
+        self._neg_bins.clear()
+        self.collapsed = False
 
     # -- serialization ------------------------------------------------------
 

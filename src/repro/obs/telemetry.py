@@ -11,9 +11,9 @@ interval — drift-free ``epoch + k·interval`` scheduling — into a
 bounded, drop-oldest ring of typed :class:`TelemetrySample` records.
 The run's metrics snapshot (its ``telemetry`` block) and the counter
 tracks of ``repro trace --sample-interval-us`` read that ring.
-Sampling reads counter/gauge values only — never histogram
-reservoirs, never deferred-flush hooks — so an attached sampler cannot
-perturb results: outputs stay bit-identical with telemetry on or off.
+Sampling reads counter/gauge values only — never histograms, never
+deferred-flush hooks — so an attached sampler cannot perturb results:
+outputs stay bit-identical with telemetry on or off.
 
 **Cross-run** (:class:`RunAggregate`): a constant-memory fold over the
 lifecycle event stream that workers emit during a sweep or fleet run
@@ -62,7 +62,7 @@ class MetricsSampler:
     sim-time of :meth:`start`), so the cadence never drifts however
     long a poll takes.  Each tick reads counters and gauges through
     :meth:`MetricsRegistry.live_values` — a pure read that skips
-    deferred flushes and histogram reservoirs, keeping the measurement
+    deferred flushes and histograms, keeping the measurement
     unperturbed — and appends one sample per metric to ``samples``.
     The ring keeps the newest :attr:`maxlen` samples; older ones are
     dropped (and counted in ``dropped``), so a long run's memory stays

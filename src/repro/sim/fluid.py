@@ -51,10 +51,8 @@ from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.calibration import (
-    HOT_RING_PAGES,
+    CONTROL_ACCESSES_PER_PACKET,
     NIC_CONTROL_WRITE_BYTES,
-    PAGE_2M,
-    PAGE_4K,
     QUEUE_GAMMA,
     QUEUE_KNEE,
 )
@@ -66,15 +64,12 @@ __all__ = [
     "FluidRun",
     "FluidSolver",
     "fluid_fabric_profile",
-    "fluid_working_set",
     "predicted_misses_per_packet",
     "registered_iommu_entries",
     "specialize_step",
     "weighted_summary",
 ]
 
-#: Non-payload page touches per packet: conn×2, rx ring×2, tx ring×3.
-CONTROL_ACCESSES_PER_PACKET = 7
 #: Fraction of the ideal Little's-law rate the DMA pipeline sustains.
 #: Credit-return gaps and bursty walk stalls keep the packet engine's
 #: achieved service a consistent ~6% short of ``C / E[T]`` across the
@@ -110,20 +105,6 @@ def _cube(x: float) -> float:
 assert QUEUE_GAMMA == 3.0
 
 
-def fluid_working_set(config: ExperimentConfig) -> Tuple[int, int]:
-    """(active IOMMU pages, page accesses per packet) — the working-set
-    model of ``repro.core.model.iotlb_working_set``, recomputed here
-    from the raw config so the kernel layer stays closed."""
-    host = config.host
-    data_page = PAGE_2M if host.hugepages else PAGE_4K
-    data_pages = -(-host.rx_region_bytes // data_page)
-    per_thread = (data_pages + host.nic.conn_state_pages
-                  + host.nic.ack_staging_pages + HOT_RING_PAGES)
-    payload_pages = 1 if host.hugepages else 2
-    accesses = payload_pages + CONTROL_ACCESSES_PER_PACKET
-    return per_thread * host.cpu.cores, accesses
-
-
 #: Memo for :func:`predicted_misses_per_packet`, keyed on the config
 #: values the model actually reads.  Fleet populations draw from small
 #: discrete parameter sets, so a million hosts hit a few dozen distinct
@@ -149,10 +130,8 @@ def predicted_misses_per_packet(config: ExperimentConfig) -> float:
     if not host.iommu.enabled:
         return 0.0
     cores = host.cpu.cores
-    data_page = PAGE_2M if host.hugepages else PAGE_4K
-    n_data = -(-host.rx_region_bytes // data_page) * cores
-    n_hot = (host.nic.conn_state_pages + host.nic.ack_staging_pages
-             + HOT_RING_PAGES) * cores
+    n_data = host.data_pages_per_thread * cores
+    n_hot = host.hot_pages_per_thread * cores
     capacity = host.iommu.iotlb_entries
     if n_data + n_hot <= capacity:
         return 0.0
@@ -160,7 +139,7 @@ def predicted_misses_per_packet(config: ExperimentConfig) -> float:
     cached = _MISSES_MEMO.get(key)
     if cached is not None:
         return cached
-    a_data = 1 if host.hugepages else 2
+    a_data = host.payload_pages_per_packet
     a_hot = CONTROL_ACCESSES_PER_PACKET
     lam_data = a_data / n_data
     lam_hot = a_hot / n_hot
@@ -192,13 +171,11 @@ def registered_iommu_entries(config: ExperimentConfig) -> int:
     data region plus every control ring page, per thread — mirrors
     ``repro.host.addressing.build_thread_layouts``."""
     host = config.host
-    data_page = PAGE_2M if host.hugepages else PAGE_4K
-    data_pages = -(-host.rx_region_bytes // data_page)
     nic = host.nic
     control = (nic.desc_ring_pages + nic.completion_ring_pages
                + nic.tx_desc_ring_pages + nic.tx_completion_ring_pages
                + nic.ack_staging_pages + nic.conn_state_pages)
-    return (data_pages + control) * host.cpu.cores
+    return (host.data_pages_per_thread + control) * host.cpu.cores
 
 
 def weighted_summary(

@@ -585,6 +585,30 @@ def test_scenario_run_rejects_ignored_run_flag(monkeypatch, tmp_path,
     assert not (tmp_path / "cache").exists()
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--cache-dir", "{tmp}/cache"], "--cache-dir"),
+    (["--hosts", "0"], "--hosts"),
+])
+def test_figure_rejects_bad_run_flag(monkeypatch, tmp_path, capsys,
+                                     flags, named):
+    from repro.core.scenario import ScenarioSpec
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the figure ran")
+
+    monkeypatch.setattr(ScenarioSpec, "run", must_not_run)
+    monkeypatch.setattr(ScenarioSpec, "run_fleet_aggregate", must_not_run)
+    flags = [flag.format(tmp=tmp_path) for flag in flags]
+    try:
+        code = main(["figure", "1", *flags])
+    except SystemExit as exc:  # argparse type errors exit 2
+        code = exc.code
+    assert code != 0
+    captured = capsys.readouterr()
+    assert named in captured.out + captured.err
+    assert not (tmp_path / "cache").exists()
+
+
 def test_fleet_spec_without_render_prints_the_aggregate(tmp_path, capsys):
     spec = tmp_path / "fleet.toml"
     spec.write_text("""

@@ -1,5 +1,5 @@
 """The fluid engine's contracts that don't need a packet run: the
-working-set model shared with the core model, config plumbing,
+working-set footprint shared with the core model, config plumbing,
 result-schema parity, the PR-5 error contract for fidelity
 validation, the weighted summary, and packet conservation at every
 stage.
@@ -51,16 +51,15 @@ def quick_config(fidelity="fluid", cores=12, iommu=True,
 @pytest.mark.parametrize("hugepages", [False, True])
 @pytest.mark.parametrize("cores", [2, 8, 16])
 def test_working_set_matches_core_model(cores, hugepages):
-    """``fluid_working_set`` recomputes ``iotlb_working_set`` from the
-    raw config (the kernel layer may not import repro.core.model); the
-    two must agree at every operating point."""
+    """The fluid Che model and the core working-set model read one
+    ``HostConfig`` footprint: the Che model predicts misses exactly
+    when the core model's working set overflows the IOTLB."""
     from repro.core.model import iotlb_working_set
 
     config = quick_config(cores=cores, hugepages=hugepages)
-    pages, accesses = fluid.fluid_working_set(config)
     ws = iotlb_working_set(config.host)
-    assert pages == ws.total_pages
-    assert accesses == ws.accesses_per_packet
+    overflows = ws.total_pages > config.host.iommu.iotlb_entries
+    assert (fluid.predicted_misses_per_packet(config) > 0) == overflows
 
 
 # -- fidelity plumbing ---------------------------------------------------

@@ -12,10 +12,15 @@ from repro.core.config import (
     HostConfig,
     SimConfig,
     WorkloadConfig,
+    baseline_config,
 )
-from repro.core.experiment import ExperimentHandle
+from repro.core.experiment import ExperimentHandle, run_experiment
 from repro.obs.perfetto import to_perfetto
 from repro.obs.profiler import SimProfiler
+from tests.test_sketch import oracle_bounds
+
+#: Field order of every ``histograms`` entry of a metrics snapshot.
+HISTOGRAM_FIELDS = ["count", "mean", "p50", "p90", "p99", "min", "max"]
 
 
 def small_config(**sim_overrides):
@@ -99,6 +104,54 @@ def test_reset_window_separates_warmup_from_measurement():
     handle.run_measurement()
     after = handle.metrics_snapshot()
     assert after["counters"]["nic.rx_packets"] > 0
+
+
+def test_warmup_samples_are_dropped_at_the_reset():
+    handle = ExperimentHandle(small_config())
+    handle.run_warmup()
+    nic = handle.host.nic
+    assert nic._host_delay_pending == nic._dma_latency_pending == []
+    # An empty measurement window reports every field as zero.
+    for summary in handle.metrics_snapshot()["histograms"].values():
+        assert list(summary) == HISTOGRAM_FIELDS
+        assert all(value == 0 for value in summary.values())
+
+
+@pytest.mark.parametrize("fidelity", ["packet", "fluid"])
+def test_host_delay_histogram_schema_matches_across_fidelities(fidelity):
+    handles = []
+    run_experiment(dataclasses.replace(small_config(), fidelity=fidelity),
+                   handle_out=handles)
+    delay = handles[0].metrics_snapshot()["histograms"]["nic.host_delay_us"]
+    assert list(delay) == HISTOGRAM_FIELDS
+    assert delay["count"] > 0
+
+
+def test_histograms_match_the_raw_nic_samples_of_the_golden_run():
+    """Exact count/mean/min/max, and each percentile within the
+    sketch's alpha of an order statistic adjacent to the exact rank."""
+    handle = ExperimentHandle(baseline_config(
+        warmup=1e-3, duration=2e-3, seed=1))
+    handle.run_warmup()
+    handle.run_measurement()
+    nic = handle.host.nic
+    raw = {"nic.host_delay_us": list(nic._host_delay_pending),
+           "nic.dma_latency_us": list(nic._dma_latency_pending)}
+    histograms = handle.metrics.snapshot()["histograms"]
+    for name, values in raw.items():
+        summary = histograms[name]
+        total = 0.0
+        for value in values:  # the sketch's summation order
+            total += value
+        assert summary["count"] == len(values) > 0
+        assert summary["mean"] == total / len(values)
+        assert summary["min"] == min(values)
+        assert summary["max"] == max(values)
+        alpha = handle.metrics.get(name).alpha
+        for p in (50, 90, 99):
+            estimate = summary[f"p{p}"]
+            assert any(abs(estimate - order) <= alpha * order
+                       for order in oracle_bounds(values, p)), (name, p)
 
 
 def test_disabled_tracer_records_nothing():

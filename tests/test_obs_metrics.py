@@ -5,7 +5,7 @@ import statistics
 
 import pytest
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 
 
 class TestCounter:
@@ -44,21 +44,27 @@ class TestGauge:
         assert g.value == 1.0
 
 
+def histogram():
+    return MetricsRegistry().histogram("h")
+
+
 class TestHistogram:
+    """The registry's histogram kind: a ``QuantileSketch`` with exact
+    count/mean/min/max and percentiles within its relative error."""
+
     def test_percentiles_match_statistics_quantiles(self):
-        h = Histogram("h")
+        h = histogram()
         values = [float(i) for i in range(1, 1001)]
-        for v in values:
-            h.observe(v)
-        # statistics.quantiles with n=100 and 'inclusive' matches the
-        # linear-interpolation percentile definition used here.
+        h.extend(values)
+        # statistics.quantiles with n=100 and 'inclusive' interpolates
+        # at rank p/100 * (n - 1), the sketch's target rank.
         quantiles = statistics.quantiles(values, n=100, method="inclusive")
-        assert h.percentile(50) == pytest.approx(quantiles[49])
-        assert h.percentile(90) == pytest.approx(quantiles[89])
-        assert h.percentile(99) == pytest.approx(quantiles[98])
+        for p in (50, 90, 99):
+            assert h.quantile(p) == pytest.approx(quantiles[p - 1],
+                                                  rel=h.alpha)
 
     def test_exact_stats(self):
-        h = Histogram("h")
+        h = histogram()
         for v in (1.0, 2.0, 3.0):
             h.observe(v)
         assert h.count == 3
@@ -66,103 +72,60 @@ class TestHistogram:
         assert h.minimum == 1.0
         assert h.maximum == 3.0
 
-    def test_reservoir_is_bounded(self):
-        h = Histogram("h", reservoir=100)
-        for v in range(10_000):
-            h.observe(float(v))
-        assert len(h._reservoir) == 100
-        assert h.count == 10_000
-        # min/max stay exact even when sampled out of the reservoir.
-        assert h.minimum == 0.0
-        assert h.maximum == 9999.0
-
-    def test_reservoir_percentiles_approximate_truth(self):
-        h = Histogram("h", reservoir=512)
-        for v in range(10_000):
-            h.observe(float(v))
-        assert h.percentile(50) == pytest.approx(5000, rel=0.15)
-
-    def test_reservoir_sampling_is_deterministic(self):
-        def build():
-            h = Histogram("same-name", reservoir=64)
-            for v in range(5000):
-                h.observe(float(v))
-            return h._reservoir
-
-        assert build() == build()
+    def test_percentiles_approximate_truth(self):
+        h = histogram()
+        h.extend(float(v) for v in range(10_000))
+        assert h.quantile(50) == pytest.approx(5000, rel=h.alpha)
 
     def test_empty_summary(self):
-        s = Histogram("h").summary()
-        assert s["count"] == 0
-        assert s["p99"] == 0.0
+        assert histogram().summary() == {
+            "count": 0, "mean": 0.0, "p50": 0.0, "p90": 0.0, "p99": 0.0,
+            "min": 0.0, "max": 0.0}
 
     def test_summary_keys(self):
-        h = Histogram("h")
+        h = histogram()
         h.observe(1.0)
-        assert set(h.summary()) == {"count", "mean", "p50", "p90", "p99",
-                                    "min", "max"}
-
-    def test_bad_reservoir_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram("h", reservoir=0)
+        assert list(h.summary()) == ["count", "mean", "p50", "p90", "p99",
+                                     "min", "max"]
 
 
 class TestDeferredFlush:
     """Deferred aggregation must be invisible: buffering samples locally
-    and flushing at snapshot/reset boundaries yields byte-identical
-    histogram state to eager per-event observation — including the
-    reservoir RNG, which must advance exactly as under eager observes
-    (warmup samples replay through the reservoir before ``reset()``)."""
+    and flushing at snapshot time yields the same histogram state as
+    eager per-event observation."""
 
     @staticmethod
-    def drive(registry, hist, feed):
+    def drive(registry, feed):
         """Observe 3 windows of samples through ``feed(value)``,
-        snapshotting after each and resetting between the first two.
-        More samples than the reservoir, so algorithm R's RNG is
-        exercised across the window boundary."""
+        snapshotting after each and resetting between the first two."""
         snapshots = []
         for window in range(3):
-            for i in range(700):  # 700 > reservoir of 256
+            for i in range(700):
                 feed(float(window * 10_000 + i * 7 % 997))
             snapshots.append(registry.snapshot())
             if window == 0:
                 registry.reset_window()
-        return snapshots, list(hist._reservoir)
+        return snapshots
 
     def test_buffered_flush_equals_eager_observation(self):
         eager_reg = MetricsRegistry()
-        eager_hist = eager_reg.histogram("lat", "nic", reservoir=256)
-        eager_snaps, eager_res = self.drive(
-            eager_reg, eager_hist, eager_hist.observe)
+        eager_hist = eager_reg.histogram("lat", "nic")
+        eager_snaps = self.drive(eager_reg, eager_hist.observe)
 
         deferred_reg = MetricsRegistry()
-        deferred_hist = deferred_reg.histogram("lat", "nic", reservoir=256)
+        deferred_hist = deferred_reg.histogram("lat", "nic")
         pending = []
 
         def flush():
-            for value in pending:
-                deferred_hist.observe(value)
+            deferred_hist.extend(pending)
             pending.clear()
 
         deferred_reg.add_flush_callback(flush)
-        deferred_snaps, deferred_res = self.drive(
-            deferred_reg, deferred_hist, pending.append)
+        deferred_snaps = self.drive(deferred_reg, pending.append)
 
         assert pending == []  # snapshot() drained the buffer
         assert deferred_snaps == eager_snaps
-        assert deferred_res == eager_res
-
-    def test_flush_runs_before_reset_window(self):
-        # Samples buffered during warmup must pass through the
-        # histogram (advancing its RNG) before reset clears them.
-        reg = MetricsRegistry()
-        hist = reg.histogram("lat", reservoir=4)
-        pending = [1.0, 2.0, 3.0]
-        reg.add_flush_callback(
-            lambda: (hist.observe(pending.pop(0)) if pending else None))
-        reg.reset_window()
-        assert hist.count == 0  # the flushed sample was then reset away
-        assert pending == [2.0, 3.0]  # but it did flush first
+        assert deferred_hist == eager_hist
 
     def test_flush_callbacks_run_in_registration_order(self):
         reg = MetricsRegistry()

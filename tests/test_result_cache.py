@@ -63,9 +63,11 @@ class TestDigest:
             return reader
 
         before = cache_module.source_digest()
-        monkeypatch.setattr(cache_module, "_read_source",
-                            edited("repro/sim/fluid.py"))
-        assert cache_module.source_digest() != before
+        # The metrics registry builds the cached --metrics-out snapshots.
+        for module in ("repro/sim/fluid.py", "repro/obs/metrics.py"):
+            monkeypatch.setattr(cache_module, "_read_source",
+                                edited(module))
+            assert cache_module.source_digest() != before
         monkeypatch.setattr(cache_module, "_read_source",
                             edited("repro/cli.py"))
         assert cache_module.source_digest() == before

@@ -109,6 +109,21 @@ class TestAccuracy:
         assert summary["min"] <= summary["p50"] <= summary["p99"] \
             <= summary["max"]
 
+    @pytest.mark.parametrize("value", [1.4887818181818184, -3.3, 2.0])
+    def test_quantiles_stay_within_min_and_max(self, value):
+        # A bucket midpoint may lie outside the observed range; the
+        # estimate is clamped to it.
+        sketch = QuantileSketch()
+        sketch.extend([value] * 10)
+        assert {sketch.quantile(p) for p in (1, 50, 99)} == {value}
+
+    def test_reset_forgets_every_observation(self):
+        sketch = QuantileSketch()
+        sketch.extend([-1.0, 0.0, *make_stream("lognormal", 200)])
+        sketch.reset()
+        assert sketch == QuantileSketch()
+        assert sketch.summary()["count"] == 0
+
 
 class TestMergeAlgebra:
     """merge() must be exactly associative and order-independent —
