@@ -48,6 +48,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -85,6 +86,28 @@ def _positive_int(value: str) -> int:
         raise argparse.ArgumentTypeError(
             f"expected an integer >= 1, got {value!r}")
     return count
+
+
+def _milliseconds(value: str, *, zero_ok: bool) -> float:
+    try:
+        ms = float(value)
+    except ValueError:
+        ms = math.nan
+    if not (math.isfinite(ms) and (ms > 0 or zero_ok and ms == 0)):
+        raise argparse.ArgumentTypeError(
+            f"expected a number {'>= 0' if zero_ok else '> 0'} of "
+            f"milliseconds, got {value!r}")
+    return ms
+
+
+def _duration_ms(value: str) -> float:
+    """argparse type of ``--duration-ms``: a finite number > 0."""
+    return _milliseconds(value, zero_ok=False)
+
+
+def _warmup_ms(value: str) -> float:
+    """argparse type of ``--warmup-ms``: a finite number >= 0."""
+    return _milliseconds(value, zero_ok=True)
 
 
 def _count_or_auto(value: str):
@@ -238,8 +261,9 @@ def _shared_args(parser: argparse.ArgumentParser, *,
     if sim is not None:
         seed, warmup_ms, duration_ms = sim
         parser.add_argument("--seed", type=int, default=seed)
-        parser.add_argument("--warmup-ms", type=float, default=warmup_ms)
-        parser.add_argument("--duration-ms", type=float,
+        parser.add_argument("--warmup-ms", type=_warmup_ms,
+                            default=warmup_ms)
+        parser.add_argument("--duration-ms", type=_duration_ms,
                             default=duration_ms)
     if fidelity is not _OMIT:
         parser.add_argument(

@@ -107,6 +107,14 @@ CONN_STATE_PAGES = 4
 PAGE_4K = 4096
 PAGE_2M = 2 * 2**20
 
+
+def data_page_bytes(hugepages: bool) -> int:
+    """Page size of the Rx data mappings: 2 MB pages with hugepages on,
+    4 KB otherwise (paper Fig. 4).  The one copy of the rule: the
+    packet layout and the working-set models both read it."""
+    return PAGE_2M if hugepages else PAGE_4K
+
+
 #: Hot ring pages per thread in the active IOTLB working set: one page
 #: each of the rx descriptor, rx completion, tx descriptor, and tx
 #: completion rings.

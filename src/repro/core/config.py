@@ -260,7 +260,7 @@ class HostConfig:
     @property
     def data_page_bytes(self) -> int:
         """Page size of the Rx data mappings."""
-        return cal.PAGE_2M if self.hugepages else cal.PAGE_4K
+        return cal.data_page_bytes(self.hugepages)
 
     @property
     def data_pages_per_thread(self) -> int:

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
-from repro.core.calibration import PAGE_2M, PAGE_4K
+from repro.core.calibration import PAGE_2M, PAGE_4K, data_page_bytes
 
 __all__ = [
     "PAGE_4K",
@@ -234,7 +234,7 @@ def build_thread_layouts(
     if n_threads < 1:
         raise ValueError(f"need at least one thread, got {n_threads}")
     alloc = allocator or AddressSpaceAllocator()
-    data_page = PAGE_2M if hugepages else PAGE_4K
+    data_page = data_page_bytes(hugepages)
     layouts = []
     for tid in range(n_threads):
         layouts.append(

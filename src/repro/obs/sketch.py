@@ -35,6 +35,7 @@ set far above any realistic occupancy.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Dict, Iterable, List, Optional, Tuple
 
 __all__ = ["CategoryTally", "Density2D", "QuantileSketch"]
@@ -92,8 +93,41 @@ class QuantileSketch:
         self._maybe_collapse()
 
     def extend(self, values: Iterable[float]) -> None:
+        """Fold every value of ``values``: the batched insert.
+
+        Leaves exactly the state one :meth:`observe` per value leaves.
+        ``total`` adds the values in their order (float addition
+        depends on it), every bucket key comes from :meth:`_key`, and
+        one collapse at the end keeps what a collapse after every
+        value keeps: the top ``max_bins`` keys, with every lower
+        bucket folded into the lowest of them.  A non-finite value
+        raises before anything is folded.
+        """
+        values = [float(value) for value in values]
         for value in values:
-            self.observe(value)
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"cannot observe non-finite value {value!r}")
+        if not values:
+            return
+        total = self.total
+        for value in values:
+            total += value
+        self.total = total
+        self.count += len(values)
+        low, high = min(values), max(values)
+        if low < self.minimum:
+            self.minimum = low
+        if high > self.maximum:
+            self.maximum = high
+        positive = [value for value in values if value >= _MIN_TRACKED]
+        negative = [-value for value in values if value <= -_MIN_TRACKED]
+        self.zero_count += len(values) - len(positive) - len(negative)
+        for bins, magnitudes in ((self._bins, positive),
+                                 (self._neg_bins, negative)):
+            for key, n in Counter(map(self._key, magnitudes)).items():
+                bins[key] = bins.get(key, 0) + n
+        self._maybe_collapse()
 
     def _maybe_collapse(self) -> None:
         # Fold the lowest-magnitude buckets together until under the
@@ -340,6 +374,20 @@ class Density2D:
                 f"cannot observe non-finite point ({x!r}, {y!r})")
         key = (self._x_key(x), self._y_key(y))
         self._cells[key] = self._cells.get(key, 0) + n
+
+    def extend(self, points: Iterable[Tuple[float, float]]) -> None:
+        """Fold every ``(x, y)`` of ``points``: the batched insert, with
+        the cells one :meth:`observe` per point fills.  A non-finite
+        point raises before anything is folded."""
+        points = [(float(x), float(y)) for x, y in points]
+        for x, y in points:
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(
+                    f"cannot observe non-finite point ({x!r}, {y!r})")
+        cells = self._cells
+        for key, n in Counter((self._x_key(x), self._y_key(y))
+                              for x, y in points).items():
+            cells[key] = cells.get(key, 0) + n
 
     # -- midpoints ----------------------------------------------------------
 

@@ -56,7 +56,7 @@ from repro.core.calibration import (
     QUEUE_GAMMA,
     QUEUE_KNEE,
 )
-from repro.core.config import ExperimentConfig
+from repro.core.config import ExperimentConfig, HostConfig
 from repro.net.routing import create_policy
 
 __all__ = [
@@ -64,6 +64,7 @@ __all__ = [
     "FluidRun",
     "FluidSolver",
     "fluid_fabric_profile",
+    "fluid_inputs",
     "predicted_misses_per_packet",
     "registered_iommu_entries",
     "specialize_step",
@@ -105,7 +106,7 @@ def _cube(x: float) -> float:
 assert QUEUE_GAMMA == 3.0
 
 
-#: Memo for :func:`predicted_misses_per_packet`, keyed on the config
+#: Memo for :func:`predicted_misses_per_packet`, keyed on the host
 #: values the model actually reads.  Fleet populations draw from small
 #: discrete parameter sets, so a million hosts hit a few dozen distinct
 #: keys — and the 60-iteration bisection runs once per key, not per
@@ -113,7 +114,7 @@ assert QUEUE_GAMMA == 3.0
 _MISSES_MEMO: Dict[Tuple, float] = {}
 
 
-def predicted_misses_per_packet(config: ExperimentConfig) -> float:
+def predicted_misses_per_packet(host: HostConfig) -> float:
     """IOTLB misses per received packet, via the Che approximation.
 
     The access stream has two populations with very different reuse:
@@ -126,7 +127,6 @@ def predicted_misses_per_packet(config: ExperimentConfig) -> float:
     tracks the packet engine's measured IOTLB across the figure-3/4/5
     ladders.  Zero with the IOMMU off or when everything fits.
     """
-    host = config.host
     if not host.iommu.enabled:
         return 0.0
     cores = host.cpu.cores
@@ -176,6 +176,59 @@ def registered_iommu_entries(config: ExperimentConfig) -> int:
                + nic.tx_desc_ring_pages + nic.tx_completion_ring_pages
                + nic.ack_staging_pages + nic.conn_state_pages)
     return (host.data_pages_per_thread + control) * host.cpu.cores
+
+
+def fluid_inputs(config: ExperimentConfig) -> Dict[str, object]:
+    """The config values the fluid constants are derived from, by name.
+
+    One host's entry of every input :func:`_host_constants` reads: the
+    scalar solver derives from it directly, and
+    :class:`~repro.sim.fluid_batch.BatchFluidSolver` stacks one per lane
+    into columns.  Config properties and lookups are resolved here (the
+    IOTLB miss rate, the transport's CC family, the DDIO copy
+    fractions), so the derivation itself is arithmetic.  Closed loop is
+    ``open_loop`` False with a 0.0 ``offered_load``.
+    """
+    host, wl, swift = config.host, config.workload, config.swift
+    pcie, memory, cpu = host.pcie, host.memory, host.cpu
+    copy_read, copy_write = host.ddio.copy_demand_fractions()
+    return {
+        "wire_bytes": wl.wire_bytes_per_packet,
+        "payload_bytes": wl.mtu_payload,
+        "packets_per_read": wl.packets_per_read,
+        "read_size_bytes": wl.read_size_bytes,
+        "senders": wl.senders,
+        "receivers": wl.receivers,
+        "open_loop": wl.offered_load is not None,
+        "offered_load": (0.0 if wl.offered_load is None
+                         else wl.offered_load),
+        "cores": cpu.cores,
+        "core_rate_bps": cpu.core_rate_bps,
+        "contention_slowdown": cpu.contention_slowdown,
+        "one_way_delay": config.link.one_way_delay,
+        "link_rate_bps": config.link.rate_bps,
+        "misses_per_packet": predicted_misses_per_packet(host),
+        "pcie_goodput_bps": pcie.goodput_bps,
+        "dma_fixed_latency": pcie.dma_fixed_latency,
+        "max_inflight_bytes": pcie.max_inflight_bytes,
+        "antagonist_cores": host.antagonist_cores,
+        "antagonist_per_core_Bps": host.antagonist_per_core_Bps,
+        "copy_read_fraction": copy_read,
+        "copy_write_fraction": copy_write,
+        "achievable_Bps": memory.achievable_Bps,
+        "max_queue_delay": memory.max_queue_delay,
+        "walk_base_latency": memory.walk_base_latency,
+        "walk_contention_fraction": memory.walk_contention_fraction,
+        "idle_latency": memory.idle_latency,
+        "nic_buffer_bytes": host.nic.buffer_bytes,
+        "loss_based": config.transport in LOSS_BASED_TRANSPORTS,
+        "host_target": swift.host_target,
+        "additive_increase": swift.additive_increase,
+        "swift_beta": swift.beta,
+        "swift_max_mdf": swift.max_mdf,
+        "min_cwnd": swift.min_cwnd,
+        "max_cwnd": swift.max_cwnd,
+    }
 
 
 def weighted_summary(
@@ -364,7 +417,8 @@ class FluidRun:
 # step (``repro.sim.fluid_batch``):
 #
 # - ``_min(a, b)``, ``_max(a, b)``, ``_where(cond, a, b)`` choose values
-#   per datum (per lane in the batch);
+#   per datum (per lane in the batch), and ``_float(x)`` is ``x`` as a
+#   float (a float64 column);
 # - ``_sel(new, old)`` and ``_acc(delta)`` are the batch's active-lane
 #   mask: a frozen lane keeps ``old`` and accumulates ``+0.0``;
 # - ``if _SCALAR:`` / ``if _LANES:`` blocks belong to one form only,
@@ -373,7 +427,10 @@ class FluidRun:
 #   batch steps any mix of star-fabric hosts as a single lane set.
 #
 # The definitions below give the dialect its scalar meaning, so
-# ``_fluid_step`` also runs as written: a slow scalar reference.
+# ``_fluid_step`` also runs as written: a slow scalar reference.  The
+# per-host constants the step reads are derived in the same dialect
+# (``_host_constants``): ``FluidSolver`` runs that as written, once per
+# solver, and the batch runs its lane form once per lane set.
 
 
 def _min(a, b):
@@ -388,6 +445,10 @@ def _where(cond, a, b):
     return a if cond else b
 
 
+def _float(x):
+    return float(x)
+
+
 def _sel(new, old):
     return new
 
@@ -398,8 +459,98 @@ def _acc(delta):
 
 _SCALAR, _LANES = True, False
 #: Dialect op -> argument count; lane form of the value ops.
-_DIALECT_OPS = {"_min": 2, "_max": 2, "_where": 3, "_sel": 2, "_acc": 1}
-_NUMPY_OPS = {"_min": "minimum", "_max": "maximum", "_where": "where"}
+_DIALECT_OPS = {"_min": 2, "_max": 2, "_where": 3, "_float": 1,
+                "_sel": 2, "_acc": 1}
+_NUMPY_OPS = {"_min": "minimum", "_max": "maximum", "_where": "where",
+              "_float": "float64"}
+
+
+def _demand_step_bytes(self, load):
+    # Open-loop demand accrued per step (wire bytes) at offered ``load``
+    # (a fraction of the link rate): reads/s -> wire bits/s -> bytes.
+    reads_per_s = load * self.link_rate_bps / (self.read_size_bytes * 8)
+    open_bps = reads_per_s * self.packets_per_read * self.wire_bytes * 8
+    return open_bps / 8 * self.dt
+
+
+def _host_constants(self, h) -> None:
+    # The per-host constants the step reads, and its time-zero state,
+    # from the config values ``h`` of :func:`fluid_inputs` (plain values
+    # for ``FluidSolver``, lane columns for the batch).  The step
+    # touches only these, never the config tree.
+    self.wire_bytes = h.wire_bytes
+    self.payload_bytes = h.payload_bytes
+    self.payload_fraction = self.payload_bytes / self.wire_bytes
+    self.packets_per_read = h.packets_per_read
+    self.read_size_bytes = h.read_size_bytes
+    self.n_flows = h.cores * h.senders
+    self.base_rtt = 2 * h.one_way_delay
+    # Step size: one base RTT (the CC update granularity); guarded for
+    # degenerate zero-delay links.
+    self.dt = _max(self.base_rtt, 1e-6)
+    self.misses_per_packet = h.misses_per_packet
+    self.serialization = self.wire_bytes * 8 / h.pcie_goodput_bps
+    self.antagonist_Bps = h.antagonist_cores * h.antagonist_per_core_Bps
+    self.copy_fraction = h.copy_read_fraction + h.copy_write_fraction
+    # Memory-bus bytes the NIC writes per packet (payload + descriptor/
+    # completion control writes), and the CPU copy path moves per
+    # drained packet.
+    self.nic_write_bytes = _float(self.payload_bytes
+                                  + NIC_CONTROL_WRITE_BYTES)
+    self.copy_bytes_per_packet = self.payload_bytes * self.copy_fraction
+    self.achievable_Bps = h.achievable_Bps
+    self.max_queue_delay = h.max_queue_delay
+    self.walk_base = h.walk_base_latency
+    self.walk_fraction = h.walk_contention_fraction
+    # Per-DMA latency with zero queueing and zero misses (T_base): fixed
+    # PCIe overhead + serialization + one memory write --
+    # ``repro.core.model.dma_base_latency``.
+    self.t_base = (h.dma_fixed_latency + self.serialization
+                   + h.idle_latency)
+    # Little's-law numerator: inflight DMA bits, derated by the
+    # pipeline efficiency.
+    self.littles_bits = (h.max_inflight_bytes * 8
+                         * DMA_PIPELINE_EFFICIENCY)
+    self.pcie_goodput_bps = h.pcie_goodput_bps
+    # CPU-stage capacity in *wire* bits/s at an idle memory bus.
+    self.cpu_wire_bps = h.cores * h.core_rate_bps / self.payload_fraction
+    self.cpu_slowdown = h.contention_slowdown
+    self.link_rate_bps = h.link_rate_bps
+    self.buffer_bytes = _float(h.nic_buffer_bytes)
+    self.wire_bits = self.wire_bytes * 8
+    self.swift_target = h.host_target
+    self.loss_based = h.loss_based
+    # Additive-increase numerator of this host's congestion control,
+    # pre-multiplied by the flow count (the per-step term divides by
+    # ``rtt_eff`` only).
+    self.ai_n = _where(self.loss_based, LOSS_CC_AI,
+                       h.additive_increase) * self.n_flows
+    self.swift_beta = h.swift_beta
+    self.swift_max_mdf = h.swift_max_mdf
+    self.min_cwnd = h.min_cwnd
+    self.min_W = self.n_flows * h.min_cwnd
+    self.max_W = self.n_flows * h.max_cwnd
+    # Open-loop reads arrive at the offered rate whether or not the
+    # window lets them out (``set_offered_load``).
+    self.open_loop = h.open_loop
+    self.demand_step_bytes = _where(
+        self.open_loop, _demand_step_bytes(self, h.offered_load), 0.0)
+    # State: one packet per flow (the transport's initial window),
+    # empty queues, an empty sender-side demand backlog ``q_demand``
+    # (wire bytes; demand unmet in an overloaded interval persists and
+    # drains later at window rate, like ``Connection.add_backlog``),
+    # and an uncongested delay estimate.
+    self.W = _float(self.n_flows)
+    self.q_nic = 0.0
+    self.q_cpu = 0.0
+    self.q_demand = 0.0
+    self.now = 0.0
+    self._host_delay = self.t_base
+    self._delayed_signal = self._host_delay
+    self._nic_drain_pps = 0.0
+    self._cpu_drain_pps = 0.0
+    self._last_decrease = -math.inf
+    self._delayed_loss = 0.0
 
 
 def _fluid_step(self) -> None:
@@ -632,6 +783,10 @@ class _Specializer(ast.NodeTransformer):
             return node
         if name in ("_sel", "_acc"):
             return args[0]
+        if name == "_float":
+            node.func = ast.copy_location(ast.Name("float", ast.Load()),
+                                          node.func)
+            return node
         if name == "_where":
             return ast.copy_location(ast.IfExp(*args), node)
         (a_test, a), (b_test, b) = self.twice(args[0]), self.twice(args[1])
@@ -735,7 +890,8 @@ def specialize_step(np=None, source: Callable = _fluid_step) -> Callable:
     Scalar: ``_min(a, b)`` becomes ``a if a < b else b`` (evaluating
     each argument once), ``_where`` a conditional expression that
     evaluates only the branch it takes, ``_sel(new, old)`` becomes
-    ``new`` and ``_acc(d)`` becomes ``d``: no op costs a call.  The
+    ``new``, ``_acc(d)`` becomes ``d`` and ``_float(x)`` becomes
+    ``float(x)``: no other op costs a call.  The
     body then runs as one loop, ``source(self, until)``, stepping while
     ``self.now < until - 1e-12``.  Top-level ``name = self.attr`` lines
     the body cannot change (``dt = self.dt``, ``run = self.run``) run
@@ -743,9 +899,10 @@ def specialize_step(np=None, source: Callable = _fluid_step) -> Callable:
     the local ``self_X`` (``run_X``), loaded once there too, and the
     ones it assigns are written back in a ``finally``, so an
     interrupted run leaves the object as the step it stopped in left
-    it.  Lanes: ``np.minimum``/``np.maximum``/``np.where``, and the
-    function takes two more arguments, the ``_sel`` and ``_acc`` mask
-    functions.  Both
+    it.  Lanes: ``np.minimum``/``np.maximum``/``np.where``/
+    ``np.float64``, and the function takes two more arguments, the
+    ``_sel`` and ``_acc`` mask functions, which default to every lane
+    active.  Both
     forms keep ``source``'s file name and line numbers (the loop's
     set-up and write-back sit on its ``def`` line).  Raises
     ``ValueError`` naming an unknown ``_``-prefixed op, or a body name
@@ -776,9 +933,11 @@ def specialize_step(np=None, source: Callable = _fluid_step) -> Callable:
     module = compile(tree, filename, "exec")
     code = next(const for const in module.co_consts
                 if isinstance(const, types.CodeType))
-    namespace = (source.__globals__ if np is None
-                 else {**source.__globals__, "np": np})
-    return types.FunctionType(code, namespace, source.__name__)
+    if np is None:
+        return types.FunctionType(code, source.__globals__,
+                                  source.__name__)
+    return types.FunctionType(code, {**source.__globals__, "np": np},
+                              source.__name__, (_sel, _acc))
 
 
 class FluidSolver:
@@ -802,86 +961,8 @@ class FluidSolver:
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
-        host, wl = config.host, config.workload
-        self.wire_bytes = wl.wire_bytes_per_packet
-        self.payload_bytes = wl.mtu_payload
-        self.payload_fraction = self.payload_bytes / self.wire_bytes
-        self.packets_per_read = wl.packets_per_read
-        self.n_flows = host.cpu.cores * wl.senders
-        self.base_rtt = 2 * config.link.one_way_delay
-        #: Step size: one base RTT (the CC update granularity); guarded
-        #: for degenerate zero-delay links.
-        self.dt = max(self.base_rtt, 1e-6)
-        self.misses_per_packet = predicted_misses_per_packet(config)
-        self.serialization = self.wire_bytes * 8 / host.pcie.goodput_bps
-        self.antagonist_Bps = (host.antagonist_cores
-                               * host.antagonist_per_core_Bps)
-        copy_read, copy_write = host.ddio.copy_demand_fractions()
-        self.copy_fraction = copy_read + copy_write
-        swift = config.swift
-        # -- hoisted per-step constants (hot-path micro-opt).  The step
-        # touches only these instance floats, never the config tree;
-        # ``repro.sim.fluid_batch`` harvests them into per-lane arrays.
-        mem = host.memory
-        #: Memory-bus bytes the NIC writes per packet (payload +
-        #: descriptor/completion control writes).
-        self.nic_write_bytes = float(self.payload_bytes
-                                     + NIC_CONTROL_WRITE_BYTES)
-        #: Memory-bus bytes the CPU copy path moves per drained packet.
-        self.copy_bytes_per_packet = (self.payload_bytes
-                                      * self.copy_fraction)
-        self.achievable_Bps = mem.achievable_Bps
-        self.max_queue_delay = mem.max_queue_delay
-        self.walk_base = mem.walk_base_latency
-        self.walk_fraction = mem.walk_contention_fraction
-        #: Per-DMA latency with zero queueing and zero misses (T_base):
-        #: fixed PCIe overhead + serialization + one memory write —
-        #: ``repro.core.model.dma_base_latency``.
-        self.t_base = (host.pcie.dma_fixed_latency + self.serialization
-                       + mem.idle_latency)
-        #: Little's-law numerator: inflight DMA bits, derated by the
-        #: pipeline efficiency.
-        self.littles_bits = (host.pcie.max_inflight_bytes * 8
-                             * DMA_PIPELINE_EFFICIENCY)
-        self.pcie_goodput_bps = host.pcie.goodput_bps
-        #: CPU-stage capacity in *wire* bits/s at an idle memory bus.
-        self.cpu_wire_bps = (host.cpu.cores * host.cpu.core_rate_bps
-                             / self.payload_fraction)
-        self.cpu_slowdown = host.cpu.contention_slowdown
-        self.link_rate_bps = config.link.rate_bps
-        self.buffer_bytes = float(host.nic.buffer_bytes)
-        self.wire_bits = self.wire_bytes * 8
-        self.swift_target = swift.host_target
-        self.loss_based = config.transport in LOSS_BASED_TRANSPORTS
-        #: Additive-increase numerator of this host's congestion
-        #: control, pre-multiplied by the flow count (the per-step
-        #: term divides by ``rtt_eff`` only).
-        self.ai_n = ((LOSS_CC_AI if self.loss_based
-                      else swift.additive_increase) * self.n_flows)
-        self.swift_beta = swift.beta
-        self.swift_max_mdf = swift.max_mdf
-        self.min_cwnd = swift.min_cwnd
-        # State: start one packet per flow (the transport's initial
-        # window), empty queues, and an uncongested delay estimate.
-        self.W = float(self.n_flows)
-        self.min_W = self.n_flows * swift.min_cwnd
-        self.max_W = self.n_flows * swift.max_cwnd
-        self.q_nic = 0.0
-        self.q_cpu = 0.0
-        #: Open-loop sender-side demand backlog (wire bytes): reads
-        #: arrive at the offered rate whether or not the window lets
-        #: them out, exactly like ``Connection.add_backlog`` in the
-        #: packet engine.  Demand unmet in an overloaded interval
-        #: persists and drains later at window rate.
-        self.q_demand = 0.0
-        self.now = 0.0
+        _host_constants(self, types.SimpleNamespace(**fluid_inputs(config)))
         self.steps = 0
-        self._host_delay = self.t_base
-        self._delayed_signal = self._host_delay
-        self._nic_drain_pps = 0.0
-        self._cpu_drain_pps = 0.0
-        self._last_decrease = -math.inf
-        self._delayed_loss = 0.0
         # Multi-tier fabric stage (None on the star: the guarded branch
         # in the step is never entered, and the rest stay inert).
         profile = fluid_fabric_profile(config)
@@ -901,7 +982,6 @@ class FluidSolver:
             self._fab_free = self._fab_frac_sum = 0.0
             self._fab_q = []
         self._fab_delay = 0.0
-        self.set_offered_load(wl.offered_load)
         self.run = FluidRun()
 
     def synthesize_message_pairs(
@@ -960,16 +1040,9 @@ class FluidSolver:
         mirrors ``RemoteReadWorkload.set_offered_load``.  Precomputes
         the per-step open-loop demand accrual so the step only adds a
         constant."""
-        self.offered_load = load
         self.open_loop = load is not None
-        if self.open_loop:
-            reads_per_s = (load * self.link_rate_bps
-                           / (self.config.workload.read_size_bytes * 8))
-            open_bps = reads_per_s * self.packets_per_read \
-                * self.wire_bytes * 8
-            self.demand_step_bytes = open_bps / 8 * self.dt
-        else:
-            self.demand_step_bytes = 0.0
+        self.demand_step_bytes = (_demand_step_bytes(self, load)
+                                  if self.open_loop else 0.0)
 
     def set_antagonist_cores(self, cores: int) -> None:
         """Mid-run antagonist change — mirrors

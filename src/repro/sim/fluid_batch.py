@@ -8,13 +8,22 @@ advances all N hosts with ~60 elementwise numpy operations instead of
 N trips through the scalar step — the fleet driver's order-of-magnitude
 hosts/s win.
 
-The step is not written here: it is the numpy-lane form of
-``repro.sim.fluid._fluid_step``, the source the scalar step is compiled
-from too (:func:`~repro.sim.fluid.specialize_step`).  The contract is
-bitwise, because fleet aggregates compare exactly: both forms run the
-same IEEE-754 elementwise ops in the same order, a ``_where`` lane
-carries exactly the bits the scalar branch computes, and the step calls
-no libm function (``x ** 3`` is :func:`repro.sim.fluid._cube`).
+Neither the step nor the per-host constants are written here.  Both
+are numpy-lane forms of dialect functions in ``repro.sim.fluid``
+(:func:`~repro.sim.fluid.specialize_step`): ``_fluid_step``, the source
+the scalar step is compiled from too, and ``_host_constants``, which
+the scalar solver runs as written.  A batch is built from lane
+*columns*: one entry per lane of every
+:func:`~repro.sim.fluid.fluid_inputs` value (a plain value stands for
+all lanes).  :meth:`BatchFluidSolver.from_inputs` takes the columns
+directly — the fleet draws its hosts straight into them — and
+``BatchFluidSolver(configs)`` is the adapter that stacks each config's
+inputs.  The contract is bitwise, because fleet aggregates compare
+exactly: both forms run the same IEEE-754 elementwise ops in the same
+order, a ``_where`` lane carries exactly the bits the scalar branch
+computes, and neither calls a libm function (``x ** 3`` is
+:func:`repro.sim.fluid._cube`; the Che-approximation IOTLB miss rate is
+an input, computed by the scalar model once per distinct host).
 
 The structural flags are per-lane values too: ``loss_based`` and
 ``open_loop`` are bool lane arrays the step chooses with ``np.where``,
@@ -22,10 +31,10 @@ and the IOMMU enters only through ``misses_per_packet`` (0.0 when
 off).  So any mix of hosts is one lane set, and a fleet range is
 stepped as one batch however its draws split over transports, loop
 modes and IOMMU states.  The multi-tier fabric stage and the per-step
-delay/trace lists are scalar-only blocks of the step, so the
-constructor rejects any ``fabric.topology`` but ``"star"``
-(:func:`repro.workload.fleet.cohort_key` keeps those hosts apart), and
-message-latency percentiles need the scalar solver.
+delay/trace lists are scalar-only blocks of the step, so the config
+adapter rejects any ``fabric.topology`` but ``"star"`` (the fleet runs
+those hosts on the scalar solver), and message-latency percentiles
+need the scalar solver.
 
 Layering: kernel (layer 0), like ``repro.sim.fluid`` — imports only
 numpy, its ``repro.sim`` neighbours and the pinned kernel config
@@ -35,22 +44,21 @@ modules (enforced by ``scripts/check_layering.py``).
 from __future__ import annotations
 
 import dataclasses
-import operator
-from typing import Dict, Optional, Sequence
+import types
+from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.core.config import ExperimentConfig
 from repro.sim import fluid
-from repro.sim.fluid import FluidRun, FluidSolver, specialize_step
+from repro.sim.fluid import FluidRun, fluid_inputs, specialize_step
 
 __all__ = ["BatchFluidSolver"]
 
-#: Scalar-solver attributes the step reads, harvested into per-host
-#: constant arrays.  Harvesting from built ``FluidSolver``s (rather
-#: than re-deriving from the config tree) keeps one source of truth for
-#: every derived constant, including the Che-approximation IOTLB miss
-#: rate.
+#: Per-host constants the step reads, held as float64 lane arrays: the
+#: lane form of ``repro.sim.fluid._host_constants`` computes them from
+#: the input columns, so the scalar solver and the batch share one copy
+#: of every formula.
 _CONST_ATTRS = (
     "wire_bytes", "payload_bytes", "n_flows", "base_rtt", "dt",
     "misses_per_packet", "antagonist_Bps", "nic_write_bytes",
@@ -61,11 +69,11 @@ _CONST_ATTRS = (
     "swift_max_mdf", "demand_step_bytes", "min_W", "max_W",
 )
 
-#: The structural flags, harvested into bool lane arrays.
+#: The structural flags, held as bool lane arrays.
 _FLAG_ATTRS = ("loss_based", "open_loop")
 
-#: Mutable per-host state initialized from the freshly built scalar
-#: solvers (so time-zero state matches by construction).
+#: Mutable per-host state, initialized by the same derivation (so
+#: time-zero state matches the scalar solver's by construction).
 _STATE_ATTRS = (
     "W", "q_nic", "q_cpu", "q_demand", "now", "_host_delay",
     "_delayed_signal", "_delayed_loss", "_nic_drain_pps",
@@ -77,8 +85,10 @@ _STATE_ATTRS = (
 _ACC_ATTRS = tuple(f.name for f in dataclasses.fields(FluidRun)
                    if f.default_factory is dataclasses.MISSING)
 
-#: The fluid step's lane form: ``_lane_step(batch, sel, acc)``.
+#: The fluid step's lane form: ``_lane_step(batch[, _sel, _acc])``.
 _lane_step = specialize_step(np)
+#: The constant derivation's lane form: ``_lane_constants(batch, h)``.
+_lane_constants = specialize_step(np, source=fluid._host_constants)
 
 
 class BatchFluidSolver:
@@ -98,19 +108,33 @@ class BatchFluidSolver:
                     f"BatchFluidSolver models the star fabric only, got "
                     f"fabric.topology = {config.fabric.topology!r}; run "
                     f"multi-tier fabrics on the scalar FluidSolver")
-        self.n = len(configs)
-        # One solver alive at a time: its harvested values go straight
-        # into a lane column, so memory stays that of the arrays.
-        attrs = _CONST_ATTRS + _STATE_ATTRS + _FLAG_ATTRS
-        harvest = operator.attrgetter(*attrs)
-        table = np.empty((len(attrs), self.n), dtype=np.float64)
-        for lane, config in enumerate(configs):
-            table[:, lane] = harvest(FluidSolver(config))
-        for attr, row in zip(attrs, table):
-            setattr(self, attr,
-                    row.astype(bool) if attr in _FLAG_ATTRS else row)
-        self.n_receivers = np.array(
-            [c.workload.receivers for c in configs], dtype=np.float64)
+        rows = [fluid_inputs(config) for config in configs]
+        self._init_lanes({name: [row[name] for row in rows]
+                          for name in rows[0]})
+
+    @classmethod
+    def from_inputs(cls, inputs: Mapping[str, object]
+                    ) -> "BatchFluidSolver":
+        """A batch from lane columns: every
+        :func:`~repro.sim.fluid.fluid_inputs` name, mapped to one value
+        per lane or to one plain value for all lanes.  The hosts are
+        star-fabric hosts (the inputs hold no fabric)."""
+        solver = cls.__new__(cls)
+        solver._init_lanes(inputs)
+        return solver
+
+    def _init_lanes(self, inputs: Mapping[str, object]) -> None:
+        columns = {name: np.asarray(value) for name, value in inputs.items()}
+        (self.n,) = np.broadcast_shapes(
+            *(column.shape for column in columns.values()))
+        _lane_constants(self, types.SimpleNamespace(**columns))
+        for attrs, dtype in ((_CONST_ATTRS + _STATE_ATTRS, np.float64),
+                             (_FLAG_ATTRS, bool)):
+            for attr in attrs:
+                setattr(self, attr, np.broadcast_to(
+                    getattr(self, attr), (self.n,)).astype(dtype))
+        self.n_receivers = np.broadcast_to(
+            columns["receivers"], (self.n,)).astype(np.float64)
         self.steps = np.zeros(self.n, dtype=np.int64)
         self.reset_stats()
 
@@ -144,7 +168,7 @@ class BatchFluidSolver:
         # on the common lock-step path.  np.where(active, new, old) is
         # bitwise ``new`` on active lanes, so both paths agree.
         if active is None:
-            _lane_step(self, fluid._sel, fluid._acc)
+            _lane_step(self)
         else:
             _lane_step(self, lambda new, old: np.where(active, new, old),
                        lambda delta: np.where(active, delta, 0.0))

@@ -25,20 +25,33 @@ bounded window (:func:`repro.core.parallel.run_stream`), fold each
 outcome into a constant-memory
 :class:`~repro.workload.fleet_agg.FleetAggregate`, checkpoint shard
 cursors atomically, and resume a SIGKILLed run to the identical
-answer.
+answer.  The batched fluid backend builds no config per star host: a
+range's draws go straight into lane columns and its outcomes fold into
+the aggregate as one batched insert per sketch.
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
 import random
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Union
+from dataclasses import dataclass, replace
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Union,
+)
 
 from repro.core.config import (
     CpuConfig,
     ExperimentConfig,
+    FabricConfig,
     HostConfig,
     IommuConfig,
     SimConfig,
@@ -71,9 +84,9 @@ def cohort_key(config: ExperimentConfig) -> tuple:
     Every other difference between hosts, the structural flags
     included, is a per-lane value of the fluid step, so a range's star
     hosts form one :class:`~repro.sim.fluid_batch.BatchFluidSolver`
-    batch.  The fabric stage is scalar-only: a multi-tier host's
-    cohort fails to batch and falls back to the scalar solver.  A pure
-    function of the config: identical configs always share a cohort.
+    batch.  The fabric stage is scalar-only: the fleet runs a
+    multi-tier host on the scalar solver.  A pure function of the
+    config: identical configs always share a cohort.
     """
     return (config.fabric.topology,)
 
@@ -104,11 +117,10 @@ def _solve_batch_range(seed: int, warmup: float, duration: float,
                        alpha: float, want_hosts: bool):
     """Top-level (picklable) batched-fleet pool task: rebuild the
     sampler from its defining tuple and solve one host range.  Workers
-    receive *index ranges*, never configs — the population is
-    re-derived in-worker from the ``(seed, index)`` substreams, so it
-    is byte-identical however ranges land on processes, and the
-    per-task IPC payload is five scalars instead of ``batch_size``
-    config trees."""
+    receive *index ranges*, never hosts — the population is re-drawn
+    in-worker from the ``(seed, index)`` substreams, so it is
+    byte-identical however ranges land on processes, and the per-task
+    IPC payload is a few scalars instead of ``batch_size`` hosts."""
     sampler = FleetSampler(seed=seed, warmup=warmup, duration=duration,
                            fidelity=fidelity)
     return sampler._solve_range(start, stop, alpha, want_hosts)
@@ -125,6 +137,42 @@ def substream_seed(seed: int, index: int) -> int:
     """
     digest = hashlib.sha256(f"fleet:{seed}:{index}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+class _HostDraw(NamedTuple):
+    """One host's draws (:meth:`FleetSampler._draw`): everything its
+    config and scatter point need beyond the sampler's own settings."""
+
+    stratum: str
+    cores: int
+    iommu: bool
+    hugepages: bool
+    region_mb: int
+    antagonist_cores: int
+    senders: int
+    offered_load: Optional[float]
+    transport: str
+    seed: int
+    #: Fabric topology.  The fleet draws star hosts; a host on any
+    #: other fabric runs on the scalar solver.
+    topology: str = "star"
+
+
+#: The draws that shape a host's :class:`HostConfig`, in
+#: :func:`_host_config` argument order.
+_host_shape = operator.attrgetter("cores", "iommu", "hugepages",
+                                  "region_mb", "antagonist_cores")
+
+
+def _host_config(cores: int, iommu: bool, hugepages: bool,
+                 region_mb: int, antagonist_cores: int) -> HostConfig:
+    return HostConfig(
+        cpu=CpuConfig(cores=cores),
+        iommu=IommuConfig(enabled=iommu),
+        hugepages=hugepages,
+        rx_region_bytes=region_mb * 2**20,
+        antagonist_cores=antagonist_cores,
+    )
 
 
 @dataclass(frozen=True)
@@ -189,9 +237,10 @@ class FleetSampler:
                 return name
         return self.STRATA[-1][0]
 
-    def draw_config(self, index: int) -> ExperimentConfig:
-        """Host ``index``'s configuration — a pure function of
-        ``(self.seed, index)``, independent of any draw order."""
+    def _draw(self, index: int) -> _HostDraw:
+        """Host ``index``'s draws — a pure function of ``(self.seed,
+        index)``, independent of any draw order: one RNG substream,
+        drawn in a fixed order."""
         rng = random.Random(substream_seed(self.seed, index))
         host_class = self._draw_class(index)
         iommu_on = rng.random() < 0.85
@@ -218,24 +267,29 @@ class FleetSampler:
         # The paper's cluster "runs both the Linux kernel and SNAP
         # network stacks, with TCP and Swift" — an even mix.
         transport = rng.choice(("swift", "cubic"))
-        return ExperimentConfig(
-            host=HostConfig(
-                cpu=CpuConfig(cores=cores),
-                iommu=IommuConfig(enabled=iommu_on),
-                hugepages=hugepages,
-                rx_region_bytes=region_mb * 2**20,
-                antagonist_cores=antagonist,
-            ),
-            workload=WorkloadConfig(senders=senders,
-                                    offered_load=offered),
-            transport=transport,
+        return _HostDraw(host_class, cores, iommu_on, hugepages, region_mb,
+                         antagonist, senders, offered, transport,
+                         rng.randrange(1, 2**31))
+
+    def _config(self, draw: _HostDraw) -> ExperimentConfig:
+        config = ExperimentConfig(
+            host=_host_config(*_host_shape(draw)),
+            workload=WorkloadConfig(senders=draw.senders,
+                                    offered_load=draw.offered_load),
+            transport=draw.transport,
             fidelity=self.fidelity,
-            sim=SimConfig(
-                warmup=self.warmup,
-                duration=self.duration,
-                seed=rng.randrange(1, 2**31),
-            ),
+            sim=SimConfig(warmup=self.warmup, duration=self.duration,
+                          seed=draw.seed),
         )
+        if draw.topology != "star":
+            config = replace(config,
+                             fabric=FabricConfig(topology=draw.topology))
+        return config
+
+    def draw_config(self, index: int) -> ExperimentConfig:
+        """Host ``index``'s configuration — a pure function of
+        ``(self.seed, index)``, independent of any draw order."""
+        return self._config(self._draw(index))
 
     def iter_configs(self, start: int, stop: int
                      ) -> Iterator[ExperimentConfig]:
@@ -243,21 +297,35 @@ class FleetSampler:
         for index in range(start, stop):
             yield self.draw_config(index)
 
-    def _sample_from(self, index: int, config: ExperimentConfig,
-                     utilization: float, drop_rate: float) -> FleetSample:
-        """Host ``index``'s scatter point — the one place a
-        :class:`FleetSample` is built, for both backends."""
-        return FleetSample(
-            host_index=index,
-            link_utilization=utilization,
-            drop_rate=drop_rate,
-            transport=config.transport,
-            cores=config.host.cpu.cores,
-            antagonist_cores=config.host.antagonist_cores,
-            iommu=config.host.iommu.enabled,
-            hugepages=config.host.hugepages,
-            stratum=self._draw_class(index),
+    def _lane_inputs(self, draws: Sequence[_HostDraw]) -> Dict:
+        """The :func:`~repro.sim.fluid.fluid_inputs` of ``draws`` as
+        lane columns, without a config per host.  The values no draw
+        sets are read off one built config; the drawn values are
+        columns, and the IOTLB miss rate is computed once per distinct
+        host shape and indexed into the lanes."""
+        from repro.sim.fluid import (
+            LOSS_BASED_TRANSPORTS,
+            fluid_inputs,
+            predicted_misses_per_packet,
         )
+
+        inputs = fluid_inputs(self._config(draws[0]))
+        columns = _HostDraw._make(zip(*draws))
+        shapes = list(map(_host_shape, draws))
+        misses = {shape: predicted_misses_per_packet(_host_config(*shape))
+                  for shape in set(shapes)}
+        inputs.update(
+            cores=columns.cores,
+            antagonist_cores=columns.antagonist_cores,
+            senders=columns.senders,
+            open_loop=[load is not None for load in columns.offered_load],
+            offered_load=[0.0 if load is None else load
+                          for load in columns.offered_load],
+            loss_based=[transport in LOSS_BASED_TRANSPORTS
+                        for transport in columns.transport],
+            misses_per_packet=[misses[shape] for shape in shapes],
+        )
+        return inputs
 
     def stream(
         self,
@@ -294,12 +362,20 @@ class FleetSampler:
             if getattr(result, "failed", False):
                 yield result
                 continue
-            # draw_config is pure in (seed, index): re-deriving the
-            # config here is cheaper than holding it across the pool.
-            yield self._sample_from(outcome.index,
-                                    self.draw_config(outcome.index),
-                                    result.metrics["link_utilization"],
-                                    result.metrics["drop_rate"])
+            # The draws are pure in (seed, index): re-deriving them here
+            # is cheaper than holding them across the pool.
+            draw = self._draw(outcome.index)
+            yield FleetSample(
+                host_index=outcome.index,
+                link_utilization=result.metrics["link_utilization"],
+                drop_rate=result.metrics["drop_rate"],
+                transport=draw.transport,
+                cores=draw.cores,
+                antagonist_cores=draw.antagonist_cores,
+                iommu=draw.iommu,
+                hugepages=draw.hugepages,
+                stratum=draw.stratum,
+            )
 
     def resolve_backend(self, backend: str = "auto") -> str:
         """Normalize a fleet execution ``backend`` argument.
@@ -339,14 +415,14 @@ class FleetSampler:
                      want_hosts: bool):
         """Batch-solve hosts ``[start, stop)`` into a partial aggregate.
 
-        The body of one batched-fleet task: draw the range's configs,
-        partition them by fabric topology (:func:`group_cohorts`),
-        step the star hosts through one
-        :class:`~repro.sim.fluid_batch.BatchFluidSolver` lane set, and
-        fold the per-host outcomes — in index order — into a fresh
-        :class:`FleetAggregate`.  A cohort that fails to batch-solve
-        (a multi-tier fabric, or an error) falls back to per-host
-        scalar runs, and a host that still fails is folded via
+        The body of one batched-fleet task, columnar from draw to fold:
+        draw the range's hosts, step its star hosts as one
+        :class:`~repro.sim.fluid_batch.BatchFluidSolver` lane set built
+        from their draws (:meth:`_lane_inputs`), and fold the outcomes
+        into a fresh :class:`FleetAggregate` with one batched insert
+        per sketch.  A config is built only for a host that runs on
+        the scalar solver: one on another fabric, or every star host
+        when the batch raises.  A host that still fails is folded via
         ``add_failed`` — one bad host cannot sink the range, exactly
         like the scalar streaming path.
 
@@ -357,58 +433,70 @@ class FleetSampler:
         """
         from repro.sim.fluid_batch import BatchFluidSolver
 
-        end_time = self.warmup + self.duration
-        configs = {i: self.draw_config(i) for i in range(start, stop)}
-        outcomes: Dict[int, tuple] = {}
+        draws = [self._draw(index) for index in range(start, stop)]
+        # lane -> (link_utilization, drop_rate, app_throughput_gbps)
+        solved: Dict[int, tuple] = {}
+        errors: Dict[int, str] = {}
 
-        def scalar_fallback(index: int) -> tuple:
+        def solve_alone(lane: int) -> None:
             from repro.core.experiment import run_experiment
             try:
-                result = run_experiment(configs[index])
-                return ("ok", result.metrics["link_utilization"],
-                        result.metrics["drop_rate"],
-                        result.metrics.get("app_throughput_gbps", 0.0))
+                metrics = run_experiment(self._config(draws[lane])).metrics
             except Exception as exc:
-                return ("failed", "error", repr(exc))
+                errors[lane] = repr(exc)
+                return
+            solved[lane] = (metrics["link_utilization"],
+                            metrics["drop_rate"],
+                            metrics.get("app_throughput_gbps", 0.0))
 
-        for indices in group_cohorts(configs.items()).values():
+        star = [lane for lane, draw in enumerate(draws)
+                if draw.topology == "star"]
+        if star:
             try:
-                solver = BatchFluidSolver([configs[i] for i in indices])
+                solver = BatchFluidSolver.from_inputs(
+                    self._lane_inputs([draws[lane] for lane in star]))
                 solver.run_until(self.warmup)
                 solver.reset_stats()
-                solver.run_until(end_time)
+                solver.run_until(self.warmup + self.duration)
                 metrics = solver.fleet_metrics()
             except Exception:
-                for index in indices:
-                    outcomes[index] = scalar_fallback(index)
-                continue
-            utils = metrics["link_utilization"]
-            drops = metrics["drop_rate"]
-            apps = metrics["app_throughput_gbps"]
-            for lane, index in enumerate(indices):
-                outcomes[index] = ("ok", float(utils[lane]),
-                                   float(drops[lane]),
-                                   float(apps[lane]))
+                for lane in star:
+                    solve_alone(lane)
+            else:
+                solved.update(zip(star, zip(
+                    *(metrics[key].tolist() for key in (
+                        "link_utilization", "drop_rate",
+                        "app_throughput_gbps")))))
+        for lane, draw in enumerate(draws):
+            if draw.topology != "star":
+                solve_alone(lane)
 
         aggregate = FleetAggregate(alpha=alpha)
-        host_rows: Optional[list] = [] if want_hosts else None
-        for index in range(start, stop):
-            outcome = outcomes[index]
-            if outcome[0] == "ok":
-                _, utilization, drop_rate, app_gbps = outcome
-                aggregate.add(self._sample_from(
-                    index, configs[index], utilization, drop_rate))
-                if host_rows is not None:
-                    host_rows.append((index, "ok", {
-                        "link_utilization": utilization,
-                        "drop_rate": drop_rate,
-                        "app_throughput_gbps": app_gbps}))
+        lanes = sorted(solved)
+        ok = [draws[lane] for lane in lanes]
+        # A draw has the fields the root-cause rule reads, named as on
+        # a FleetSample.
+        aggregate.add_columns(
+            [solved[lane][0] for lane in lanes],
+            [solved[lane][1] for lane in lanes],
+            [draw.stratum for draw in ok],
+            [draw.transport for draw in ok],
+            [classify_root_cause(draw._asdict()) for draw in ok])
+        for _ in errors:
+            aggregate.add_failed(_FailureStub("error"))
+        if not want_hosts:
+            return aggregate.to_dict(), None
+        host_rows = []
+        for lane in range(len(draws)):
+            if lane in errors:
+                host_rows.append((start + lane, "error",
+                                  {"error": errors[lane]}))
             else:
-                _, kind, error = outcome
-                aggregate.add_failed(_FailureStub(kind))
-                if host_rows is not None:
-                    host_rows.append((index, kind,
-                                      {"error": error}))
+                utilization, drop_rate, app_gbps = solved[lane]
+                host_rows.append((start + lane, "ok", {
+                    "link_utilization": utilization,
+                    "drop_rate": drop_rate,
+                    "app_throughput_gbps": app_gbps}))
         return aggregate.to_dict(), host_rows
 
     def _range_partials(self, cursor: int, stop: int, alpha: float,
@@ -484,9 +572,10 @@ class FleetSampler:
         (:meth:`resolve_backend`): under ``"batched"`` — the default
         whenever fidelity is fluid — each shard is cut into
         ``batch_size``-host ranges, every range is one pool task
-        (:func:`repro.core.parallel.map_stream`) that re-derives its
-        configs in-worker and steps its star hosts as one lane set
-        of :class:`~repro.sim.fluid_batch.BatchFluidSolver`, and
+        (:func:`repro.core.parallel.map_stream`) that re-draws its
+        hosts in-worker straight into lane columns and steps its star
+        hosts as one lane set of
+        :class:`~repro.sim.fluid_batch.BatchFluidSolver`, and
         the returned partial aggregates merge in index order.  The
         per-host outcomes are bit-identical to the scalar backend's
         (see ``repro.sim.fluid_batch``), so both backends produce

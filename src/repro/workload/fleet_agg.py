@@ -34,8 +34,9 @@ import json
 import math
 import os
 import tempfile
+from collections import Counter
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.sketch import CategoryTally, Density2D, QuantileSketch
 
@@ -122,8 +123,9 @@ class FleetAggregate:
     """Mergeable constant-memory summary of a fleet population.
 
     Fold :class:`~repro.workload.fleet.FleetSample` instances with
-    :meth:`add` (crashed hosts with :meth:`add_failed`); merge shard
-    aggregates with :meth:`merge`.  Everything Figure 1 renders — the
+    :meth:`add`, or many hosts as columns with :meth:`add_columns`
+    (crashed hosts with :meth:`add_failed`); merge shard aggregates
+    with :meth:`merge`.  Everything Figure 1 renders — the
     utilization × drop-rate scatter, the Spearman correlation, the
     conditional drop fractions, per-stratum and per-root-cause
     distributions — is answerable from this object alone.
@@ -165,36 +167,55 @@ class FleetAggregate:
 
     def add(self, sample) -> "FleetAggregate":
         """Fold one host's :class:`FleetSample` into the aggregate."""
-        utilization = float(sample.link_utilization)
-        drop_rate = float(sample.drop_rate)
-        self.hosts += 1
-        dropper = drop_rate > DROP_THRESHOLD
-        if dropper:
-            self.droppers += 1
-            if utilization < LOW_UTIL_STRICT:
-                self.low_util_droppers += 1
-        if utilization > HIGH_UTIL:
-            self.high_util_hosts += 1
+        return self.add_columns(
+            [sample.link_utilization], [sample.drop_rate],
+            [getattr(sample, "stratum", "")], [sample.transport],
+            [sample.congestion_class])
+
+    def add_columns(self, utilization: Sequence[float],
+                    drop_rate: Sequence[float], strata: Sequence[str],
+                    transports: Sequence[str],
+                    causes: Sequence[str]) -> "FleetAggregate":
+        """Fold many hosts, given as equal-length columns in host-index
+        order: the state one :meth:`add` per host leaves, with one
+        batched insert per sketch (:meth:`QuantileSketch.extend`).  An
+        empty stratum label counts as ``"unknown"``."""
+        utilization = [float(value) for value in utilization]
+        drop_rate = [float(value) for value in drop_rate]
+        strata = [label or "unknown" for label in strata]
+        for host_util, host_drop in zip(utilization, drop_rate):
+            dropper = host_drop > DROP_THRESHOLD
             if dropper:
-                self.high_util_droppers += 1
-        if utilization < LOW_UTIL:
-            self.low_util_hosts += 1
-            if dropper:
-                self.low_util_band_droppers += 1
-        stratum = getattr(sample, "stratum", "") or "unknown"
-        cause = sample.congestion_class
-        self.strata.add(stratum)
-        self.root_causes.add(cause)
-        self.transports.add(sample.transport)
-        self.drop_sketch.observe(drop_rate)
-        self.util_sketch.observe(utilization)
-        values = {"drop_rate": drop_rate,
-                  "link_utilization": utilization}
-        for key, value in values.items():
-            self._group(self.stratum_sketches, stratum)[key].observe(
-                value)
-            self._group(self.cause_sketches, cause)[key].observe(value)
-        self.density.observe(utilization, drop_rate)
+                self.droppers += 1
+                if host_util < LOW_UTIL_STRICT:
+                    self.low_util_droppers += 1
+            if host_util > HIGH_UTIL:
+                self.high_util_hosts += 1
+                if dropper:
+                    self.high_util_droppers += 1
+            if host_util < LOW_UTIL:
+                self.low_util_hosts += 1
+                if dropper:
+                    self.low_util_band_droppers += 1
+        self.hosts += len(utilization)
+        for tally, labels in ((self.strata, strata),
+                              (self.root_causes, causes),
+                              (self.transports, transports)):
+            for label, count in Counter(labels).items():
+                tally.add(label, count)
+        self.drop_sketch.extend(drop_rate)
+        self.util_sketch.extend(utilization)
+        values = {"drop_rate": drop_rate, "link_utilization": utilization}
+        for table, labels in ((self.stratum_sketches, strata),
+                              (self.cause_sketches, causes)):
+            members: Dict[str, List[int]] = {}
+            for position, label in enumerate(labels):
+                members.setdefault(label, []).append(position)
+            for label, positions in members.items():
+                group = self._group(table, label)
+                for key, column in values.items():
+                    group[key].extend([column[p] for p in positions])
+        self.density.extend(zip(utilization, drop_rate))
         return self
 
     def add_failed(self, failed) -> "FleetAggregate":

@@ -329,7 +329,7 @@ def test_fleet_sharded_checkpoint_resume_and_merge(tmp_path, capsys):
     (["--checkpoint-every", "0"], "--checkpoint-every"),
     (["--stop-after-shard", "-1"], "--stop-after-shard"),
     (["--shards", "2", "--stop-after-shard", "2"], "--stop-after-shard"),
-    (["--duration-ms", "-1"], "sim.duration"),
+    (["--duration-ms", "-1"], "--duration-ms"),
 ])
 def test_fleet_rejects_bad_arguments_before_running(monkeypatch, capsys,
                                                     flags, named):
@@ -607,6 +607,33 @@ def test_figure_rejects_bad_run_flag(monkeypatch, tmp_path, capsys,
     captured = capsys.readouterr()
     assert named in captured.out + captured.err
     assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["fleet", "--hosts", "1"], ["sweep", "cores", "2"], ["run"]])
+@pytest.mark.parametrize("flag, value", [
+    ("--duration-ms", "-1"), ("--duration-ms", "0"),
+    ("--duration-ms", "inf"), ("--warmup-ms", "-1"),
+    ("--warmup-ms", "nan")])
+def test_bad_run_window_names_the_flag(monkeypatch, capsys, command,
+                                       flag, value):
+    from repro.core.scenario import ScenarioSpec
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(ScenarioSpec, "run", must_not_run)
+    monkeypatch.setattr(ScenarioSpec, "run_fleet_aggregate", must_not_run)
+    monkeypatch.setattr("repro.cli.run_experiment", must_not_run)
+    with pytest.raises(SystemExit) as exc:  # argparse type errors exit 2
+        main([*command, flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected a number" in capsys.readouterr().err
+
+
+def test_zero_warmup_is_accepted():
+    args = build_parser().parse_args(["run", "--warmup-ms", "0"])
+    assert args.warmup_ms == 0.0
 
 
 def test_fleet_spec_without_render_prints_the_aggregate(tmp_path, capsys):

@@ -1,6 +1,5 @@
 """Tests for the Figure-1 fleet sampler and its streaming pipeline."""
 
-import dataclasses
 import json
 import os
 import signal
@@ -9,12 +8,24 @@ import sys
 import time
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
-from repro.core.config import FabricConfig
 from repro.core.scenario import ScenarioSpec
+from repro.sim.fluid import fluid_inputs
+from repro.sim.fluid_batch import (
+    _CONST_ATTRS,
+    _FLAG_ATTRS,
+    _STATE_ATTRS,
+    BatchFluidSolver,
+)
 from repro.workload.fleet import FleetSample, FleetSampler, substream_seed
 from repro.workload.fleet_agg import (
+    DROP_THRESHOLD,
+    HIGH_UTIL,
+    LOW_UTIL,
+    LOW_UTIL_STRICT,
     FleetAggregate,
     FleetCheckpoint,
     density_rank_correlation,
@@ -77,6 +88,43 @@ def test_draw_config_is_order_independent():
     backward = [FleetSampler(seed=11).draw_config(i).describe()
                 for i in reversed(range(12))]
     assert forward == list(reversed(backward))
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**20),
+       start=st.integers(min_value=0, max_value=10_000))
+def test_column_draw_equals_draw_config(seed, start):
+    """A range drawn into lane columns holds, field for field, what
+    each host's ``draw_config`` holds, and steps from the same lanes.
+    23 hosts span every stratum, from any start in the 20-host cycle."""
+    sampler = FleetSampler(seed=seed, fidelity="fluid")
+    indices = range(start, start + 23)
+    draws = [sampler._draw(index) for index in indices]
+    assert {draw.stratum for draw in draws} == set(
+        dict(FleetSampler.STRATA))
+    inputs = sampler._lane_inputs(draws)
+    configs = [sampler.draw_config(index) for index in indices]
+    for lane, (draw, config) in enumerate(zip(draws, configs)):
+        expected = fluid_inputs(config)
+        assert set(inputs) == set(expected)
+        for name, value in expected.items():
+            column = inputs[name]
+            got = (column[lane] if isinstance(column, (list, tuple))
+                   else column)
+            assert type(got) is type(value) and got == value, (lane, name)
+        host, wl = config.host, config.workload
+        assert draw == (sampler._draw_class(indices[lane]),
+                        host.cpu.cores, host.iommu.enabled,
+                        host.hugepages, host.rx_region_bytes // 2**20,
+                        host.antagonist_cores, wl.senders,
+                        wl.offered_load, config.transport,
+                        config.sim.seed, config.fabric.topology)
+    columns = BatchFluidSolver.from_inputs(inputs)
+    built = BatchFluidSolver(configs)
+    for attr in (_CONST_ATTRS + _STATE_ATTRS + _FLAG_ATTRS
+                 + ("n_receivers",)):
+        assert (getattr(columns, attr).tobytes()
+                == getattr(built, attr).tobytes()), attr
 
 
 def test_shard_bounds_partition_exactly():
@@ -265,38 +313,40 @@ class TestBatchedBackend:
         from repro.sim import fluid_batch
 
         sampler = self.sampler()
-        draw = sampler.draw_config
+        draw = sampler._draw
 
-        def draw_config(index):
-            config = draw(index)
+        def draw_host(index):
+            host = draw(index)
             if index == 3:
-                config = dataclasses.replace(
-                    config, fabric=FabricConfig(topology="dumbbell"))
-            return config
+                host = host._replace(topology="dumbbell")
+            return host
 
-        batch_cls = fluid_batch.BatchFluidSolver
+        from_inputs = fluid_batch.BatchFluidSolver.from_inputs
         run_experiment = experiment.run_experiment
         batches, scalar_runs = [], []
 
-        def spy_batch(configs):
-            batches.append([c.fabric.topology for c in configs])
-            return batch_cls(configs)
+        def spy_batch(inputs):
+            solver = from_inputs(inputs)
+            batches.append(solver.n)
+            return solver
 
         def spy_run(config):
             scalar_runs.append(config.fabric.topology)
             return run_experiment(config)
 
-        monkeypatch.setattr(sampler, "draw_config", draw_config)
-        monkeypatch.setattr(fluid_batch, "BatchFluidSolver", spy_batch)
+        monkeypatch.setattr(sampler, "_draw", draw_host)
+        monkeypatch.setattr(fluid_batch.BatchFluidSolver, "from_inputs",
+                            spy_batch)
         monkeypatch.setattr(experiment, "run_experiment", spy_run)
         state, rows = sampler._solve_range(0, 12, 0.01, True)
-        assert batches == [["star"] * 11, ["dumbbell"]]
+        assert batches == [11]
         assert scalar_runs == ["dumbbell"]
         assert FleetAggregate.from_dict(state).hosts == 12
         assert [index for index, _, _ in rows] == list(range(12))
+        assert sampler.draw_config(3).fabric.topology == "dumbbell"
         for index, kind, payload in rows:
             assert kind == "ok"
-            metrics = run_experiment(draw_config(index)).metrics
+            metrics = run_experiment(sampler.draw_config(index)).metrics
             assert payload == {key: metrics[key] for key in payload}
 
     def test_batch_size_must_be_positive(self):
@@ -411,6 +461,84 @@ class TestFleetAggregate:
         assert negative.rank_correlation() < -0.9
         assert density_rank_correlation(
             FleetAggregate().density) == 0.0
+
+    @staticmethod
+    def reference_add(aggregate, sample):
+        """The per-sample fold, one ``observe`` per sketch: the
+        reference the batched fold must match bit for bit."""
+        utilization = float(sample.link_utilization)
+        drop_rate = float(sample.drop_rate)
+        aggregate.hosts += 1
+        dropper = drop_rate > DROP_THRESHOLD
+        if dropper:
+            aggregate.droppers += 1
+            if utilization < LOW_UTIL_STRICT:
+                aggregate.low_util_droppers += 1
+        if utilization > HIGH_UTIL:
+            aggregate.high_util_hosts += 1
+            if dropper:
+                aggregate.high_util_droppers += 1
+        if utilization < LOW_UTIL:
+            aggregate.low_util_hosts += 1
+            if dropper:
+                aggregate.low_util_band_droppers += 1
+        stratum = sample.stratum or "unknown"
+        cause = sample.congestion_class
+        aggregate.strata.add(stratum)
+        aggregate.root_causes.add(cause)
+        aggregate.transports.add(sample.transport)
+        aggregate.drop_sketch.observe(drop_rate)
+        aggregate.util_sketch.observe(utilization)
+        for key, value in (("drop_rate", drop_rate),
+                           ("link_utilization", utilization)):
+            for table, label in ((aggregate.stratum_sketches, stratum),
+                                 (aggregate.cause_sketches, cause)):
+                aggregate._group(table, label)[key].observe(value)
+        aggregate.density.observe(utilization, drop_rate)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(hosts=st.lists(st.one_of(
+        st.sampled_from(("timeout", "error")),
+        st.tuples(
+            st.one_of(st.sampled_from((0.3, 0.5, 0.6, 0.85, 0.9)),
+                      st.floats(min_value=0.0, max_value=1.1)),
+            st.one_of(st.sampled_from((0.0, 1e-4, 2e-4, 1e-13)),
+                      st.floats(min_value=0.0, max_value=1.0)),
+            st.sampled_from(("lean", "antagonized", "")),
+            st.sampled_from(("swift", "cubic")),
+            st.sampled_from((4, 12)), st.sampled_from((0, 8)),
+            st.booleans())), max_size=40))
+    def test_batched_fold_equals_per_sample_fold(self, hosts):
+        class Failed:
+            def __init__(self, kind):
+                self.kind = kind
+
+        reference, one_by_one, batched = (FleetAggregate(),
+                                          FleetAggregate(),
+                                          FleetAggregate())
+        samples = []
+        for index, host in enumerate(hosts):
+            if isinstance(host, str):
+                for aggregate in (reference, one_by_one, batched):
+                    aggregate.add_failed(Failed(host))
+                continue
+            (utilization, drop_rate, stratum, transport, cores,
+             antagonist, iommu) = host
+            sample = self.sample(
+                host_index=index, link_utilization=utilization,
+                drop_rate=drop_rate, stratum=stratum, transport=transport,
+                cores=cores, antagonist_cores=antagonist, iommu=iommu)
+            self.reference_add(reference, sample)
+            one_by_one.add(sample)
+            samples.append(sample)
+        batched.add_columns(
+            [sample.link_utilization for sample in samples],
+            [sample.drop_rate for sample in samples],
+            [sample.stratum for sample in samples],
+            [sample.transport for sample in samples],
+            [sample.congestion_class for sample in samples])
+        assert batched.to_dict() == reference.to_dict()
+        assert one_by_one.to_dict() == reference.to_dict()
 
     def test_failed_hosts_are_counted_not_folded(self):
         class Failed:

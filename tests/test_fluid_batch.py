@@ -35,6 +35,8 @@ from repro.sim import fluid, fluid_batch
 from repro.sim.fluid import FluidSolver
 from repro.sim.fluid_batch import (
     _ACC_ATTRS,
+    _CONST_ATTRS,
+    _FLAG_ATTRS,
     _STATE_ATTRS,
     BatchFluidSolver,
 )
@@ -101,6 +103,30 @@ def assert_lane_matches_scalar(batch: BatchFluidSolver, lane: int,
     for attr in _ACC_ATTRS:
         assert float(getattr(batch.run, attr)[lane]) == getattr(
             scalar.run, attr), f"accumulator {attr} diverged"
+
+
+def assert_lanes_equal_scalar_attributes(batch: BatchFluidSolver,
+                                        configs) -> None:
+    """Every lane constant, flag and time-zero state value of ``batch``
+    must carry the bits of the matching attribute of a built
+    :class:`FluidSolver` (one copy of every constant formula)."""
+    for lane, config in enumerate(configs):
+        scalar = FluidSolver(config)
+        for attr in _CONST_ATTRS + _STATE_ATTRS:
+            lane_bits = getattr(batch, attr)[lane].tobytes()
+            assert lane_bits == np.float64(getattr(scalar, attr)).tobytes(), \
+                (lane, attr)
+        for attr in _FLAG_ATTRS:
+            assert bool(getattr(batch, attr)[lane]) is getattr(scalar, attr)
+        assert int(batch.steps[lane]) == scalar.steps == 0
+        assert batch.n_receivers[lane] == config.workload.receivers
+
+
+@settings(max_examples=25, deadline=None)
+@given(configs=st.lists(config_space, min_size=1, max_size=4))
+def test_column_derivation_equals_the_scalar_solver(configs):
+    assert_lanes_equal_scalar_attributes(BatchFluidSolver(configs),
+                                         configs)
 
 
 @settings(max_examples=25, deadline=None)

@@ -59,7 +59,7 @@ def test_working_set_matches_core_model(cores, hugepages):
     config = quick_config(cores=cores, hugepages=hugepages)
     ws = iotlb_working_set(config.host)
     overflows = ws.total_pages > config.host.iommu.iotlb_entries
-    assert (fluid.predicted_misses_per_packet(config) > 0) == overflows
+    assert (fluid.predicted_misses_per_packet(config.host) > 0) == overflows
 
 
 # -- fidelity plumbing ---------------------------------------------------

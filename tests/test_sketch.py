@@ -11,6 +11,8 @@ full bucket state, not approximate).
 import math
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
 from repro.obs.sketch import CategoryTally, Density2D, QuantileSketch
@@ -232,6 +234,70 @@ class TestCollapse:
         # Quantiles stay monotone even through the collapsed region.
         qs = [sketch.quantile(p) for p in (1, 10, 25, 50, 75, 90, 99)]
         assert qs == sorted(qs)
+
+
+#: Values that reach every bucket path: exact and sub-threshold zeros,
+#: negatives, repeats, and a span wide enough to collapse a small table.
+_values = st.one_of(
+    st.sampled_from((0.0, -0.0, 1e-13, -1e-13, 1e-12, -1e-12, 1.0)),
+    st.floats(min_value=-1e9, max_value=1e9, allow_nan=False,
+              allow_infinity=False),
+    st.integers(-12, 12).map(lambda exponent: 1.5 * 10.0 ** exponent))
+
+
+class TestBatchedInsert:
+    """``extend`` is the batched insert: the state it leaves must be
+    bitwise the state one ``observe`` per value leaves, on top of any
+    prior state (``observe(value, n)`` with ``n > 1`` included)."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(prior=st.lists(st.tuples(_values, st.integers(1, 5)),
+                          max_size=20),
+           batch=st.lists(_values, max_size=60),
+           max_bins=st.sampled_from((2, 3, 8, 4096)))
+    def test_extend_equals_repeated_observe(self, prior, batch, max_bins):
+        batched = QuantileSketch(alpha=ALPHA, max_bins=max_bins)
+        one_by_one = QuantileSketch(alpha=ALPHA, max_bins=max_bins)
+        for sketch in (batched, one_by_one):
+            for value, n in prior:
+                sketch.observe(value, n)
+        batched.extend(batch)
+        for value in batch:
+            one_by_one.observe(value)
+        # to_dict, not ==: ``__eq__`` forgives the last ulp of total.
+        assert batched.to_dict() == one_by_one.to_dict()
+        assert math.copysign(1.0, batched.minimum) == math.copysign(
+            1.0, one_by_one.minimum)
+
+    def test_collapse_path_is_taken(self):
+        # The property above must reach the collapse, not only pass.
+        values = [10.0 ** (i % 12) for i in range(50)]
+        batched = QuantileSketch(alpha=ALPHA, max_bins=3)
+        batched.extend(values)
+        one_by_one = QuantileSketch(alpha=ALPHA, max_bins=3)
+        for value in values:
+            one_by_one.observe(value)
+        assert batched.collapsed
+        assert batched.to_dict() == one_by_one.to_dict()
+
+    def test_non_finite_value_folds_nothing(self):
+        sketch = QuantileSketch()
+        with pytest.raises(ValueError, match="non-finite"):
+            sketch.extend([1.0, math.nan])
+        assert sketch.to_dict() == QuantileSketch().to_dict()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(points=st.lists(st.tuples(
+        st.floats(min_value=-1.0, max_value=2.0),
+        st.one_of(st.sampled_from((0.0, 1e-7, 1e-8, 1.0, 5.0)),
+                  st.floats(min_value=0.0, max_value=2.0))),
+        max_size=60))
+    def test_density_extend_equals_repeated_observe(self, points):
+        batched, one_by_one = Density2D(), Density2D()
+        batched.extend(points)
+        for x, y in points:
+            one_by_one.observe(x, y)
+        assert batched.to_dict() == one_by_one.to_dict()
 
 
 class TestCategoryTally:
