@@ -38,6 +38,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import types
 import typing
 from dataclasses import dataclass, field
@@ -628,19 +629,19 @@ class ScenarioSpec:
                 f"'fleet', got {self.driver!r}")
         config = self.base_config(quality, base, fidelity)
         sampler = FleetSampler(
-            seed=int(self.driver_args.get("seed", 7)),
+            seed=self.driver_args.get("seed", 7),
             warmup=config.sim.warmup,
             duration=config.sim.duration,
             fidelity=config.fidelity)
-        return sampler, int(self.driver_args.get("n_hosts", 30))
+        return sampler, self.driver_args.get("n_hosts", 30)
 
     def fleet_knobs(self) -> Dict[str, Any]:
         """The fleet's ``shards``, ``backend`` (``"auto"`` = batched
         for fluid fleets) and ``batch_size``, defaults filled in."""
         args = self.driver_args
-        return {"shards": int(args.get("shards", 1)),
-                "backend": str(args.get("backend", "auto")),
-                "batch_size": int(args.get("batch_size", 4096))}
+        return {"shards": args.get("shards", 1),
+                "backend": args.get("backend", "auto"),
+                "batch_size": args.get("batch_size", 4096)}
 
     def run_fleet_aggregate(self, quality=None, base=None,
                             fidelity=None, *,
@@ -669,15 +670,15 @@ class ScenarioSpec:
         config = self.base_config(quality, base, fidelity)
         args = self.driver_args
         schedule = diurnal_schedule(
-            int(args.get("n_bins", 24)),
-            seed=int(args.get("schedule_seed", 0)),
-            base_load=float(args.get("base_load", 0.6)),
-            swing=float(args.get("swing", 0.55)),
-            antagonist_peak=int(args.get("antagonist_peak", 15)))
+            args.get("n_bins", 24),
+            seed=args.get("schedule_seed", 0),
+            base_load=args.get("base_load", 0.6),
+            swing=args.get("swing", 0.55),
+            antagonist_peak=args.get("antagonist_peak", 15))
         return simulate_day(
             config, schedule,
-            bin_duration=float(args.get("bin_duration", 5e-3)),
-            warmup_per_bin=float(args.get("warmup_per_bin", 1e-3)))
+            bin_duration=args.get("bin_duration", 5e-3),
+            warmup_per_bin=args.get("warmup_per_bin", 1e-3))
 
 
 # ---------------------------------------------------------------------------
@@ -796,27 +797,68 @@ def _validate_quality(raw: Any, axes: Tuple[SweepAxis, ...],
     return presets
 
 
-_DRIVER_ARGS = {
-    "sweep": set(),
-    "fleet": {"n_hosts", "seed", "shards", "backend", "batch_size"},
-    "day": {"n_bins", "schedule_seed", "base_load", "swing",
-            "antagonist_peak", "bin_duration", "warmup_per_bin"},
-    "isolation": set(),
+def _integer(low: Optional[int] = None) -> Tuple[type, Any, str]:
+    return (int, None if low is None else (lambda v: v >= low),
+            "an integer" + ("" if low is None else f" >= {low}"))
+
+
+#: Per driver: each ``[driver_args]`` key's type, range check (None:
+#: any value of the type) and what the error message says it must be.
+_DRIVER_ARGS: Dict[str, Dict[str, Tuple[type, Any, str]]] = {
+    "sweep": {},
+    "fleet": {
+        "n_hosts": _integer(1),
+        "seed": _integer(),
+        "shards": _integer(1),
+        "backend": (str, lambda v: v in ("auto", "batched", "scalar"),
+                    "one of 'auto', 'batched', 'scalar'"),
+        "batch_size": _integer(1),
+    },
+    "day": {
+        "n_bins": _integer(1),
+        "schedule_seed": _integer(),
+        "base_load": (float, lambda v: 0.0 < v <= 1.0,
+                      "a number in (0, 1]"),
+        "swing": (float, lambda v: v >= 0.0, "a number >= 0"),
+        "antagonist_peak": _integer(0),
+        "bin_duration": (float, lambda v: v > 0.0, "a number > 0"),
+        "warmup_per_bin": (float, lambda v: v >= 0.0, "a number >= 0"),
+    },
+    "isolation": {},
 }
 
 
 def _validate_driver_args(raw: Any, driver: str,
                           source: str) -> Dict[str, Any]:
+    """``raw`` checked against the driver's table, floats as floats:
+    the drivers read the values as they are."""
     if not isinstance(raw, Mapping):
         raise ScenarioError(
             f"{source}: 'driver_args' must be a table")
     allowed = _DRIVER_ARGS[driver]
-    for key in raw:
+    args: Dict[str, Any] = {}
+    for key, value in raw.items():
         if key not in allowed:
             raise ScenarioError(
                 f"{source}: [driver_args] unknown key {key!r} for "
                 f"driver {driver!r} (allowed: {sorted(allowed) or '∅'})")
-    return dict(raw)
+        kind, check, what = allowed[key]
+        # A TOML integer is a number too; a bool is neither.
+        if isinstance(value, bool):
+            ok = False
+        elif kind is float:
+            ok = isinstance(value, (int, float)) and math.isfinite(value)
+        else:
+            ok = isinstance(value, kind)
+        if ok:
+            value = kind(value)
+            ok = check is None or check(value)
+        if not ok:
+            raise ScenarioError(
+                f"{source}: [driver_args] {key} must be {what}, got "
+                f"{value!r}")
+        args[key] = value
+    return args
 
 
 _SERIES_KINDS = ("metric", "model", "max_goodput")

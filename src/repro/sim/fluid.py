@@ -367,10 +367,11 @@ def fluid_fabric_profile(
 
 @dataclass
 class FluidRun:
-    """Accumulated measurement-window outputs of one solved host (or,
-    in :class:`~repro.sim.fluid_batch.BatchFluidSolver`, shape-``(N,)``
-    arrays of N hosts' accumulators; the step trace stays empty
-    there)."""
+    """Accumulated measurement-window outputs of one solved host.
+    :class:`~repro.sim.fluid_batch.BatchFluidSolver` keeps shape-``(N,)``
+    arrays of only the four its fleet metrics read (``elapsed``,
+    ``rx_packets``, ``dropped_packets``, ``drained_payload_bytes``); the
+    rest are accumulated by the scalar form of the step alone."""
 
     elapsed: float = 0.0
     rx_packets: float = 0.0
@@ -463,6 +464,12 @@ _DIALECT_OPS = {"_min": 2, "_max": 2, "_where": 3, "_float": 1,
                 "_sel": 2, "_acc": 1}
 _NUMPY_OPS = {"_min": "minimum", "_max": "maximum", "_where": "where",
               "_float": "float64"}
+
+
+def _is_truth(expr: ast.expr) -> bool:
+    """``expr`` is a comparison or the constant ``True``/``False``."""
+    return isinstance(expr, ast.Compare) or (
+        isinstance(expr, ast.Constant) and isinstance(expr.value, bool))
 
 
 def _demand_step_bytes(self, load):
@@ -574,7 +581,6 @@ def _fluid_step(self) -> None:
         rho <= QUEUE_KNEE, 0.0,
         self.max_queue_delay
         * _cube(_min((rho - QUEUE_KNEE) / _KNEE_SPAN, 1.0)))
-    achieved_Bps = _min(total_Bps, achievable_Bps)
 
     # NIC-stage capacity (wire bytes/s): the Little's-law PCIe bound
     # over the per-DMA latency (T_base + queueing + IOTLB walks),
@@ -684,26 +690,29 @@ def _fluid_step(self) -> None:
     W = _min(_max(W, self.min_W), self.max_W)
     last_decrease = _where(cut, now, self._last_decrease)
 
-    # Accumulators.
+    # Accumulators: both forms keep the four a fleet range reads
+    # (``BatchFluidSolver.fleet_metrics``); the scalar form the rest.
     rx = inflow / self.wire_bytes
     dropped = dropped_bytes / self.wire_bytes
     dma = dma_bytes / self.wire_bytes
     drained = done_bytes / self.wire_bytes
-    per_flow_w = W / self.n_flows
     run.elapsed += _acc(dt)
     run.rx_packets += _acc(rx)
     run.dropped_packets += _acc(dropped)
-    run.dma_packets += _acc(dma)
-    run.drained_packets += _acc(drained)
     run.drained_payload_bytes += _acc(drained * self.payload_bytes)
-    run.retransmissions += _acc(dropped)
-    run.dma_latency_weighted += _acc(t_total * dma)
-    run.nic_delay_weighted += _acc(nic_delay * dma)
-    run.utilization_integral += _acc(rho * dt)
-    run.achieved_bw_integral += _acc(achieved_Bps * dt)
-    run.cwnd_integral += _acc(per_flow_w * dt)
-    run.peak_queue_bytes = _max(_acc(q_nic), run.peak_queue_bytes)
     if _SCALAR:
+        achieved_Bps = _min(total_Bps, achievable_Bps)
+        per_flow_w = W / self.n_flows
+        run.dma_packets += dma
+        run.drained_packets += drained
+        run.retransmissions += dropped
+        run.dma_latency_weighted += t_total * dma
+        run.nic_delay_weighted += nic_delay * dma
+        run.utilization_integral += rho * dt
+        run.achieved_bw_integral += achieved_Bps * dt
+        # Read before the trace row clamps ``per_flow_w`` below.
+        run.cwnd_integral += per_flow_w * dt
+        run.peak_queue_bytes = _max(q_nic, run.peak_queue_bytes)
         if drained > 0.0:
             if rx > 0.0:
                 p_pkt = dropped / rx
@@ -736,7 +745,7 @@ def _fluid_step(self) -> None:
     self.q_demand = _sel(_where(open_loop, q_demand, self.q_demand),
                          self.q_demand)
     self.now = now + _acc(dt)
-    self.steps = _sel(self.steps + 1, self.steps)
+    self.steps += _acc(1)
 
 
 class _Specializer(ast.NodeTransformer):
@@ -776,10 +785,10 @@ class _Specializer(ast.NodeTransformer):
             self.fail(node, f"{name}() takes {_DIALECT_OPS[name]} "
                             f"positional arguments")
         if self.lanes:
+            if name == "_where" and all(map(_is_truth, args[1:])):
+                return self.logical_where(node, *args)
             if name in _NUMPY_OPS:
-                node.func = ast.copy_location(ast.Attribute(
-                    ast.copy_location(ast.Name("np", ast.Load()), node),
-                    _NUMPY_OPS[name], ast.Load()), node)
+                node.func = self.np_attr(_NUMPY_OPS[name], node)
             return node
         if name in ("_sel", "_acc"):
             return args[0]
@@ -794,6 +803,34 @@ class _Specializer(ast.NodeTransformer):
         return ast.copy_location(
             ast.IfExp(ast.copy_location(
                 ast.Compare(a_test, [op], [b_test]), node), a, b), node)
+
+    def np_attr(self, func: str, node: ast.AST) -> ast.Attribute:
+        return ast.copy_location(ast.Attribute(
+            ast.copy_location(ast.Name("np", ast.Load()), node), func,
+            ast.Load()), node)
+
+    def logical_where(self, node: ast.Call, cond: ast.expr, a: ast.expr,
+                      b: ast.expr) -> ast.Call:
+        """``_where(cond, a, b)`` over truth values as numpy logical
+        ops: ``(cond and a) or (not cond and b)``, with a ``True`` or
+        ``False`` branch folded in.  Exact, and several times cheaper
+        than ``np.where`` over bool lanes."""
+        def call(func: str, *args: ast.expr) -> ast.Call:
+            return ast.copy_location(
+                ast.Call(self.np_attr(func, node), list(args), []), node)
+
+        def negated(expr: ast.expr) -> ast.Call:
+            return call("logical_not", expr)
+
+        if isinstance(a, ast.Constant):
+            return (call("logical_or", cond, b) if a.value
+                    else call("logical_and", negated(cond), b))
+        if isinstance(b, ast.Constant):
+            return (call("logical_or", negated(cond), a) if b.value
+                    else call("logical_and", cond, a))
+        first, second = self.twice(cond)
+        return call("logical_or", call("logical_and", first, a),
+                    call("logical_and", negated(second), b))
 
     def twice(self, expr: ast.expr) -> Tuple[ast.expr, ast.expr]:
         """``expr`` for a first and a second use: bound with ``:=``
@@ -900,9 +937,12 @@ def specialize_step(np=None, source: Callable = _fluid_step) -> Callable:
     ones it assigns are written back in a ``finally``, so an
     interrupted run leaves the object as the step it stopped in left
     it.  Lanes: ``np.minimum``/``np.maximum``/``np.where``/
-    ``np.float64``, and the function takes two more arguments, the
-    ``_sel`` and ``_acc`` mask functions, which default to every lane
-    active.  Both
+    ``np.float64``, except that a ``_where`` whose two values are
+    comparisons or ``True``/``False`` becomes ``np.logical_and``/
+    ``logical_or``/``logical_not`` (exact, and much cheaper than
+    ``np.where`` over bool lanes); the function takes two more
+    arguments, the ``_sel`` and ``_acc`` mask functions, which default
+    to every lane active.  Both
     forms keep ``source``'s file name and line numbers (the loop's
     set-up and write-back sit on its ``def`` line).  Raises
     ``ValueError`` naming an unknown ``_``-prefixed op, or a body name

@@ -3,10 +3,18 @@
 :class:`BatchFluidSolver` is the fleet-scale twin of
 :class:`repro.sim.fluid.FluidSolver`: every piece of per-host state
 (congestion window, queue levels, demand backlog, delayed signals,
-accumulators) becomes a shape-``(N,)`` float64 array, and one step
-advances all N hosts with ~60 elementwise numpy operations instead of
-N trips through the scalar step — the fleet driver's order-of-magnitude
-hosts/s win.
+accumulators) becomes a shape-``(N,)`` array, and one step advances all
+N hosts with about 95 elementwise numpy operations instead of N trips
+through the scalar step — the fleet driver's order-of-magnitude hosts/s
+win.
+
+The batch computes only what a fleet range reads: the state, the step
+count and the four accumulators :meth:`BatchFluidSolver.fleet_metrics`
+turns into a host's utilization, drop rate and throughput
+(``_ACC_ATTRS``).  The other ``FluidRun`` accumulators (DMA and drain
+counts, latency and bus integrals, the queue peak) sit in the step's
+scalar-only tail with the step trace: no fleet reader needs them, and
+in lanes they cost about 17 numpy operations per step.
 
 Neither the step nor the per-host constants are written here.  Both
 are numpy-lane forms of dialect functions in ``repro.sim.fluid``
@@ -26,15 +34,15 @@ computes, and neither calls a libm function (``x ** 3`` is
 an input, computed by the scalar model once per distinct host).
 
 The structural flags are per-lane values too: ``loss_based`` and
-``open_loop`` are bool lane arrays the step chooses with ``np.where``,
-and the IOMMU enters only through ``misses_per_packet`` (0.0 when
-off).  So any mix of hosts is one lane set, and a fleet range is
-stepped as one batch however its draws split over transports, loop
-modes and IOMMU states.  The multi-tier fabric stage and the per-step
-delay/trace lists are scalar-only blocks of the step, so the config
-adapter rejects any ``fabric.topology`` but ``"star"`` (the fleet runs
-those hosts on the scalar solver), and message-latency percentiles
-need the scalar solver.
+``open_loop`` are bool lane arrays the step chooses on (``np.where``
+for a float, numpy logical ops for a truth value), and the IOMMU
+enters only through ``misses_per_packet`` (0.0 when off).  So any mix
+of hosts is one lane set, and a fleet range is stepped as one batch
+however its draws split over transports, loop modes and IOMMU states.
+The multi-tier fabric stage and the step trace are scalar-only blocks
+of the step, so the config adapter rejects any ``fabric.topology`` but
+``"star"`` (the fleet runs those hosts on the scalar solver), and
+message-latency percentiles need the scalar solver.
 
 Layering: kernel (layer 0), like ``repro.sim.fluid`` — imports only
 numpy, its ``repro.sim`` neighbours and the pinned kernel config
@@ -43,7 +51,6 @@ modules (enforced by ``scripts/check_layering.py``).
 
 from __future__ import annotations
 
-import dataclasses
 import types
 from typing import Dict, Mapping, Optional, Sequence
 
@@ -51,7 +58,7 @@ import numpy as np
 
 from repro.core.config import ExperimentConfig
 from repro.sim import fluid
-from repro.sim.fluid import FluidRun, fluid_inputs, specialize_step
+from repro.sim.fluid import fluid_inputs, specialize_step
 
 __all__ = ["BatchFluidSolver"]
 
@@ -60,7 +67,7 @@ __all__ = ["BatchFluidSolver"]
 #: the input columns, so the scalar solver and the batch share one copy
 #: of every formula.
 _CONST_ATTRS = (
-    "wire_bytes", "payload_bytes", "n_flows", "base_rtt", "dt",
+    "wire_bytes", "payload_bytes", "base_rtt", "dt",
     "misses_per_packet", "antagonist_Bps", "nic_write_bytes",
     "copy_bytes_per_packet", "achievable_Bps", "max_queue_delay",
     "walk_base", "walk_fraction", "t_base", "littles_bits",
@@ -80,10 +87,11 @@ _STATE_ATTRS = (
     "_cpu_drain_pps", "_last_decrease",
 )
 
-#: Measurement-window accumulators: the float fields of ``FluidRun``,
-#: held as arrays on the batch's ``run``.
-_ACC_ATTRS = tuple(f.name for f in dataclasses.fields(FluidRun)
-                   if f.default_factory is dataclasses.MISSING)
+#: Measurement-window accumulators, held as arrays on the batch's
+#: ``run``: the ``FluidRun`` fields :meth:`BatchFluidSolver.fleet_metrics`
+#: reads, and the only ones the lane step computes.
+_ACC_ATTRS = ("elapsed", "rx_packets", "dropped_packets",
+              "drained_payload_bytes")
 
 #: The fluid step's lane form: ``_lane_step(batch[, _sel, _acc])``.
 _lane_step = specialize_step(np)
@@ -141,8 +149,8 @@ class BatchFluidSolver:
     def reset_stats(self) -> None:
         """Warmup boundary: restart accumulators, keep CC/queue state
         (mirrors :meth:`FluidSolver.reset_stats`)."""
-        self.run = FluidRun(**{attr: np.zeros(self.n, dtype=np.float64)
-                               for attr in _ACC_ATTRS})
+        self.run = types.SimpleNamespace(**{
+            attr: np.zeros(self.n, dtype=np.float64) for attr in _ACC_ATTRS})
 
     # -- stepping ------------------------------------------------------------
 
@@ -166,12 +174,14 @@ class BatchFluidSolver:
         # ``active is None`` means every lane steps: the mask ops take
         # their scalar meaning (identity), skipping ~20 np.where calls
         # on the common lock-step path.  np.where(active, new, old) is
-        # bitwise ``new`` on active lanes, so both paths agree.
+        # bitwise ``new`` on active lanes, so both paths agree.  A
+        # frozen lane accumulates ``0``: ``+0.0`` for a float delta,
+        # and an int for the integer step count.
         if active is None:
             _lane_step(self)
         else:
             _lane_step(self, lambda new, old: np.where(active, new, old),
-                       lambda delta: np.where(active, delta, 0.0))
+                       lambda delta: np.where(active, delta, 0))
 
     # -- reporting -----------------------------------------------------------
 

@@ -103,6 +103,11 @@ def group_cohorts(indexed_configs) -> Dict[tuple, List[int]]:
     return groups
 
 
+#: The per-host metrics a batched range reports (its host rows), in
+#: row order; the aggregate folds the first two.
+_RANGE_METRICS = ("link_utilization", "drop_rate", "app_throughput_gbps")
+
+
 @dataclass(frozen=True)
 class _FailureStub:
     """Minimal stand-in for a :class:`~repro.core.results.FailedRun`
@@ -434,8 +439,9 @@ class FleetSampler:
         from repro.sim.fluid_batch import BatchFluidSolver
 
         draws = [self._draw(index) for index in range(start, stop)]
-        # lane -> (link_utilization, drop_rate, app_throughput_gbps)
-        solved: Dict[int, tuple] = {}
+        # One outcome list per metric, indexed by lane; a lane in
+        # ``errors`` keeps a placeholder.
+        columns = {key: [0.0] * len(draws) for key in _RANGE_METRICS}
         errors: Dict[int, str] = {}
 
         def solve_alone(lane: int) -> None:
@@ -445,9 +451,8 @@ class FleetSampler:
             except Exception as exc:
                 errors[lane] = repr(exc)
                 return
-            solved[lane] = (metrics["link_utilization"],
-                            metrics["drop_rate"],
-                            metrics.get("app_throughput_gbps", 0.0))
+            for key, column in columns.items():
+                column[lane] = metrics[key]
 
         star = [lane for lane, draw in enumerate(draws)
                 if draw.topology == "star"]
@@ -463,40 +468,42 @@ class FleetSampler:
                 for lane in star:
                     solve_alone(lane)
             else:
-                solved.update(zip(star, zip(
-                    *(metrics[key].tolist() for key in (
-                        "link_utilization", "drop_rate",
-                        "app_throughput_gbps")))))
+                for key, column in columns.items():
+                    for lane, value in zip(star, metrics[key].tolist()):
+                        column[lane] = value
         for lane, draw in enumerate(draws):
             if draw.topology != "star":
                 solve_alone(lane)
 
+        utilization = columns["link_utilization"]
+        drop_rate = columns["drop_rate"]
+        ok = draws
+        if errors:
+            lanes = [lane for lane in range(len(draws)) if lane not in errors]
+            utilization = [utilization[lane] for lane in lanes]
+            drop_rate = [drop_rate[lane] for lane in lanes]
+            ok = [draws[lane] for lane in lanes]
+        # The root-cause rule reads host fields only (a draw has them,
+        # named as on a FleetSample), so it runs once per host shape.
+        shapes = list(map(_host_shape, ok))
+        causes = {shape: classify_root_cause(draw._asdict())
+                  for shape, draw in dict(zip(shapes, ok)).items()}
         aggregate = FleetAggregate(alpha=alpha)
-        lanes = sorted(solved)
-        ok = [draws[lane] for lane in lanes]
-        # A draw has the fields the root-cause rule reads, named as on
-        # a FleetSample.
         aggregate.add_columns(
-            [solved[lane][0] for lane in lanes],
-            [solved[lane][1] for lane in lanes],
+            utilization, drop_rate,
             [draw.stratum for draw in ok],
             [draw.transport for draw in ok],
-            [classify_root_cause(draw._asdict()) for draw in ok])
+            [causes[shape] for shape in shapes])
         for _ in errors:
             aggregate.add_failed(_FailureStub("error"))
         if not want_hosts:
             return aggregate.to_dict(), None
-        host_rows = []
-        for lane in range(len(draws)):
-            if lane in errors:
-                host_rows.append((start + lane, "error",
-                                  {"error": errors[lane]}))
-            else:
-                utilization, drop_rate, app_gbps = solved[lane]
-                host_rows.append((start + lane, "ok", {
-                    "link_utilization": utilization,
-                    "drop_rate": drop_rate,
-                    "app_throughput_gbps": app_gbps}))
+        host_rows = [
+            (start + lane, "error", {"error": errors[lane]})
+            if lane in errors else
+            (start + lane, "ok", {key: column[lane]
+                                  for key, column in columns.items()})
+            for lane in range(len(draws))]
         return aggregate.to_dict(), host_rows
 
     def _range_partials(self, cursor: int, stop: int, alpha: float,

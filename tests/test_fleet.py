@@ -349,6 +349,42 @@ class TestBatchedBackend:
             metrics = run_experiment(sampler.draw_config(index)).metrics
             assert payload == {key: metrics[key] for key in payload}
 
+    def test_host_failing_alone_is_counted_and_the_rest_fold(
+            self, monkeypatch):
+        """When the batch raises, every star host runs alone; one that
+        fails there too is counted by ``add_failed`` and reported as an
+        error row, and the others fold as the batch would fold them."""
+        from repro.core import experiment
+        from repro.sim import fluid_batch
+
+        sampler = self.sampler()
+        expected = FleetAggregate.from_dict(
+            sampler._solve_range(0, 5, 0.01, False)[0])
+        expected.merge(FleetAggregate.from_dict(
+            sampler._solve_range(6, 12, 0.01, False)[0]))
+        expected.add_failed(None)
+        failing = sampler.draw_config(5)
+        run_experiment = experiment.run_experiment
+
+        def no_batch(inputs):
+            raise RuntimeError("no lanes")
+
+        def run(config):
+            if config == failing:
+                raise ValueError("host 5")
+            return run_experiment(config)
+
+        monkeypatch.setattr(fluid_batch.BatchFluidSolver, "from_inputs",
+                            no_batch)
+        monkeypatch.setattr(experiment, "run_experiment", run)
+        state, rows = sampler._solve_range(0, 12, 0.01, True)
+        assert FleetAggregate.from_dict(state) == expected
+        assert [(index, kind) for index, kind, _ in rows] == [
+            (index, "error" if index == 5 else "ok") for index in range(12)]
+        assert rows[5][2] == {"error": repr(ValueError("host 5"))}
+        metrics = run_experiment(sampler.draw_config(4)).metrics
+        assert rows[4][2] == {key: metrics[key] for key in rows[4][2]}
+
     def test_batch_size_must_be_positive(self):
         with pytest.raises(ValueError, match="batch_size"):
             self.sampler().run_aggregate(8, batch_size=0)

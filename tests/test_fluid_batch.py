@@ -11,9 +11,12 @@ headline-metric equality, plus the cohort-grouping invariants the fleet
 driver relies on (exact partition by fabric topology; a key never
 splits identical configs)."""
 
+import ast
 import dataclasses
 import inspect
 import itertools
+import textwrap
+import types
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -32,7 +35,7 @@ from repro.core.config import (
     WorkloadConfig,
 )
 from repro.sim import fluid, fluid_batch
-from repro.sim.fluid import FluidSolver
+from repro.sim.fluid import FluidSolver, _where
 from repro.sim.fluid_batch import (
     _ACC_ATTRS,
     _CONST_ATTRS,
@@ -92,17 +95,24 @@ def solve_scalar(config) -> FluidSolver:
     return solver
 
 
+def bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
 def assert_lane_matches_scalar(batch: BatchFluidSolver, lane: int,
                                scalar: FluidSolver) -> None:
-    """Lane ``lane`` of ``batch`` must equal the solved ``scalar``
-    exactly, for every state variable and accumulator."""
+    """Lane ``lane`` of ``batch`` must carry the bits of the solved
+    ``scalar``, for every state variable, the step count and every
+    accumulator the batch keeps (the scalar solver alone accumulates
+    the rest of ``FluidRun``)."""
+    assert batch.steps.dtype == np.int64
     assert int(batch.steps[lane]) == scalar.steps
     for attr in _STATE_ATTRS:
-        assert float(getattr(batch, attr)[lane]) == getattr(
-            scalar, attr), f"state {attr} diverged"
+        assert bits(getattr(batch, attr)[lane]) == bits(
+            getattr(scalar, attr)), f"state {attr} diverged"
     for attr in _ACC_ATTRS:
-        assert float(getattr(batch.run, attr)[lane]) == getattr(
-            scalar.run, attr), f"accumulator {attr} diverged"
+        assert bits(getattr(batch.run, attr)[lane]) == bits(
+            getattr(scalar.run, attr)), f"accumulator {attr} diverged"
 
 
 def assert_lanes_equal_scalar_attributes(batch: BatchFluidSolver,
@@ -235,6 +245,64 @@ def test_mixed_batch_matches_scalar_per_lane():
         assert_lane_matches_scalar(batch, lane, solve_scalar(config))
 
 
+class _Recorder:
+    """Stands in for a batch's ``run``, noting each attribute read and
+    written."""
+
+    def __init__(self, values):
+        vars(self).update(values=values, read=set(), written=set())
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        try:
+            return self.values[name]
+        except KeyError:
+            raise AttributeError(name) from None
+
+    def __setattr__(self, name, value):
+        self.written.add(name)
+        self.values[name] = value
+
+
+def test_batch_keeps_only_the_accumulators_fleet_metrics_reads():
+    configs = [make_config("swift", None, True, True, 8, 0, 10, 4),
+               make_config("cubic", 0.7, False, False, 4, 15, 20, 8)]
+    batch = BatchFluidSolver(configs)
+    assert sorted(vars(batch.run)) == sorted(_ACC_ATTRS)
+    others = [f.name for f in dataclasses.fields(fluid.FluidRun)
+              if f.name not in _ACC_ATTRS]
+    assert len(others) == 12   # eleven float fields and the step trace
+    for name in others:
+        with pytest.raises(AttributeError):
+            getattr(batch.run, name)
+    # Every field the lane step writes, and every one fleet_metrics
+    # reads, given a run that would hold them all.
+    everything = {f.name: np.zeros(batch.n)
+                  for f in dataclasses.fields(fluid.FluidRun)}
+    batch.run = _Recorder(dict(everything))
+    fluid_batch._lane_step(batch)
+    assert batch.run.written == set(_ACC_ATTRS)
+    batch.run = _Recorder(dict(everything))
+    batch.fleet_metrics()
+    assert batch.run.read == set(_ACC_ATTRS)
+    # And every lane constant the batch holds is one the step reads.
+    names = set(fluid_batch._lane_step.__code__.co_names)
+    assert set(_CONST_ATTRS) <= names
+
+
+def test_step_count_is_kept_in_place():
+    # Mixed step sizes: the masked step runs too, and its ``_acc(1)``
+    # stays an integer.
+    configs = [make_config("swift", None, True, True, 8, 0, 10, 4,
+                           one_way_delay=delay) for delay in (0.0, 5e-6)]
+    batch = BatchFluidSolver(configs)
+    steps = batch.steps
+    batch.run_until(END)
+    assert batch.steps is steps and steps.dtype == np.int64
+    assert [int(n) for n in steps] == [solve_scalar(config).steps
+                                       for config in configs]
+
+
 def test_cohort_key_is_the_fabric_topology():
     # The structural flags are lane values; only the fabric splits.
     configs = [make_config(transport, offered, iommu, True, 8, 0, 10, 4)
@@ -307,6 +375,60 @@ def test_plain_if_compiles_only_to_the_scalar_form():
     fluid.specialize_step(source=_plain_if_dialect)
     with pytest.raises(ValueError, match="plain if outside"):
         fluid.specialize_step(np, source=_plain_if_dialect)
+
+
+def _truth_where_dialect(self):
+    self.both = _where(self.c, self.a > 0.0, self.b > 0.0)
+    self.a_true = _where(self.c, True, self.b > 0.0)
+    self.a_false = _where(self.c, False, self.b > 0.0)
+    self.b_true = _where(self.c, self.a > 0.0, True)
+    self.b_false = _where(self.c, self.a > 0.0, False)
+    self.flag = _where(self.c, True, False)
+    self.negated = _where(self.c, False, True)
+
+
+def _truth_where_expected(c, a, b):
+    return {"both": np.where(c, a > 0.0, b > 0.0),
+            "a_true": np.where(c, True, b > 0.0),
+            "a_false": np.where(c, False, b > 0.0),
+            "b_true": np.where(c, a > 0.0, True),
+            "b_false": np.where(c, a > 0.0, False),
+            "flag": np.where(c, True, False),
+            "negated": np.where(c, False, True)}
+
+
+@pytest.mark.parametrize("array_condition", [True, False])
+def test_truth_valued_where_compiles_to_logical_ops(array_condition):
+    # Every (cond, a, b) truth combination, one per lane.
+    c, a_true, b_true = (np.array(column) for column in
+                         zip(*itertools.product((False, True), repeat=3)))
+    a = np.where(a_true, 1.0, -1.0)
+    b = np.where(b_true, 1.0, -1.0)
+    lanes = fluid.specialize_step(np, source=_truth_where_dialect)
+    names = lanes.__code__.co_names
+    assert "where" not in names
+    assert {"logical_and", "logical_or", "logical_not"} <= set(names)
+    conditions = [c] if array_condition else [True, False]
+    for cond in conditions:
+        state = types.SimpleNamespace(c=cond, a=a, b=b)
+        lanes(state)
+        for name, expected in _truth_where_expected(cond, a, b).items():
+            got = getattr(state, name)
+            assert np.asarray(got).dtype == bool, name
+            assert np.shape(got) == np.shape(expected), name
+            assert np.array_equal(got, expected), (cond, name)
+
+
+def test_truth_valued_where_stays_a_conditional_in_the_scalar_form():
+    source = textwrap.dedent(inspect.getsource(_truth_where_dialect))
+    tree = fluid._Specializer(_truth_where_dialect, lanes=False).visit(
+        ast.parse(source))
+    values = [stmt.value for stmt in tree.body[0].body]
+    assert len(values) == 7
+    assert all(isinstance(value, ast.IfExp) for value in values)
+    scalar = fluid.specialize_step(source=_truth_where_dialect)
+    names = set(scalar.__code__.co_names)
+    assert not {"np", "where", "logical_and", "logical_or"} & names
 
 
 def dialect_run_until(solver: FluidSolver, until: float) -> None:

@@ -168,6 +168,48 @@ driver = "fleet"
 n_hostsies = 5
 """)
 
+    @pytest.mark.parametrize("driver,key,value", [
+        ("fleet", "batch_size", "0"),
+        ("fleet", "seed", '"x"'),
+        ("fleet", "n_hosts", "0"),
+        ("fleet", "seed", "1.5"),
+        ("fleet", "shards", "true"),
+        ("fleet", "backend", '"gpu"'),
+        ("day", "n_bins", "0"),
+        ("day", "bin_duration", "-1.0"),
+        ("day", "base_load", "1.5"),
+        ("day", "warmup_per_bin", "nan"),
+    ])
+    def test_bad_driver_arg_value_fails_at_load(self, tmp_path, capsys,
+                                                driver, key, value):
+        from repro.cli import main
+
+        text = (f'[scenario]\nname = "t"\ndriver = "{driver}"\n\n'
+                f'[driver_args]\n{key} = {value}\n')
+        with pytest.raises(ScenarioError,
+                           match=rf"^test\.toml: \[driver_args\] {key} "):
+            spec_from(text)
+        path = tmp_path / "bad.toml"
+        path.write_text(text)
+        assert main(["scenario", "run", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        (line,) = captured.out.splitlines()
+        assert line.startswith(f"error: bad.toml: [driver_args] {key} ")
+
+    def test_driver_arg_values_reach_the_driver_typed(self):
+        spec = spec_from("""
+[scenario]
+name = "t"
+driver = "day"
+
+[driver_args]
+n_bins = 3
+bin_duration = 1
+""")
+        assert spec.driver_args == {"n_bins": 3, "bin_duration": 1.0}
+        assert type(spec.driver_args["bin_duration"]) is float
+
     def test_render_where_key_must_be_run_parameter(self):
         with pytest.raises(ScenarioError, match="iommu_enabled"):
             spec_from(MINIMAL + """
