@@ -50,7 +50,7 @@ from repro.core.scenario import (
     find_scenario,
     run_configs,
 )
-from repro.core.topology import GraphBuilder, Topology
+from repro.core.topology import Topology
 from repro.obs import MetricsRegistry, SimProfiler, write_trace
 
 __version__ = "1.0.0"
@@ -62,7 +62,6 @@ __all__ = [
     "ExperimentHandle",
     "ExperimentResult",
     "FailedRun",
-    "GraphBuilder",
     "HostConfig",
     "IommuConfig",
     "LinkConfig",

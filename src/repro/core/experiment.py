@@ -1,7 +1,7 @@
 """Experiment runner: config in, metrics out.
 
-Builds the full simulation graph via
-:class:`~repro.core.topology.GraphBuilder` (M receiver hosts behind one
+Builds the full simulation graph with
+:meth:`~repro.core.topology.Topology.build` (M receiver hosts behind one
 fabric; M = ``config.workload.receivers``), runs the warmup, resets all
 window counters through the component tree, runs the measurement
 window, and collects every headline metric of the paper.
@@ -19,7 +19,7 @@ from typing import Dict, Optional
 from repro.core.config import ExperimentConfig
 from repro.core.metrics import summarize
 from repro.core.results import ExperimentResult
-from repro.core.topology import GraphBuilder
+from repro.core.topology import Topology
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import MetricsSampler
 from repro.sim.engine import Simulator
@@ -38,12 +38,8 @@ class ExperimentHandle:
         self.tracer = Tracer(self.sim, enabled=config.sim.trace,
                              max_records=config.sim.trace_max_records)
         self.metrics = MetricsRegistry()
-        self.topology = GraphBuilder(config,
-                                     tracer=self.tracer).build(self.sim)
-        #: Back-compat alias: the topology exposes the workload surface
-        #: (connections, set_offered_load, fabric, ...).
-        self.workload = self.topology
-        self.host = self.topology.host
+        self.topology = Topology.build(self.sim, config,
+                                       tracer=self.tracer)
         self.topology.bind_metrics(self.metrics)
         # Opt-in live telemetry: a sampler polling the registry into a
         # bounded ring on a sim-time cadence.  Off (None) by default —

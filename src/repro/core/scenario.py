@@ -335,6 +335,12 @@ class ScenarioSpec:
     #: Provenance for error messages ("figure3.toml", "<sweep_cores>").
     source: str = "<memory>"
 
+    def __post_init__(self) -> None:
+        # Checked on every construction (``dataclasses.replace`` too),
+        # not only when parsed from a file.
+        object.__setattr__(self, "driver_args", _validate_driver_args(
+            self.driver_args, self.driver, self.source))
+
     # -- construction ------------------------------------------------------
 
     @classmethod
@@ -427,8 +433,6 @@ class ScenarioSpec:
                 f"{default_quality!r} is not a defined [quality.*] "
                 f"preset (have: {sorted(quality)})")
 
-        driver_args = _validate_driver_args(
-            data.get("driver_args", {}), driver, source)
         render = _validate_render(data.get("render"), source)
 
         return cls(name=name,
@@ -438,7 +442,8 @@ class ScenarioSpec:
                    axes=axes,
                    expansion=expansion, repeats=repeats,
                    quality=quality, default_quality=default_quality,
-                   driver_args=driver_args, render=render,
+                   driver_args=data.get("driver_args", {}),
+                   render=render,
                    source=source)
 
     # -- expansion ---------------------------------------------------------
@@ -610,13 +615,10 @@ class ScenarioSpec:
                                             events=events, **stream_args)
         if self.driver == "day":
             return self._run_day(quality, base, fidelity)
-        if self.driver == "isolation":
-            from repro.workload.isolation import congested_vs_uncongested
+        from repro.workload.isolation import congested_vs_uncongested
 
-            return congested_vs_uncongested(
-                self.base_config(quality, base, fidelity))
-        raise ScenarioError(
-            f"{self.source}: unknown driver {self.driver!r}")
+        return congested_vs_uncongested(
+            self.base_config(quality, base, fidelity))
 
     def fleet_sampler(self, quality=None, base=None, fidelity=None):
         """Build the spec's :class:`~repro.workload.fleet.FleetSampler`
@@ -835,7 +837,10 @@ def _validate_driver_args(raw: Any, driver: str,
     if not isinstance(raw, Mapping):
         raise ScenarioError(
             f"{source}: 'driver_args' must be a table")
-    allowed = _DRIVER_ARGS[driver]
+    allowed = _DRIVER_ARGS.get(driver)
+    if allowed is None:
+        raise ScenarioError(f"{source}: unknown driver {driver!r} "
+                            f"(expected one of {', '.join(DRIVERS)})")
     args: Dict[str, Any] = {}
     for key, value in raw.items():
         if key not in allowed:

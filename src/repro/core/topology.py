@@ -1,11 +1,12 @@
 """Topology: the composed simulation graph, built from config.
 
-:class:`GraphBuilder` validates the requested shape and constructs
-{N×M senders → fabric → M receiver hosts} on a simulator;
-:class:`Topology` is the resulting root :class:`~repro.sim.component.Component`
-— the one object :class:`~repro.core.experiment.ExperimentHandle` binds,
-resets, and snapshots, whether the experiment has one receiver host (the
-paper's setup) or many.
+:meth:`Topology.build` constructs {N×M senders → fabric → M receiver
+hosts} on a simulator and returns the :class:`Topology` — the root
+:class:`~repro.sim.component.Component` that
+:class:`~repro.core.experiment.ExperimentHandle` binds, resets, and
+snapshots, and that the packet day and isolation drivers run on.  It is
+the one way a packet graph is built, whether the experiment has one
+receiver host (the paper's setup) or many.
 
 The fabric between senders and hosts is chosen by
 ``config.fabric.topology``: the historical one-hop ``star`` (built on
@@ -30,70 +31,14 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import ExperimentConfig
 from repro.host.host import ReceiverHost
-from repro.net.fabric import (
-    Fabric,
-    FabricPlan,
-    MultiTierFabric,
-    build_fabric_plan,
-    dumbbell_plan,
-    fattree_plan,
-)
+from repro.net.fabric import Fabric
 from repro.sim.component import Component
 from repro.sim.engine import Simulator
 from repro.sim.tracing import Tracer
 from repro.transport.base import Connection
 from repro.workload.remote_read import HostWorkload, build_remote_read_graph
 
-__all__ = [
-    "GraphBuilder",
-    "Topology",
-    "FabricPlan",
-    "build_fabric_plan",
-    "dumbbell_plan",
-    "fattree_plan",
-]
-
-
-class GraphBuilder:
-    """Validated recipe for one simulation graph.
-
-    Separate from :class:`Topology` so shape errors (zero receivers,
-    inconsistent overrides) surface before any simulator state exists.
-    """
-
-    def __init__(
-        self,
-        config: ExperimentConfig,
-        receivers: Optional[int] = None,
-        tracer: Optional[Tracer] = None,
-    ):
-        self.config = config
-        self.receivers = (receivers if receivers is not None
-                          else config.workload.receivers)
-        self.tracer = tracer
-        if self.receivers < 1:
-            raise ValueError(
-                f"need at least one receiver host, got {self.receivers}")
-        #: The multi-tier plan, or None for the historical star.
-        self.plan: Optional[FabricPlan] = None
-        if config.fabric.topology != "star":
-            self.plan = build_fabric_plan(
-                config,
-                n_senders=config.workload.senders * self.receivers,
-                n_hosts=self.receivers)
-
-    def build(self, sim: Simulator) -> "Topology":
-        factory = None
-        if self.plan is not None:
-            plan = self.plan
-
-            def factory(deliver):
-                return MultiTierFabric(sim, self.config, plan, deliver)
-
-        hosts, fabric, workloads = build_remote_read_graph(
-            sim, self.config, receivers=self.receivers,
-            tracer=self.tracer, fabric_factory=factory)
-        return Topology(self.config, hosts, fabric, workloads)
+__all__ = ["Topology"]
 
 
 class Topology(Component):
@@ -111,6 +56,16 @@ class Topology(Component):
         self.fabric = fabric
         self.workloads = workloads
 
+    @classmethod
+    def build(cls, sim: Simulator, config: ExperimentConfig,
+              tracer: Optional[Tracer] = None) -> "Topology":
+        """Build ``config``'s graph on ``sim``: M =
+        ``config.workload.receivers`` hosts behind the fabric
+        ``config.fabric`` names."""
+        hosts, fabric, workloads = build_remote_read_graph(
+            sim, config, tracer=tracer)
+        return cls(config, hosts, fabric, workloads)
+
     @property
     def n_receivers(self) -> int:
         return len(self.hosts)
@@ -123,7 +78,7 @@ class Topology(Component):
                      for i, hw in enumerate(self.workloads)]
         return tuple(named + [("", self.fabric)])
 
-    # -- single-host compatibility surface ----------------------------------
+    # -- single-host surface (the day and isolation drivers) --------------
 
     @property
     def host(self) -> ReceiverHost:

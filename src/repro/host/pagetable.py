@@ -11,7 +11,7 @@ on what page entry level was already cached)".
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Tuple
 
 from repro.host.addressing import PAGE_4K, Region
 
@@ -78,9 +78,6 @@ class PageTable:
         active pages registered to IOMMU")."""
         return len(self._entries)
 
-    def is_mapped(self, page_key: int) -> bool:
-        return page_key in self._entries
-
     def page_size_of(self, page_key: int) -> int:
         try:
             return self._entries[page_key]
@@ -115,14 +112,3 @@ class PageTable:
         if self.walks == 0:
             return 0.0
         return self.walk_memory_accesses / self.walks
-
-    def registered_regions_footprint(
-        self, regions: Iterable[Region]
-    ) -> List[int]:
-        """Page keys of ``regions`` that are registered (test helper)."""
-        return [
-            key
-            for region in regions
-            for key in region.page_keys()
-            if key in self._entries
-        ]

@@ -513,7 +513,3 @@ class MultiTierFabric(Component):
 
     def switch_queue_bytes(self) -> int:
         return sum(p.queue_depth_bytes() for p in self.ports)
-
-    def path_assignments(self) -> Dict[Tuple[int, int], int]:
-        """(edge, host) group sizes — a debugging/validation aid."""
-        return {key: len(group) for key, group in self._paths.items()}

@@ -1077,7 +1077,7 @@ class FluidSolver:
 
     def set_offered_load(self, load: Optional[float]) -> None:
         """Mid-run load change (the day driver's per-bin schedule) —
-        mirrors ``RemoteReadWorkload.set_offered_load``.  Precomputes
+        mirrors ``HostWorkload.set_offered_load``.  Precomputes
         the per-step open-loop demand accrual so the step only adds a
         constant."""
         self.open_loop = load is not None

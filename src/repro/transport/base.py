@@ -96,7 +96,6 @@ class Connection(Component):
         self.srtt = initial_rtt
         self._next_send_time = 0.0
         self._send_scheduled = False
-        self._send_timer = None
         self._last_ack_time = sim.now
         # Statistics.
         self.packets_sent = 0
@@ -110,7 +109,6 @@ class Connection(Component):
         #: event heap in large-N sweeps).  The timer itself lives in the
         #: engine's timer wheel, not the dispatch heap.
         self._rto_armed = False
-        self._rto_timer = None
 
         sim.call(0.0, self._maybe_send)
 
@@ -133,7 +131,6 @@ class Connection(Component):
 
     def _maybe_send(self) -> None:
         self._send_scheduled = False
-        self._send_timer = None
         now = self.sim.now
         # Fast retransmit: a lost packet's window slot is already
         # accounted for, so retransmissions bypass the window check
@@ -169,8 +166,7 @@ class Connection(Component):
     def _schedule_send(self, delay: float) -> None:
         if not self._send_scheduled:
             self._send_scheduled = True
-            self._send_timer = self.sim.schedule_timer(
-                delay, self._maybe_send)
+            self.sim.schedule_timer(delay, self._maybe_send)
 
     def _transmit_next(self) -> None:
         now = self.sim.now
@@ -197,8 +193,7 @@ class Connection(Component):
             self.retransmissions += 1
         if not self._rto_armed:
             self._rto_armed = True
-            self._rto_timer = self.sim.schedule_timer(
-                self.rto, self._rto_check)
+            self.sim.schedule_timer(self.rto, self._rto_check)
         self._send(pkt)
 
     # -- receiving acks ----------------------------------------------------------
@@ -239,7 +234,6 @@ class Connection(Component):
 
     def _rto_check(self) -> None:
         now = self.sim.now
-        self._rto_timer = None
         if not self._inflight:
             # Nothing to back-stop: disarm until the next transmission.
             # (The check itself stays on the rto/2 grid while armed —
@@ -255,20 +249,7 @@ class Connection(Component):
             self.timeouts += 1
             self.cc.on_timeout(now)
             self._maybe_send()
-        self._rto_timer = self.sim.schedule_timer(
-            self.rto / 2, self._rto_check)
-
-    def cancel_timers(self) -> None:
-        """Tear down pending timers (flow shutdown): O(1) cancels, and
-        the dead entries never reach the dispatch heap."""
-        if self._rto_timer is not None:
-            self._rto_timer.cancel()
-            self._rto_timer = None
-            self._rto_armed = False
-        if self._send_timer is not None:
-            self._send_timer.cancel()
-            self._send_timer = None
-            self._send_scheduled = False
+        self.sim.schedule_timer(self.rto / 2, self._rto_check)
 
     # -- telemetry ----------------------------------------------------------
 

@@ -19,7 +19,7 @@ from typing import List, Sequence
 
 from repro.core.config import ExperimentConfig
 from repro.sim.engine import Simulator
-from repro.workload.remote_read import RemoteReadWorkload
+from repro.workload.remote_read import require_single_star_host
 
 __all__ = ["DayBin", "diurnal_schedule", "simulate_day"]
 
@@ -107,7 +107,8 @@ def simulate_day(
     """Run one host through ``schedule``; one :class:`DayBin` each.
 
     ``config.workload.offered_load`` must be set (open loop); the
-    schedule overrides it per bin.
+    schedule overrides it per bin.  At packet fidelity the config must
+    describe one receiver host on the star fabric.
     """
     if config.workload.offered_load is None:
         raise ValueError("simulate_day requires an open-loop workload "
@@ -115,12 +116,15 @@ def simulate_day(
     if config.fidelity == "fluid":
         return _simulate_day_fluid(config, schedule, bin_duration,
                                    warmup_per_bin)
+    require_single_star_host(config, "simulate_day")
+    from repro.core.topology import Topology
+
     sim = Simulator()
-    workload = RemoteReadWorkload(sim, config)
-    host = workload.host
+    topology = Topology.build(sim, config)
+    host = topology.host
     bins: List[DayBin] = []
     for index, (load, antagonists) in enumerate(schedule):
-        workload.set_offered_load(load)
+        topology.set_offered_load(load)
         host.antagonist.set_cores(antagonists)
         sim.run(until=sim.now + warmup_per_bin)
         host.reset_stats()

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.core.config import ExperimentConfig
 from repro.core.metrics import Summary, summarize
 from repro.sim.engine import Simulator
-from repro.workload.remote_read import RemoteReadWorkload
+from repro.workload.remote_read import require_single_star_host
 
 __all__ = ["IsolationResult", "run_isolation_study"]
 
@@ -46,23 +46,18 @@ class IsolationResult:
         return self.victim.p99 / baseline.victim.p99
 
 
-class _IsolationWorkload(RemoteReadWorkload):
-    """RemoteReadWorkload with one small-RPC victim per thread."""
-
-    def __init__(self, sim: Simulator, config: ExperimentConfig):
-        super().__init__(sim, config)
-        victims = self.victim_flow_ids()
-        # Victim reads are a single MTU.
-        for flow_id in victims:
-            self.receiver.per_flow_packets[flow_id] = 1
-
-    def victim_flow_ids(self) -> List[int]:
-        return [conn.flow_id for conn in self.connections
-                if conn.sender_id == _VICTIM_SENDER]
-
-    def elephant_flow_ids(self) -> List[int]:
-        return [conn.flow_id for conn in self.connections
-                if conn.sender_id != _VICTIM_SENDER]
+def _add_victims(topology) -> Tuple[List[int], List[int]]:
+    """Make the connection to sender 0 on each thread of a single-host
+    ``topology`` a victim issuing single-MTU reads; returns the
+    (victim, elephant) flow ids."""
+    victims: List[int] = []
+    elephants: List[int] = []
+    for conn in topology.connections:
+        (victims if conn.sender_id == _VICTIM_SENDER
+         else elephants).append(conn.flow_id)
+    for flow_id in victims:
+        topology.receiver.per_flow_packets[flow_id] = 1
+    return victims, elephants
 
 
 def _weighted_summary_us(pairs) -> Summary:
@@ -106,20 +101,23 @@ def run_isolation_study(config: ExperimentConfig) -> IsolationResult:
         raise ValueError("isolation study needs at least 2 senders")
     if config.fidelity == "fluid":
         return _run_isolation_fluid(config)
+    require_single_star_host(config, "run_isolation_study")
+    from repro.core.topology import Topology
+
     sim = Simulator()
-    workload = _IsolationWorkload(sim, config)
+    topology = Topology.build(sim, config)
+    victims, elephants = _add_victims(topology)
     sim.run(until=config.sim.warmup)
-    workload.reset_stats()  # component recursion covers host + transport
+    topology.reset_stats()  # component recursion covers host + transport
     sim.run(until=config.sim.end_time)
-    receiver = workload.receiver
+    receiver = topology.receiver
     to_us = lambda values: [v * 1e6 for v in values]  # noqa: E731
     return IsolationResult(
-        victim=summarize(to_us(receiver.message_latencies_for(
-            workload.victim_flow_ids()))),
-        elephant=summarize(to_us(receiver.message_latencies_for(
-            workload.elephant_flow_ids()))),
-        drop_rate=workload.host.drop_rate(),
-        app_throughput_gbps=workload.host.app_throughput_bps() / 1e9,
+        victim=summarize(to_us(receiver.message_latencies_for(victims))),
+        elephant=summarize(to_us(
+            receiver.message_latencies_for(elephants))),
+        drop_rate=topology.host.drop_rate(),
+        app_throughput_gbps=topology.host.app_throughput_bps() / 1e9,
     )
 
 

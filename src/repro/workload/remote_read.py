@@ -8,26 +8,21 @@ connection per sender."
 This module wires senders, fabric, host, and transport together: one
 :class:`~repro.transport.base.Connection` per (receiver thread, sender)
 pair, all continuously backlogged with 16 KB read responses.
-
-Two granularities are exposed:
-
-- :func:`build_remote_read_graph` — the general form: M receiver hosts
-  behind one fabric, each with its own ``senders``-way incast (one
-  :class:`HostWorkload` per host).
-- :class:`RemoteReadWorkload` — the historical single-host facade over
-  the same builder, kept because most studies (and the paper itself)
-  are single-receiver.
+:func:`build_remote_read_graph` builds M receiver hosts behind one
+fabric, each with its own ``senders``-way incast (one
+:class:`HostWorkload` per host); :meth:`repro.core.topology.Topology.build`
+wraps the result as the experiment's root component.
 """
 
 from __future__ import annotations
 
 import functools
 import random
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.config import ExperimentConfig
 from repro.host.host import ReceiverHost
-from repro.net.fabric import Fabric
+from repro.net.fabric import Fabric, MultiTierFabric, build_fabric_plan
 from repro.sim.component import Component
 from repro.sim.engine import Simulator
 from repro.sim.randoms import RngRegistry
@@ -36,7 +31,8 @@ from repro.transport.base import Connection
 from repro.transport.receiver import ReceiverEndpoint
 from repro.transport.registry import create as make_cc
 
-__all__ = ["HostWorkload", "RemoteReadWorkload", "build_remote_read_graph"]
+__all__ = ["HostWorkload", "build_remote_read_graph",
+           "require_single_star_host"]
 
 
 class _TransportStats(Component):
@@ -112,13 +108,11 @@ class HostWorkload(Component):
         host.attach_receiver(self.receiver.on_packet)
         host.attach_ack_egress(fabric.route_ack)
         self.connections: List[Connection] = []
-        self._by_flow: Dict[int, Connection] = {}
         flow_id = self._flow_base
         for thread_id in range(cores):
             for sender_id in range(senders):
-                conn = self._make_connection(flow_id, sender_id, thread_id)
-                self.connections.append(conn)
-                self._by_flow[flow_id] = conn
+                self.connections.append(
+                    self._make_connection(flow_id, sender_id, thread_id))
                 flow_id += 1
         self.transport = _TransportStats(self.connections)
 
@@ -205,40 +199,30 @@ class HostWorkload(Component):
     def total_timeouts(self) -> int:
         return sum(c.timeouts for c in self.connections)
 
-    def mean_cwnd(self) -> float:
-        if not self.connections:
-            return 0.0
-        return sum(c.cc.cwnd() for c in self.connections) / len(
-            self.connections)
-
 
 def build_remote_read_graph(
     sim: Simulator,
     config: ExperimentConfig,
-    receivers: int = 1,
     tracer: Optional[Tracer] = None,
-    fabric_factory: Optional[
-        Callable[[Sequence[Callable]], Fabric]] = None,
 ) -> Tuple[List[ReceiverHost], Fabric, List[HostWorkload]]:
-    """Construct {N×M senders → fabric → M receiver hosts}.
+    """Construct {N×M senders → fabric → M receiver hosts}, M =
+    ``config.workload.receivers``.
 
     Each receiver host gets its own disjoint set of ``senders`` sender
     machines and ``cores × senders`` flows, so per-host congestion is
     independent by construction (the headline multi-receiver claim).
 
-    ``fabric_factory`` — called with the per-host delivery callbacks —
-    lets :class:`~repro.core.topology.GraphBuilder` substitute a
-    multi-tier fabric; the default builds the historical one-hop star.
-    The fabric only needs the star's surface: ``send_packet``,
+    The fabric is the historical one-hop star, or, for any other
+    ``config.fabric.topology``, a :class:`MultiTierFabric` built from
+    its plan.  Both offer the same surface: ``send_packet``,
     ``register_flow``, ``route_ack``, ``fabric_drops``.
 
-    With ``receivers == 1`` the build order — RNG streams, host, fabric,
+    With one receiver the build order — RNG streams, host, fabric,
     endpoint, connections — replays the historical single-host
     construction event for event, which is what keeps single-host
     results bit-identical.
     """
-    if receivers < 1:
-        raise ValueError(f"need at least one receiver, got {receivers}")
+    receivers = config.workload.receivers
     rngs = RngRegistry(config.sim.seed)
     arrival_rng = rngs.stream("arrivals")
     hosts = [
@@ -249,15 +233,14 @@ def build_remote_read_graph(
         for i in range(receivers)
     ]
     deliver = [host.deliver_packet for host in hosts]
-    if fabric_factory is not None:
-        fabric = fabric_factory(deliver)
+    n_senders = config.workload.senders * receivers
+    if config.fabric.topology == "star":
+        fabric = Fabric(sim, config.link, n_senders=n_senders,
+                        receivers=deliver)
     else:
-        fabric = Fabric(
-            sim,
-            config.link,
-            n_senders=config.workload.senders * receivers,
-            receivers=deliver,
-        )
+        plan = build_fabric_plan(config, n_senders=n_senders,
+                                 n_hosts=receivers)
+        fabric = MultiTierFabric(sim, config, plan, deliver)
     workloads = [
         HostWorkload(sim, config, host, fabric,
                      host_index=i, arrival_rng=arrival_rng)
@@ -266,45 +249,15 @@ def build_remote_read_graph(
     return hosts, fabric, workloads
 
 
-class RemoteReadWorkload(Component):
-    """The historical single-host facade over the graph builder."""
-
-    def __init__(self, sim: Simulator, config: ExperimentConfig,
-                 tracer: Optional[Tracer] = None):
-        if config.workload.receivers != 1:
-            raise ValueError(
-                "RemoteReadWorkload is single-host; build a multi-host "
-                "graph with repro.core.topology.GraphBuilder or "
-                "build_remote_read_graph")
-        if config.fabric.topology != "star":
-            raise ValueError(
-                "RemoteReadWorkload is star-only; multi-tier fabrics "
-                "are built by repro.core.topology.GraphBuilder")
-        self.sim = sim
-        self.config = config
-        hosts, fabric, workloads = build_remote_read_graph(
-            sim, config, receivers=1, tracer=tracer)
-        self._hw = workloads[0]
-        self.host = hosts[0]
-        self.fabric = fabric
-        self.receiver = self._hw.receiver
-        self.connections = self._hw.connections
-        self._by_flow = self._hw._by_flow
-
-    def children(self) -> Tuple[Tuple[str, Component], ...]:
-        return (("", self._hw), ("", self.fabric))
-
-    def set_offered_load(self, fraction: float) -> None:
-        self._hw.set_offered_load(fraction)
-
-    def total_packets_sent(self) -> int:
-        return self._hw.total_packets_sent()
-
-    def total_retransmissions(self) -> int:
-        return self._hw.total_retransmissions()
-
-    def total_timeouts(self) -> int:
-        return self._hw.total_timeouts()
-
-    def mean_cwnd(self) -> float:
-        return self._hw.mean_cwnd()
+def require_single_star_host(config: ExperimentConfig,
+                             driver: str) -> None:
+    """Reject a graph shape a single-host packet ``driver`` does not
+    measure: it reads one receiver host behind the one-hop star."""
+    if config.workload.receivers != 1:
+        raise ValueError(
+            f"{driver} runs one receiver host: workload.receivers must "
+            f"be 1, got {config.workload.receivers}")
+    if config.fabric.topology != "star":
+        raise ValueError(
+            f"{driver} runs on the one-hop star: fabric.topology must "
+            f"be 'star', got {config.fabric.topology!r}")

@@ -3,7 +3,7 @@
 import dataclasses
 
 from repro.core.config import baseline_config
-from repro.core.topology import GraphBuilder
+from repro.core.topology import Topology
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import Component, SimComponent, Simulator, join_name
 
@@ -117,14 +117,14 @@ def _walk(component, out=None):
 
 
 def test_topology_nodes_implement_protocol():
-    topology = GraphBuilder(_quick_config()).build(Simulator())
+    topology = Topology.build(Simulator(), _quick_config())
     for node in _walk(topology):
         assert isinstance(node, SimComponent), type(node).__name__
         assert isinstance(node, Component), type(node).__name__
 
 
 def test_topology_walk_reaches_every_leaf_exactly_once():
-    topology = GraphBuilder(_quick_config()).build(Simulator())
+    topology = Topology.build(Simulator(), _quick_config())
     nodes = _walk(topology)
     ids = [id(node) for node in nodes]
     assert len(ids) == len(set(ids)), "a component appears twice"
@@ -136,7 +136,7 @@ def test_topology_walk_reaches_every_leaf_exactly_once():
 
 
 def test_topology_rebinds_cleanly_on_fresh_registry():
-    topology = GraphBuilder(_quick_config()).build(Simulator())
+    topology = Topology.build(Simulator(), _quick_config())
     topology.bind_metrics(MetricsRegistry())
     # A second registry is a fresh namespace: no duplicate errors.
     registry = MetricsRegistry()
@@ -148,7 +148,7 @@ def test_topology_rebinds_cleanly_on_fresh_registry():
 
 
 def test_multi_host_binding_prefixes_each_host():
-    topology = GraphBuilder(_quick_config(receivers=2)).build(Simulator())
+    topology = Topology.build(Simulator(), _quick_config(receivers=2))
     registry = MetricsRegistry()
     topology.bind_metrics(registry)
     for name in ("host0/nic.rx_packets", "host1/nic.rx_packets",

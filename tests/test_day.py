@@ -52,23 +52,23 @@ class TestSetOfferedLoad:
             sim=SimConfig(warmup=1e-3, duration=1e-3, seed=1))
         handle = ExperimentHandle(config)
         with pytest.raises(ValueError):
-            handle.workload.set_offered_load(0.5)
+            handle.topology.set_offered_load(0.5)
 
     def test_rate_change_takes_effect(self):
         handle = ExperimentHandle(open_loop_config(load=0.2))
         handle.sim.run(until=2e-3)
-        before = handle.host.nic.rx_packets
-        handle.workload.set_offered_load(0.8)
+        before = handle.topology.host.nic.rx_packets
+        handle.topology.set_offered_load(0.8)
         handle.sim.run(until=4e-3)
-        after = handle.host.nic.rx_packets - before
+        after = handle.topology.host.nic.rx_packets - before
         assert after > 2 * before  # ~4x the rate over an equal window
 
     def test_range_validated(self):
         handle = ExperimentHandle(open_loop_config())
         with pytest.raises(ValueError):
-            handle.workload.set_offered_load(0.0)
+            handle.topology.set_offered_load(0.0)
         with pytest.raises(ValueError):
-            handle.workload.set_offered_load(3.0)
+            handle.topology.set_offered_load(3.0)
 
 
 class TestSimulateDay:

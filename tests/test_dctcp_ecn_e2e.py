@@ -31,7 +31,7 @@ def test_dctcp_controls_fabric_congestion_with_ecn():
     # Near-full fabric utilization...
     assert result.metrics["app_throughput_gbps"] > 18
     # ...without a runaway switch queue (stays within a few x of K).
-    assert handle.workload.fabric.switch_queue_bytes() < 800_000
+    assert handle.topology.fabric.switch_queue_bytes() < 800_000
     assert result.metrics["fabric_drops"] == 0
 
 

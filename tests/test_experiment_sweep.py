@@ -26,13 +26,13 @@ def tiny_config(cores=4, senders=8, **kwargs):
 class TestWorkloadGraph:
     def test_one_connection_per_thread_per_sender(self):
         handle = ExperimentHandle(tiny_config(cores=3, senders=5))
-        assert len(handle.workload.connections) == 15
-        flow_ids = [c.flow_id for c in handle.workload.connections]
+        assert len(handle.topology.connections) == 15
+        flow_ids = [c.flow_id for c in handle.topology.connections]
         assert len(set(flow_ids)) == 15
 
     def test_threads_and_senders_mapped(self):
         handle = ExperimentHandle(tiny_config(cores=2, senders=3))
-        for conn in handle.workload.connections:
+        for conn in handle.topology.connections:
             assert 0 <= conn.thread_id < 2
             assert 0 <= conn.sender_id < 3
 
@@ -67,7 +67,7 @@ class TestRunExperiment:
         handles = []
         run_experiment(tiny_config(), handle_out=handles)
         (handle,) = handles
-        assert handle.host.nic.dma_completed_packets > 0
+        assert handle.topology.host.nic.dma_completed_packets > 0
 
     def test_transport_selectable(self):
         for transport in ("swift", "dctcp", "cubic", "hostcc"):
@@ -77,7 +77,7 @@ class TestRunExperiment:
     def test_warmup_excluded_from_metrics(self):
         handle = ExperimentHandle(tiny_config())
         handle.run_warmup()
-        assert handle.host.nic.rx_packets == 0  # stats reset
+        assert handle.topology.host.nic.rx_packets == 0  # stats reset
         handle.run_measurement()
         result = handle.collect()
         # Throughput computed over the measurement window only.

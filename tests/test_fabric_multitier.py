@@ -15,7 +15,7 @@ import pytest
 from repro.core.config import ExperimentConfig, FabricConfig
 from repro.core.experiment import ExperimentHandle
 from repro.core.scenario import run_configs
-from repro.core.topology import (
+from repro.net.fabric import (
     build_fabric_plan,
     dumbbell_plan,
     fattree_plan,

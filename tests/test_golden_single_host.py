@@ -15,10 +15,6 @@ from pathlib import Path
 
 from repro.core.config import baseline_config
 from repro.core.experiment import ExperimentHandle
-from repro.core.topology import GraphBuilder
-from repro.obs.metrics import MetricsRegistry
-from repro.sim import Simulator
-from repro.workload.remote_read import RemoteReadWorkload
 
 GOLDEN = Path(__file__).parent / "data" / "golden_single_host.json"
 
@@ -45,25 +41,3 @@ def test_single_host_run_matches_golden_snapshot():
             f"{section} diverged from tests/data/golden_single_host.json; "
             "if the behaviour change is intentional, regenerate with "
             "tests/data/make_golden.py")
-
-
-def test_topology_equals_direct_workload_build():
-    # Topology(M=1) and the legacy RemoteReadWorkload facade construct
-    # the same graph: identical event/RNG order, identical results.
-    config = baseline_config(warmup=1e-3, duration=2e-3, seed=1)
-
-    sim_a = Simulator()
-    topology = GraphBuilder(config).build(sim_a)
-    reg_a = MetricsRegistry()
-    topology.bind_metrics(reg_a)
-    sim_a.run(until=config.sim.end_time)
-
-    sim_b = Simulator()
-    workload = RemoteReadWorkload(sim_b, config)
-    reg_b = MetricsRegistry()
-    workload.bind_metrics(reg_b)
-    sim_b.run(until=config.sim.end_time)
-
-    assert reg_a.snapshot() == reg_b.snapshot()
-    assert topology.snapshot() == workload.host.snapshot()
-    assert sim_a.events_dispatched == sim_b.events_dispatched

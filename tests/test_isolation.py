@@ -9,13 +9,14 @@ from repro.core.config import (
     SimConfig,
     WorkloadConfig,
 )
+from repro.core.topology import Topology
+from repro.sim import Simulator
 from repro.workload.isolation import (
     IsolationResult,
-    _IsolationWorkload,
+    _add_victims,
     congested_vs_uncongested,
     run_isolation_study,
 )
-from repro.sim import Simulator
 
 
 def config(cores=12, senders=8, seed=1):
@@ -27,13 +28,12 @@ def config(cores=12, senders=8, seed=1):
 
 
 def test_victims_are_one_per_thread():
-    sim = Simulator()
-    workload = _IsolationWorkload(sim, config(cores=3, senders=5))
-    victims = workload.victim_flow_ids()
+    topology = Topology.build(Simulator(), config(cores=3, senders=5))
+    victims, elephants = _add_victims(topology)
     assert len(victims) == 3
-    assert len(workload.elephant_flow_ids()) == 12
+    assert len(elephants) == 12
     for flow_id in victims:
-        assert workload.receiver.per_flow_packets[flow_id] == 1
+        assert topology.receiver.per_flow_packets[flow_id] == 1
 
 
 def test_requires_two_senders():

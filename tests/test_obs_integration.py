@@ -61,7 +61,7 @@ def test_metrics_snapshot_has_paper_observables(traced_handle):
 
 def test_metrics_agree_with_component_state(traced_handle):
     snap = traced_handle.metrics_snapshot()
-    nic = traced_handle.host.nic
+    nic = traced_handle.topology.host.nic
     assert snap["counters"]["nic.rx_packets"] == nic.rx_packets
     assert snap["counters"]["nic.dropped_packets"] == nic.dropped_packets
     assert snap["gauges"]["nic.drop_rate"] == pytest.approx(nic.drop_rate())
@@ -109,7 +109,7 @@ def test_reset_window_separates_warmup_from_measurement():
 def test_warmup_samples_are_dropped_at_the_reset():
     handle = ExperimentHandle(small_config())
     handle.run_warmup()
-    nic = handle.host.nic
+    nic = handle.topology.host.nic
     assert nic._host_delay_pending == nic._dma_latency_pending == []
     # An empty measurement window reports every field as zero.
     for summary in handle.metrics_snapshot()["histograms"].values():
@@ -134,7 +134,7 @@ def test_histograms_match_the_raw_nic_samples_of_the_golden_run():
         warmup=1e-3, duration=2e-3, seed=1))
     handle.run_warmup()
     handle.run_measurement()
-    nic = handle.host.nic
+    nic = handle.topology.host.nic
     raw = {"nic.host_delay_us": list(nic._host_delay_pending),
            "nic.dma_latency_us": list(nic._dma_latency_pending)}
     histograms = handle.metrics.snapshot()["histograms"]

@@ -210,6 +210,19 @@ bin_duration = 1
         assert spec.driver_args == {"n_bins": 3, "bin_duration": 1.0}
         assert type(spec.driver_args["bin_duration"]) is float
 
+    def test_driver_args_checked_on_specs_built_in_code(self):
+        from repro.analysis.figures import figure1
+
+        with pytest.raises(ScenarioError,
+                           match=r"\[driver_args\] n_hosts "):
+            figure1(n_hosts=0, fidelity="fluid")
+        with pytest.raises(ScenarioError,
+                           match=r"\[driver_args\] n_bins "):
+            dataclasses.replace(load_bundled("one_host_day"),
+                                driver_args={"n_bins": 0})
+        with pytest.raises(ScenarioError, match="unknown driver 'dayz'"):
+            ScenarioSpec(name="t", driver="dayz")
+
     def test_render_where_key_must_be_run_parameter(self):
         with pytest.raises(ScenarioError, match="iommu_enabled"):
             spec_from(MINIMAL + """

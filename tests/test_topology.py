@@ -1,4 +1,4 @@
-"""GraphBuilder validation and multi-receiver topology end-to-end."""
+"""Topology and fabric validation, and multi-receiver topology end-to-end."""
 
 import dataclasses
 
@@ -12,7 +12,7 @@ from repro.core.config import (
 )
 from repro.core.experiment import run_experiment
 from repro.core.scenario import run_configs
-from repro.core.topology import GraphBuilder
+from repro.core.topology import Topology
 from repro.net.fabric import Fabric
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import Simulator
@@ -25,12 +25,7 @@ def quick_config(receivers=1, **sim_overrides):
         workload=dataclasses.replace(base.workload, receivers=receivers))
 
 
-# -- builder / fabric validation ---------------------------------------------
-
-
-def test_builder_rejects_zero_receivers():
-    with pytest.raises(ValueError, match="at least one receiver"):
-        GraphBuilder(baseline_config(), receivers=0)
+# -- config / fabric validation ----------------------------------------------
 
 
 def test_config_rejects_zero_receivers():
@@ -114,7 +109,7 @@ def test_hosts_are_independent():
 
 
 def test_topology_compat_surface():
-    topology = GraphBuilder(quick_config(receivers=2)).build(Simulator())
+    topology = Topology.build(Simulator(), quick_config(receivers=2))
     assert topology.host is topology.hosts[0]
     assert topology.receiver is topology.workloads[0].receiver
     per_host = topology.config.workload.senders * 12  # 12 cores
@@ -133,7 +128,7 @@ def test_sweep_receivers_parallel_equals_serial():
 
 
 def test_single_host_keeps_flat_metric_names():
-    topology = GraphBuilder(quick_config(receivers=1)).build(Simulator())
+    topology = Topology.build(Simulator(), quick_config(receivers=1))
     registry = MetricsRegistry()
     topology.bind_metrics(registry)
     assert "nic.rx_packets" in registry
