@@ -14,10 +14,10 @@ whose records export to Perfetto via :mod:`repro.obs.perfetto`.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.core.config import ExperimentConfig
-from repro.core.metrics import summarize
+from repro.core.metrics import Summary, summarize
 from repro.core.results import ExperimentResult
 from repro.core.topology import Topology
 from repro.obs.metrics import MetricsRegistry
@@ -25,10 +25,27 @@ from repro.obs.telemetry import MetricsSampler
 from repro.sim.engine import Simulator
 from repro.sim.tracing import Tracer
 
-__all__ = ["run_experiment", "ExperimentHandle"]
+__all__ = ["run_experiment", "build_handle", "ExperimentHandle"]
 
 
-class ExperimentHandle:
+class RunHandle:
+    """The warmup/measurement lifecycle, over the ``run_until`` and
+    ``reset_window`` phase calls each fidelity's handle defines."""
+
+    _measuring = False
+
+    def run_warmup(self) -> None:
+        self.run_until(self.config.sim.warmup)
+        self.reset_window()
+        self._measuring = True
+
+    def run_measurement(self) -> None:
+        if not self._measuring:
+            self.run_warmup()
+        self.run_until(self.config.sim.end_time)
+
+
+class ExperimentHandle(RunHandle):
     """A built-but-not-finished experiment, for callers that want to
     probe mid-run state (time series, convergence tests)."""
 
@@ -51,22 +68,46 @@ class ExperimentHandle:
                 self.sim, self.metrics,
                 interval=config.sim.sample_interval)
             self.sampler.bind_metrics(self.metrics)
-        self._measuring = False
 
-    def run_warmup(self) -> None:
-        self.sim.run(until=self.config.sim.warmup)
+    @property
+    def now(self) -> float:
+        return self.sim.now
+
+    @property
+    def events_dispatched(self) -> int:
+        return self.sim.events_dispatched
+
+    def run_until(self, until: float) -> None:
+        self.sim.run(until=until)
+
+    def reset_window(self) -> None:
+        """Restart every window counter; queue and CC state persist."""
         self.topology.reset_stats()
         self.metrics.reset_window()
+
+    def set_offered_load(self, load: float) -> None:
+        for hw in self.topology.workloads:
+            hw.set_offered_load(load)
+
+    def set_antagonist_cores(self, cores: int) -> None:
+        for host in self.topology.hosts:
+            host.antagonist.set_cores(cores)
+
+    def set_read_packets(self, sender_id: int, packets: int) -> None:
+        """The receivers count reads from sender ``sender_id`` as
+        ``packets``-packet messages (a read-size class); the rest keep
+        the config's size."""
+        for hw in self.topology.workloads:
+            for conn in hw.connections:
+                if conn.sender_id == sender_id:
+                    hw.receiver.per_flow_packets[conn.flow_id] = packets
+
+    def run_warmup(self) -> None:
+        super().run_warmup()
         # The sampling epoch is the warmup boundary: ticks land at
         # warmup + k·interval, aligned with the measurement window.
         if self.sampler is not None:
             self.sampler.start()
-        self._measuring = True
-
-    def run_measurement(self) -> None:
-        if not self._measuring:
-            self.run_warmup()
-        self.sim.run(until=self.config.sim.end_time)
 
     def metrics_snapshot(self) -> Dict[str, Dict]:
         """The full registry snapshot plus run metadata — the payload
@@ -74,8 +115,8 @@ class ExperimentHandle:
         snapshot = self.metrics.snapshot()
         snapshot["meta"] = {
             "params": self.config.describe(),
-            "sim_time_s": self.sim.now,
-            "events_dispatched": self.sim.events_dispatched,
+            "sim_time_s": self.now,
+            "events_dispatched": self.events_dispatched,
             "trace_records": len(self.tracer),
             "trace_dropped": self.tracer.dropped,
         }
@@ -97,9 +138,29 @@ class ExperimentHandle:
             return []
         return list(self.sampler.samples)
 
+    def window(self) -> Dict[str, float]:
+        """The topology-level headline dict, with ``link_utilization``."""
+        metrics: Dict[str, float] = self.topology.snapshot()
+        metrics["link_utilization"] = (
+            metrics["wire_arrival_gbps"] * 1e9
+            / (self.config.link.rate_bps * self.topology.n_receivers))
+        return metrics
+
+    def latency_us(self, packets: int) -> Summary:
+        """Message-latency summary (µs) of the ``packets``-packet read
+        class, host-major."""
+        latencies: List[float] = []
+        for hw in self.topology.workloads:
+            receiver = hw.receiver
+            latencies.extend(receiver.message_latencies_for(
+                conn.flow_id for conn in hw.connections
+                if receiver.per_flow_packets.get(
+                    conn.flow_id, receiver.packets_per_read) == packets))
+        return summarize([v * 1e6 for v in latencies])
+
     def collect(self) -> ExperimentResult:
         topology = self.topology
-        metrics: Dict[str, float] = topology.snapshot()
+        metrics = self.window()
         metrics.update(
             {
                 "packets_sent": float(topology.total_packets_sent()),
@@ -112,10 +173,8 @@ class ExperimentHandle:
                      / float(topology.total_packets_sent())
                      if topology.total_packets_sent() else 0.0),
                 "messages_completed": float(topology.messages_completed()),
-                "link_utilization":
-                    metrics["wire_arrival_gbps"] * 1e9
-                    / (self.config.link.rate_bps
-                       * topology.n_receivers),
+                # Moved last, where the CSV column order has it.
+                "link_utilization": metrics.pop("link_utilization"),
             }
         )
         latencies = topology.all_message_latencies()
@@ -132,6 +191,18 @@ class ExperimentHandle:
         )
 
 
+def build_handle(config: ExperimentConfig):
+    """The run handle for ``config.fidelity``; both kinds have the phase
+    calls listed in :mod:`repro.core.fluid`."""
+    if config.fidelity == "fluid":
+        # Local import: the fluid runner is optional machinery this
+        # module should not pay for (or circularly depend on) up front.
+        from repro.core.fluid import FluidExperiment
+
+        return FluidExperiment(config)
+    return ExperimentHandle(config)
+
+
 def run_experiment(
     config: ExperimentConfig,
     handle_out: Optional[list] = None,
@@ -146,14 +217,7 @@ def run_experiment(
     (default) or the rate-based fluid solver — same lifecycle, same
     result schema, so callers never branch on fidelity themselves.
     """
-    if config.fidelity == "fluid":
-        # Local import: the fluid runner is optional machinery this
-        # module should not pay for (or circularly depend on) up front.
-        from repro.core.fluid import FluidExperiment
-
-        handle = FluidExperiment(config)
-    else:
-        handle = ExperimentHandle(config)
+    handle = build_handle(config)
     if handle_out is not None:
         handle_out.append(handle)
     handle.run_warmup()

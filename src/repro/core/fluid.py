@@ -6,8 +6,14 @@ signature, same ``run_warmup`` / ``run_measurement`` / ``collect``
 lifecycle, same metric names in :meth:`collect` and
 :meth:`metrics_snapshot` — so the sweep runner, result cache, CSV
 writers, ledger, and every figure binding work unchanged at either
-fidelity.  ``run_experiment`` dispatches here when
-``config.fidelity == "fluid"``.
+fidelity.  Both handles have the phase calls the day and isolation
+studies run one loop over: ``now``, ``events_dispatched`` (solver
+steps stand in for events), ``run_until(t)``, ``reset_window()``,
+``set_offered_load(load)``, ``set_antagonist_cores(n)``, ``window()``
+(the headline dict, ``link_utilization`` in it), and
+``set_read_packets(sender, packets)`` with ``latency_us(packets)`` (a
+read-size class's latency ``Summary``).  ``build_handle`` returns one
+when ``config.fidelity == "fluid"``.
 
 The topologies this repo studies are symmetric incasts (every receiver
 host serves an identical sender population), so one
@@ -23,65 +29,83 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import ExperimentConfig
+from repro.core.experiment import RunHandle
+from repro.core.metrics import Summary
 from repro.core.results import ExperimentResult
 from repro.sim.fluid import FluidSolver, weighted_summary
 
 __all__ = ["FluidExperiment"]
 
 
-class _FluidClock:
-    """The ``handle.sim`` surface the sweep runner reads: simulated
-    time and a work counter (solver steps stand in for events)."""
-
-    def __init__(self, solver: FluidSolver):
-        self._solver = solver
-
-    @property
-    def now(self) -> float:
-        return self._solver.now
-
-    @property
-    def events_dispatched(self) -> int:
-        return self._solver.steps
-
-
-class FluidExperiment:
+class FluidExperiment(RunHandle):
     """A built-but-not-finished fluid experiment (handle-compatible)."""
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
         self.n_receivers = config.workload.receivers
         self.solver = FluidSolver(config)
-        self.sim = _FluidClock(self.solver)
-        self._measuring = False
         self._synthesized: Optional[
             Tuple[List[Tuple[float, float]], float]] = None
 
-    def run_warmup(self) -> None:
-        self.solver.run_until(self.config.sim.warmup)
-        self.solver.reset_stats()
-        self._measuring = True
+    @property
+    def now(self) -> float:
+        return self.solver.now
 
-    def run_measurement(self) -> None:
-        if not self._measuring:
-            self.run_warmup()
-        self.solver.run_until(self.config.sim.end_time)
+    @property
+    def events_dispatched(self) -> int:
+        return self.solver.steps
+
+    def run_until(self, until: float) -> None:
+        self.solver.run_until(until)
         self._synthesized = None
+
+    def reset_window(self) -> None:
+        """Restart the accumulators; CC and queue state persist."""
+        self.solver.reset_stats()
+        self._synthesized = None
+
+    def set_offered_load(self, load: float) -> None:
+        if self.config.workload.offered_load is None:
+            raise ValueError(
+                "workload was built closed-loop; offered load is fixed")
+        self.solver.set_offered_load(load)
+
+    def set_antagonist_cores(self, cores: int) -> None:
+        self.solver.set_antagonist_cores(cores)
+
+    def set_read_packets(self, sender_id: int, packets: int) -> None:
+        """Nothing to change: all classes share the step trace, and
+        :meth:`latency_us` synthesizes one class at its read size."""
 
     # -- reporting ---------------------------------------------------------
 
-    def _aggregate_snapshot(self) -> Dict[str, float]:
-        """The topology-level headline dict: one symmetric host scaled
-        to ``n_receivers`` per ``Topology.snapshot`` aggregation."""
+    def window(self) -> Dict[str, float]:
+        """The topology-level headline dict, with ``link_utilization``:
+        one symmetric host scaled per ``Topology.snapshot``."""
         snap = self.solver.snapshot()
         m = self.n_receivers
-        if m == 1:
-            return snap
-        summed = ("app_throughput_gbps", "wire_arrival_gbps",
-                  "memory_total_GBps", "iommu_entries",
-                  "remote_memory_GBps")
-        return {key: (value * m if key in summed else value)
-                for key, value in snap.items()}
+        if m > 1:
+            summed = ("app_throughput_gbps", "wire_arrival_gbps",
+                      "memory_total_GBps", "iommu_entries",
+                      "remote_memory_GBps")
+            snap = {key: (value * m if key in summed else value)
+                    for key, value in snap.items()}
+        snap["link_utilization"] = (snap["wire_arrival_gbps"] * 1e9
+                                    / (self.config.link.rate_bps * m))
+        return snap
+
+    def latency_us(self, packets: int) -> Summary:
+        """Message-latency summary (µs) of a ``packets``-packet read
+        class over the measurement window."""
+        solver = self.solver
+        # Synthesized in seconds and scaled per field: the µs-scale
+        # synthesis of :meth:`_messages` differs in the last bits.
+        pairs, _ = solver.synthesize_message_pairs(
+            solver.run.step_trace, packets, 1.0)
+        s = weighted_summary(pairs)
+        return Summary(count=s["count"], mean=s["mean"] * 1e6,
+                       p50=s["p50"] * 1e6, p90=s["p90"] * 1e6,
+                       p99=s["p99"] * 1e6, maximum=s["max"] * 1e6)
 
     def _messages(self) -> Tuple[List[Tuple[float, float]], float]:
         """(message-latency pairs in µs, timeouts) of the measurement
@@ -96,7 +120,7 @@ class FluidExperiment:
     def collect(self) -> ExperimentResult:
         run = self.solver.run
         m = self.n_receivers
-        metrics = self._aggregate_snapshot()
+        metrics = self.window()
         pairs, timeouts = self._messages()
         messages = sum(w for _, w in pairs)
         metrics.update(
@@ -112,9 +136,8 @@ class FluidExperiment:
                      / run.fabric_offered_packets
                      if run.fabric_offered_packets > 0 else 0.0),
                 "messages_completed": messages * m,
-                "link_utilization":
-                    metrics["wire_arrival_gbps"] * 1e9
-                    / (self.config.link.rate_bps * m),
+                # Moved last, where the CSV column order has it.
+                "link_utilization": metrics.pop("link_utilization"),
             }
         )
         latency = weighted_summary(pairs)
@@ -176,8 +199,8 @@ class FluidExperiment:
             }
         payload["meta"] = {
             "params": self.config.describe(),
-            "sim_time_s": self.sim.now,
-            "events_dispatched": self.sim.events_dispatched,
+            "sim_time_s": self.now,
+            "events_dispatched": self.events_dispatched,
             "trace_records": 0,
             "trace_dropped": 0,
             "fidelity": "fluid",

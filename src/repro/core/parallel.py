@@ -202,8 +202,8 @@ def _execute(index: int, config: ExperimentConfig, want_snapshot: bool,
                  "pid": os.getpid(), "ts": time.time(),
                  "peak_rss_kb": _peak_rss_kb()}
         if handles:
-            stats["sim_s"] = handles[0].sim.now
-            stats["engine_events"] = handles[0].sim.events_dispatched
+            stats["sim_s"] = handles[0].now
+            stats["engine_events"] = handles[0].events_dispatched
         return stats
 
     # Enforce the per-run timeout with a real interval timer where the

@@ -669,18 +669,16 @@ class ScenarioSpec:
     def _run_day(self, quality, base, fidelity=None):
         from repro.workload.day import diurnal_schedule, simulate_day
 
-        config = self.base_config(quality, base, fidelity)
-        args = self.driver_args
-        schedule = diurnal_schedule(
-            args.get("n_bins", 24),
-            seed=args.get("schedule_seed", 0),
-            base_load=args.get("base_load", 0.6),
-            swing=args.get("swing", 0.55),
-            antagonist_peak=args.get("antagonist_peak", 15))
-        return simulate_day(
-            config, schedule,
-            bin_duration=args.get("bin_duration", 5e-3),
-            warmup_per_bin=args.get("warmup_per_bin", 1e-3))
+        # Only the keys the spec sets, so each default lives in one
+        # signature; the rest of ``[driver_args]`` shapes the schedule.
+        args = dict(self.driver_args)
+        if "schedule_seed" in args:
+            args["seed"] = args.pop("schedule_seed")
+        run_args = {key: args.pop(key)
+                    for key in ("bin_duration", "warmup_per_bin")
+                    if key in args}
+        return simulate_day(self.base_config(quality, base, fidelity),
+                            diurnal_schedule(**args), **run_args)
 
 
 # ---------------------------------------------------------------------------

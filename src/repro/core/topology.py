@@ -4,7 +4,7 @@
 hosts} on a simulator and returns the :class:`Topology` — the root
 :class:`~repro.sim.component.Component` that
 :class:`~repro.core.experiment.ExperimentHandle` binds, resets, and
-snapshots, and that the packet day and isolation drivers run on.  It is
+snapshots, sweep points and the day and isolation studies alike.  It is
 the one way a packet graph is built, whether the experiment has one
 receiver host (the paper's setup) or many.
 
@@ -78,7 +78,7 @@ class Topology(Component):
                      for i, hw in enumerate(self.workloads)]
         return tuple(named + [("", self.fabric)])
 
-    # -- single-host surface (the day and isolation drivers) --------------
+    # -- single-host surface ------------------------------------------------
 
     @property
     def host(self) -> ReceiverHost:
@@ -97,10 +97,6 @@ class Topology(Component):
         for hw in self.workloads:
             out.extend(hw.connections)
         return out
-
-    def set_offered_load(self, fraction: float) -> None:
-        for hw in self.workloads:
-            hw.set_offered_load(fraction)
 
     # -- aggregate statistics ------------------------------------------------
 

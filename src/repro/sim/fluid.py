@@ -1077,9 +1077,12 @@ class FluidSolver:
 
     def set_offered_load(self, load: Optional[float]) -> None:
         """Mid-run load change (the day driver's per-bin schedule) —
-        mirrors ``HostWorkload.set_offered_load``.  Precomputes
+        mirrors ``HostWorkload.set_offered_load``, whose range it
+        checks; ``None`` switches the host to closed loop.  Precomputes
         the per-step open-loop demand accrual so the step only adds a
         constant."""
+        if load is not None and not 0 < load <= 2:
+            raise ValueError(f"offered load {load} out of (0, 2]")
         self.open_loop = load is not None
         self.demand_step_bytes = (_demand_step_bytes(self, load)
                                   if self.open_loop else 0.0)
@@ -1087,6 +1090,8 @@ class FluidSolver:
     def set_antagonist_cores(self, cores: int) -> None:
         """Mid-run antagonist change — mirrors
         ``MemoryAntagonist.set_cores``."""
+        if cores < 0:
+            raise ValueError(f"cores must be non-negative, got {cores}")
         self.antagonist_Bps = (cores
                                * self.config.host.antagonist_per_core_Bps)
 

@@ -7,7 +7,10 @@ the open-loop offered load and the memory-antagonist intensity change
 (diurnal pattern plus noise), and the host's (link utilization, drop
 rate) is measured per bin — yielding Fig. 1-style scatter points from
 a *single* host over time, complementary to the cross-sectional fleet
-sampler.
+sampler.  The loop is written once over a run handle, so it runs the
+same at either fidelity: one handle is carried across bins (CC and
+queue state persist), and each bin sets its load and antagonist, warms
+up, restarts the window counters and measures.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.core.config import ExperimentConfig
-from repro.sim.engine import Simulator
 from repro.workload.remote_read import require_single_star_host
 
 __all__ = ["DayBin", "diurnal_schedule", "simulate_day"]
@@ -37,7 +39,7 @@ class DayBin:
 
 
 def diurnal_schedule(
-    n_bins: int,
+    n_bins: int = 24,
     seed: int = 0,
     base_load: float = 0.6,
     swing: float = 0.55,
@@ -66,38 +68,6 @@ def diurnal_schedule(
     return schedule
 
 
-def _simulate_day_fluid(
-    config: ExperimentConfig,
-    schedule: Sequence[tuple],
-    bin_duration: float,
-    warmup_per_bin: float,
-) -> List[DayBin]:
-    """Fluid twin of the packet day loop: one solver carried across
-    bins (CC and queue state persist, as in the packet run), per-bin
-    load/antagonist changes applied through the solver's setters."""
-    from repro.sim.fluid import FluidSolver
-
-    solver = FluidSolver(config)
-    bins: List[DayBin] = []
-    for index, (load, antagonists) in enumerate(schedule):
-        solver.set_offered_load(load)
-        solver.set_antagonist_cores(antagonists)
-        solver.run_until(solver.now + warmup_per_bin)
-        solver.reset_stats()
-        solver.run_until(solver.now + bin_duration)
-        snap = solver.snapshot()
-        bins.append(DayBin(
-            index=index,
-            offered_load=load,
-            antagonist_cores=antagonists,
-            link_utilization=snap["wire_arrival_gbps"] * 1e9
-            / config.link.rate_bps,
-            drop_rate=snap["drop_rate"],
-            app_throughput_gbps=snap["app_throughput_gbps"],
-        ))
-    return bins
-
-
 def simulate_day(
     config: ExperimentConfig,
     schedule: Sequence[tuple],
@@ -107,35 +77,28 @@ def simulate_day(
     """Run one host through ``schedule``; one :class:`DayBin` each.
 
     ``config.workload.offered_load`` must be set (open loop); the
-    schedule overrides it per bin.  At packet fidelity the config must
+    schedule overrides it per bin.  At either fidelity the config must
     describe one receiver host on the star fabric.
     """
-    if config.workload.offered_load is None:
-        raise ValueError("simulate_day requires an open-loop workload "
-                         "(set workload.offered_load)")
-    if config.fidelity == "fluid":
-        return _simulate_day_fluid(config, schedule, bin_duration,
-                                   warmup_per_bin)
     require_single_star_host(config, "simulate_day")
-    from repro.core.topology import Topology
+    # Local import: the workload layer sits below core.
+    from repro.core.experiment import build_handle
 
-    sim = Simulator()
-    topology = Topology.build(sim, config)
-    host = topology.host
+    handle = build_handle(config)
     bins: List[DayBin] = []
     for index, (load, antagonists) in enumerate(schedule):
-        topology.set_offered_load(load)
-        host.antagonist.set_cores(antagonists)
-        sim.run(until=sim.now + warmup_per_bin)
-        host.reset_stats()
-        sim.run(until=sim.now + bin_duration)
+        handle.set_offered_load(load)
+        handle.set_antagonist_cores(antagonists)
+        handle.run_until(handle.now + warmup_per_bin)
+        handle.reset_window()
+        handle.run_until(handle.now + bin_duration)
+        window = handle.window()
         bins.append(DayBin(
             index=index,
             offered_load=load,
             antagonist_cores=antagonists,
-            link_utilization=host.wire_arrival_bps()
-            / config.link.rate_bps,
-            drop_rate=host.drop_rate(),
-            app_throughput_gbps=host.app_throughput_bps() / 1e9,
+            link_utilization=window["link_utilization"],
+            drop_rate=window["drop_rate"],
+            app_throughput_gbps=window["app_throughput_gbps"],
         ))
     return bins

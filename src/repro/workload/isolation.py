@@ -10,18 +10,21 @@ This study runs the standard incast with one *victim* connection per
 receiver thread issuing single-MTU (4 KB) RPCs, while every other
 connection issues the usual 16 KB elephant reads.  Comparing victim
 tail latency between an uncongested and a congested host quantifies the
-isolation violation.
+isolation violation.  The study is written once over a run handle, so
+it runs the same at either fidelity: the packet kernel splits latencies
+by each read-size class's flows, the fluid solver synthesizes both
+classes from one step trace — the identical congestion signal, which
+is exactly the shared-NIC-buffer coupling the study measures.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict
 
 from repro.core.config import ExperimentConfig
-from repro.core.metrics import Summary, summarize
-from repro.sim.engine import Simulator
+from repro.core.metrics import Summary
 from repro.workload.remote_read import require_single_star_host
 
 __all__ = ["IsolationResult", "run_isolation_study"]
@@ -46,78 +49,24 @@ class IsolationResult:
         return self.victim.p99 / baseline.victim.p99
 
 
-def _add_victims(topology) -> Tuple[List[int], List[int]]:
-    """Make the connection to sender 0 on each thread of a single-host
-    ``topology`` a victim issuing single-MTU reads; returns the
-    (victim, elephant) flow ids."""
-    victims: List[int] = []
-    elephants: List[int] = []
-    for conn in topology.connections:
-        (victims if conn.sender_id == _VICTIM_SENDER
-         else elephants).append(conn.flow_id)
-    for flow_id in victims:
-        topology.receiver.per_flow_packets[flow_id] = 1
-    return victims, elephants
-
-
-def _weighted_summary_us(pairs) -> Summary:
-    """A :class:`Summary` (µs) from weighted latency pairs (seconds)."""
-    from repro.sim.fluid import weighted_summary
-
-    s = weighted_summary(pairs)
-    return Summary(count=s["count"], mean=s["mean"] * 1e6,
-                   p50=s["p50"] * 1e6, p90=s["p90"] * 1e6,
-                   p99=s["p99"] * 1e6, maximum=s["max"] * 1e6)
-
-
-def _run_isolation_fluid(config: ExperimentConfig) -> IsolationResult:
-    """Fluid twin of the isolation study: one solver run; victim
-    (single-MTU) and elephant (full-read) latency distributions are
-    synthesized from the same step trace with their respective
-    read sizes, so both classes see the identical congestion signal —
-    exactly the shared-NIC-buffer coupling the study measures."""
-    from repro.sim.fluid import FluidSolver
-
-    solver = FluidSolver(config)
-    solver.run_until(config.sim.warmup)
-    solver.reset_stats()
-    solver.run_until(config.sim.end_time)
-    trace = solver.run.step_trace
-    victim_pairs, _ = solver.synthesize_message_pairs(trace, 1.0, 1.0)
-    elephant_pairs, _ = solver.synthesize_message_pairs(
-        trace, solver.packets_per_read, 1.0)
-    snap = solver.snapshot()
-    return IsolationResult(
-        victim=_weighted_summary_us(victim_pairs),
-        elephant=_weighted_summary_us(elephant_pairs),
-        drop_rate=snap["drop_rate"],
-        app_throughput_gbps=snap["app_throughput_gbps"],
-    )
-
-
 def run_isolation_study(config: ExperimentConfig) -> IsolationResult:
     """Run one isolation experiment and split latencies by class."""
-    if config.workload.senders < 2:
-        raise ValueError("isolation study needs at least 2 senders")
-    if config.fidelity == "fluid":
-        return _run_isolation_fluid(config)
+    if config.workload.senders < 2 or config.workload.packets_per_read < 2:
+        raise ValueError("isolation needs 2+ senders and multi-packet reads")
     require_single_star_host(config, "run_isolation_study")
-    from repro.core.topology import Topology
+    # Local import: the workload layer sits below core.
+    from repro.core.experiment import build_handle
 
-    sim = Simulator()
-    topology = Topology.build(sim, config)
-    victims, elephants = _add_victims(topology)
-    sim.run(until=config.sim.warmup)
-    topology.reset_stats()  # component recursion covers host + transport
-    sim.run(until=config.sim.end_time)
-    receiver = topology.receiver
-    to_us = lambda values: [v * 1e6 for v in values]  # noqa: E731
+    handle = build_handle(config)
+    handle.set_read_packets(_VICTIM_SENDER, 1)
+    handle.run_warmup()
+    handle.run_measurement()
+    window = handle.window()
     return IsolationResult(
-        victim=summarize(to_us(receiver.message_latencies_for(victims))),
-        elephant=summarize(to_us(
-            receiver.message_latencies_for(elephants))),
-        drop_rate=topology.host.drop_rate(),
-        app_throughput_gbps=topology.host.app_throughput_bps() / 1e9,
+        victim=handle.latency_us(1),
+        elephant=handle.latency_us(config.workload.packets_per_read),
+        drop_rate=window["drop_rate"],
+        app_throughput_gbps=window["app_throughput_gbps"],
     )
 
 

@@ -1,5 +1,7 @@
 """Tests for the one-host-day simulation (time-varying load)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import (
@@ -9,7 +11,7 @@ from repro.core.config import (
     SimConfig,
     WorkloadConfig,
 )
-from repro.core.experiment import ExperimentHandle
+from repro.core.experiment import ExperimentHandle, build_handle
 from repro.workload.day import DayBin, diurnal_schedule, simulate_day
 
 
@@ -52,13 +54,13 @@ class TestSetOfferedLoad:
             sim=SimConfig(warmup=1e-3, duration=1e-3, seed=1))
         handle = ExperimentHandle(config)
         with pytest.raises(ValueError):
-            handle.topology.set_offered_load(0.5)
+            handle.set_offered_load(0.5)
 
     def test_rate_change_takes_effect(self):
         handle = ExperimentHandle(open_loop_config(load=0.2))
         handle.sim.run(until=2e-3)
         before = handle.topology.host.nic.rx_packets
-        handle.topology.set_offered_load(0.8)
+        handle.set_offered_load(0.8)
         handle.sim.run(until=4e-3)
         after = handle.topology.host.nic.rx_packets - before
         assert after > 2 * before  # ~4x the rate over an equal window
@@ -66,9 +68,35 @@ class TestSetOfferedLoad:
     def test_range_validated(self):
         handle = ExperimentHandle(open_loop_config())
         with pytest.raises(ValueError):
-            handle.topology.set_offered_load(0.0)
+            handle.set_offered_load(0.0)
         with pytest.raises(ValueError):
-            handle.topology.set_offered_load(3.0)
+            handle.set_offered_load(3.0)
+
+
+@pytest.mark.parametrize("fidelity", ["packet", "fluid"])
+@pytest.mark.parametrize("schedule, message", [
+    ([(3.0, 0)], r"offered load 3.0 out of \(0, 2\]"),
+    ([(0.0, 0)], r"offered load 0.0 out of \(0, 2\]"),
+    ([(0.5, -4)], "cores must be non-negative, got -4"),
+], ids=["load-above-2", "zero-load", "negative-cores"])
+def test_day_checks_bin_ranges_at_both_fidelities(schedule, message,
+                                                  fidelity):
+    # The per-bin setters reject the same inputs, with the same
+    # messages, on the packet kernel and on the fluid solver.
+    config = dataclasses.replace(open_loop_config(), fidelity=fidelity)
+    with pytest.raises(ValueError, match=message):
+        simulate_day(config, schedule, bin_duration=1e-4,
+                     warmup_per_bin=1e-4)
+
+
+@pytest.mark.parametrize("fidelity", ["packet", "fluid"])
+def test_handle_load_change_requires_open_loop(fidelity):
+    config = ExperimentConfig(
+        workload=WorkloadConfig(senders=4),  # closed loop
+        sim=SimConfig(warmup=1e-3, duration=1e-3, seed=1),
+        fidelity=fidelity)
+    with pytest.raises(ValueError, match="closed-loop"):
+        build_handle(config).set_offered_load(0.5)
 
 
 class TestSimulateDay:

@@ -1,5 +1,7 @@
 """Tests for the isolation study (victim RPCs on a congested host)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import (
@@ -9,11 +11,10 @@ from repro.core.config import (
     SimConfig,
     WorkloadConfig,
 )
-from repro.core.topology import Topology
-from repro.sim import Simulator
+from repro.core.experiment import ExperimentHandle
 from repro.workload.isolation import (
+    _VICTIM_SENDER,
     IsolationResult,
-    _add_victims,
     congested_vs_uncongested,
     run_isolation_study,
 )
@@ -28,17 +29,34 @@ def config(cores=12, senders=8, seed=1):
 
 
 def test_victims_are_one_per_thread():
-    topology = Topology.build(Simulator(), config(cores=3, senders=5))
-    victims, elephants = _add_victims(topology)
+    handle = ExperimentHandle(config(cores=3, senders=5))
+    handle.set_read_packets(_VICTIM_SENDER, 1)
+    topology = handle.topology
+    read_packets = topology.receiver.per_flow_packets
+    victims = [c.flow_id for c in topology.connections
+               if c.flow_id in read_packets]
+    elephants = [c.flow_id for c in topology.connections
+                 if c.flow_id not in read_packets]
     assert len(victims) == 3
     assert len(elephants) == 12
     for flow_id in victims:
-        assert topology.receiver.per_flow_packets[flow_id] == 1
+        assert read_packets[flow_id] == 1
 
 
 def test_requires_two_senders():
     with pytest.raises(ValueError):
         run_isolation_study(config(senders=1))
+
+
+@pytest.mark.parametrize("fidelity", ["packet", "fluid"])
+def test_requires_elephants_larger_than_victims(fidelity):
+    # Victims issue one-packet reads; one-packet elephants would make
+    # the two latency classes one.
+    one_packet = dataclasses.replace(
+        config(), fidelity=fidelity,
+        workload=WorkloadConfig(senders=8, read_size_bytes=4096))
+    with pytest.raises(ValueError, match="multi-packet reads"):
+        run_isolation_study(one_packet)
 
 
 def test_study_produces_both_latency_classes():
