@@ -9,7 +9,9 @@ Each package may import its own layer and anything below it.  Three
 ``repro.core`` modules are *kernel* modules — pure-data config,
 calibration constants, and the statistics helpers — pinned to layer 0
 so every layer can import them without dragging in the experiment
-machinery.  The engine fidelities (``repro.sim.engine``,
+machinery.  Two ``repro.net`` modules join them — the routing hash and
+the fabric plan — so both fidelities route over one description of
+the fabric.  The engine fidelities (``repro.sim.engine``,
 ``repro.sim.fluid``, and the vectorized ``repro.sim.fluid_batch``)
 all live in ``sim`` and therefore sit at layer 0 themselves: their
 only legal ``repro`` imports are kernel modules and ``sim``
@@ -52,13 +54,15 @@ TOP_LAYER = 7
 
 #: Modules pinned to layer 0: pure data/constants/statistics with no
 #: dependency on (or from) the experiment machinery.  ``net.routing``
-#: lives here so both the packet fabric (layer 1) and the fluid solver
-#: (layer 0's sim package) can share one deterministic path-hash.
+#: and ``net.plan`` live here so both the packet fabric (layer 1) and
+#: the fluid solver (layer 0's sim package) share one deterministic
+#: path-hash and one fabric plan.
 KERNEL_MODULES = {
     "repro.core.config",
     "repro.core.calibration",
     "repro.core.metrics",
     "repro.net.routing",
+    "repro.net.plan",
 }
 
 #: Pure-data packages: bundled scenario specs and the like.  Their

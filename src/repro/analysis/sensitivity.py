@@ -13,12 +13,14 @@ cross-checked against the simulator by the validation bench.
 
 from __future__ import annotations
 
-import dataclasses
+import functools
+import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 from repro.core.config import ExperimentConfig
 from repro.core.model import ThroughputModel
+from repro.core.scenario import apply_overrides
 
 __all__ = ["Elasticity", "sensitivity_analysis"]
 
@@ -40,50 +42,34 @@ class Elasticity:
                 f"Gbps at +10%)")
 
 
+#: Where each parameter lives in the config tree, as a dotted path.
+_PARAMETERS: Dict[str, str] = {
+    "pcie_credits": "host.pcie.max_inflight_bytes",
+    "dma_fixed_latency": "host.pcie.dma_fixed_latency",
+    "pcie_goodput": "host.pcie.goodput_bps",
+    "walk_latency": "host.memory.walk_base_latency",
+    "core_rate": "host.cpu.core_rate_bps",
+}
+
+
+def _baseline_value(config: ExperimentConfig, parameter: str):
+    try:
+        path = _PARAMETERS[parameter]
+    except KeyError:
+        raise ValueError(f"unknown parameter {parameter!r}") from None
+    return functools.reduce(getattr, path.split("."), config)
+
+
 def _perturb_config(config: ExperimentConfig, parameter: str,
                     factor: float) -> ExperimentConfig:
-    host = config.host
-    if parameter == "pcie_credits":
-        pcie = dataclasses.replace(
-            host.pcie, max_inflight_bytes=int(
-                host.pcie.max_inflight_bytes * factor))
-        return dataclasses.replace(
-            config, host=dataclasses.replace(host, pcie=pcie))
-    if parameter == "dma_fixed_latency":
-        pcie = dataclasses.replace(
-            host.pcie, dma_fixed_latency=host.pcie.dma_fixed_latency
-            * factor)
-        return dataclasses.replace(
-            config, host=dataclasses.replace(host, pcie=pcie))
+    base = _baseline_value(config, parameter)
+    value = type(base)(base * factor)
+    overrides = {_PARAMETERS[parameter]: value}
     if parameter == "pcie_goodput":
-        pcie = dataclasses.replace(
-            host.pcie,
-            goodput_bps=host.pcie.goodput_bps * factor,
-            raw_bps=max(host.pcie.raw_bps,
-                        host.pcie.goodput_bps * factor))
-        return dataclasses.replace(
-            config, host=dataclasses.replace(host, pcie=pcie))
-    if parameter == "walk_latency":
-        memory = dataclasses.replace(
-            host.memory,
-            walk_base_latency=host.memory.walk_base_latency * factor)
-        return dataclasses.replace(
-            config, host=dataclasses.replace(host, memory=memory))
-    if parameter == "core_rate":
-        cpu = dataclasses.replace(
-            host.cpu, core_rate_bps=host.cpu.core_rate_bps * factor)
-        return dataclasses.replace(
-            config, host=dataclasses.replace(host, cpu=cpu))
-    raise ValueError(f"unknown parameter {parameter!r}")
-
-
-_BASELINE_VALUES: Dict[str, Callable[[ExperimentConfig], float]] = {
-    "pcie_credits": lambda c: float(c.host.pcie.max_inflight_bytes),
-    "dma_fixed_latency": lambda c: c.host.pcie.dma_fixed_latency,
-    "pcie_goodput": lambda c: c.host.pcie.goodput_bps,
-    "walk_latency": lambda c: c.host.memory.walk_base_latency,
-    "core_rate": lambda c: c.host.cpu.core_rate_bps,
-}
+        # Raw capacity first: goodput may never exceed it.
+        overrides = {"host.pcie.raw_bps": max(config.host.pcie.raw_bps,
+                                              value), **overrides}
+    return apply_overrides(config, overrides)
 
 
 def sensitivity_analysis(
@@ -101,7 +87,7 @@ def sensitivity_analysis(
     """
     if step <= 0 or step >= 1:
         raise ValueError(f"step must be in (0, 1), got {step}")
-    names = parameters or list(_BASELINE_VALUES)
+    names = parameters or list(_PARAMETERS)
     base = ThroughputModel(config).predict(
         misses_per_packet, memory_utilization)
     out: List[Elasticity] = []
@@ -113,13 +99,11 @@ def sensitivity_analysis(
             _perturb_config(config, name, 1 - step)).predict(
             misses_per_packet, memory_utilization)
         # Two-sided log-derivative estimate.
-        import math
-
         elasticity = (math.log(up) - math.log(down)) / (
             math.log(1 + step) - math.log(1 - step))
         out.append(Elasticity(
             parameter=name,
-            baseline_value=_BASELINE_VALUES[name](config),
+            baseline_value=float(_baseline_value(config, name)),
             baseline_gbps=base / 1e9,
             perturbed_gbps=up / 1e9,
             elasticity=elasticity,

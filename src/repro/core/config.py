@@ -268,6 +268,17 @@ class HostConfig:
         return -(-self.rx_region_bytes // self.data_page_bytes)
 
     @property
+    def registered_pages_per_thread(self) -> int:
+        """IOMMU pages one thread registers up front ("loose mode"): its
+        Rx data region plus every 4 KB control page (rings, ACK
+        staging, connection state)."""
+        nic = self.nic
+        return (self.data_pages_per_thread
+                + nic.desc_ring_pages + nic.completion_ring_pages
+                + nic.tx_desc_ring_pages + nic.tx_completion_ring_pages
+                + nic.ack_staging_pages + nic.conn_state_pages)
+
+    @property
     def hot_pages_per_thread(self) -> int:
         """Control pages one thread touches in steady state: connection
         state, ACK staging, and one hot page per ring."""

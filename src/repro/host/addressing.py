@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import List, Sequence
 
 from repro.core.calibration import PAGE_2M, PAGE_4K, data_page_bytes
+from repro.core.config import NicConfig
 
 __all__ = [
     "PAGE_4K",
@@ -216,17 +217,13 @@ def build_thread_layouts(
     n_threads: int,
     rx_region_bytes: int,
     hugepages: bool,
-    desc_ring_pages: int = 3,
-    completion_ring_pages: int = 2,
-    tx_desc_ring_pages: int = 2,
-    tx_completion_ring_pages: int = 1,
-    ack_staging_pages: int = 2,
-    conn_state_pages: int = 4,
+    nic: NicConfig = NicConfig(),
     allocator: AddressSpaceAllocator | None = None,
 ) -> List[ThreadLayout]:
-    """Allocate the full IOMMU footprint for ``n_threads`` threads.
+    """Allocate the full IOMMU footprint for ``n_threads`` threads,
+    with ``nic``'s control page counts per ring.
 
-    With the defaults and a 12 MB hugepage data region the *active*
+    With the default NIC and a 12 MB hugepage data region the *active*
     footprint is 6 data + 10 control/state = 16 IOMMU entries per
     thread, so 8 threads exactly fill a 128-entry IOTLB — the knee the
     paper observes in Fig. 3.
@@ -242,17 +239,17 @@ def build_thread_layouts(
                 thread_id=tid,
                 data=alloc.allocate(rx_region_bytes, data_page),
                 rx_desc_ring=alloc.allocate(
-                    desc_ring_pages * PAGE_4K, PAGE_4K),
+                    nic.desc_ring_pages * PAGE_4K, PAGE_4K),
                 rx_completion_ring=alloc.allocate(
-                    completion_ring_pages * PAGE_4K, PAGE_4K),
+                    nic.completion_ring_pages * PAGE_4K, PAGE_4K),
                 tx_desc_ring=alloc.allocate(
-                    tx_desc_ring_pages * PAGE_4K, PAGE_4K),
+                    nic.tx_desc_ring_pages * PAGE_4K, PAGE_4K),
                 tx_completion_ring=alloc.allocate(
-                    tx_completion_ring_pages * PAGE_4K, PAGE_4K),
+                    nic.tx_completion_ring_pages * PAGE_4K, PAGE_4K),
                 ack_staging=alloc.allocate(
-                    ack_staging_pages * PAGE_4K, PAGE_4K),
+                    nic.ack_staging_pages * PAGE_4K, PAGE_4K),
                 conn_state=alloc.allocate(
-                    conn_state_pages * PAGE_4K, PAGE_4K),
+                    nic.conn_state_pages * PAGE_4K, PAGE_4K),
             )
         )
     return layouts

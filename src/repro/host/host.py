@@ -61,16 +61,8 @@ class ReceiverHost(Component):
         self.iommu = Iommu(config.iommu, self.iotlb, self.pagetable,
                            self.memory)
         self.layouts: List[ThreadLayout] = build_thread_layouts(
-            config.cpu.cores,
-            config.rx_region_bytes,
-            config.hugepages,
-            desc_ring_pages=config.nic.desc_ring_pages,
-            completion_ring_pages=config.nic.completion_ring_pages,
-            tx_desc_ring_pages=config.nic.tx_desc_ring_pages,
-            tx_completion_ring_pages=config.nic.tx_completion_ring_pages,
-            ack_staging_pages=config.nic.ack_staging_pages,
-            conn_state_pages=config.nic.conn_state_pages,
-        )
+            config.cpu.cores, config.rx_region_bytes, config.hugepages,
+            config.nic)
         for layout in self.layouts:
             for region in layout.all_regions():
                 self.pagetable.register_region(region)

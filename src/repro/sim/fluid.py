@@ -29,8 +29,9 @@ run loop ``FluidSolver.run_until`` here and the numpy-lane step of
 
 Layering: this module lives in the simulation kernel (layer 0).  It may
 import only its ``repro.sim`` neighbours and the pinned kernel modules
-(``repro.core.config`` / ``calibration`` / ``metrics``) — never host,
-transport, or workload (enforced by ``scripts/check_layering.py``).
+(``repro.core.config`` / ``calibration`` / ``metrics``, the fabric plan
+and routing hash in ``repro.net``) — never host, transport, or workload
+(enforced by ``scripts/check_layering.py``).
 The host-model constants it shares with the packet path (page sizes,
 the load-latency knee, the NIC's per-packet control writes, the hot
 ring pages) live in ``repro.core.calibration``, the one home both
@@ -57,6 +58,7 @@ from repro.core.calibration import (
     QUEUE_KNEE,
 )
 from repro.core.config import ExperimentConfig, HostConfig
+from repro.net.plan import build_fabric_plan
 from repro.net.routing import create_policy
 
 __all__ = [
@@ -66,7 +68,6 @@ __all__ = [
     "fluid_fabric_profile",
     "fluid_inputs",
     "predicted_misses_per_packet",
-    "registered_iommu_entries",
     "specialize_step",
     "weighted_summary",
 ]
@@ -166,18 +167,6 @@ def predicted_misses_per_packet(host: HostConfig) -> float:
     return misses
 
 
-def registered_iommu_entries(config: ExperimentConfig) -> int:
-    """Pages registered with the IOMMU up front ("loose mode"): the
-    data region plus every control ring page, per thread — mirrors
-    ``repro.host.addressing.build_thread_layouts``."""
-    host = config.host
-    nic = host.nic
-    control = (nic.desc_ring_pages + nic.completion_ring_pages
-               + nic.tx_desc_ring_pages + nic.tx_completion_ring_pages
-               + nic.ack_staging_pages + nic.conn_state_pages)
-    return (host.data_pages_per_thread + control) * host.cpu.cores
-
-
 def fluid_inputs(config: ExperimentConfig) -> Dict[str, object]:
     """The config values the fluid constants are derived from, by name.
 
@@ -268,18 +257,18 @@ def weighted_summary(
 class FabricProfile:
     """Calibrated aggregate treatment of a multi-tier fabric stage.
 
-    Built by :func:`fluid_fabric_profile` from the same config the
-    packet engine's :class:`~repro.net.fabric.FabricPlan` is built
-    from, mirroring the plan's canonical path enumeration and the
-    shared :mod:`repro.net.routing` hash — so static and ECMP per-path
-    flow counts are *exact*, not estimated (flowlet is modelled as the
-    ideal balance it converges to).  ``terms`` describe, host-averaged,
-    the bottleneck multipath tier (the dumbbell trunks; the agg→edge
-    down-links into the receiver's pod in a fat-tree): for each used
-    link, the fraction of the host's window routed through it, its
-    capacity share (link capacity × this host's flow share on it), and
-    its buffer share.  ``free_fraction`` is the share of flows that
-    never cross a constrained link (same-edge traffic).
+    Built by :func:`fluid_fabric_profile` from the same
+    :class:`~repro.net.plan.FabricPlan` the packet engine instantiates,
+    with path choices from the shared :mod:`repro.net.routing` policy —
+    so static and ECMP per-link flow counts are *exact*, not estimated
+    (flowlet is modelled as the ideal balance it converges to).
+    ``terms`` describe, host-averaged, the receiver-side links of the
+    flows' paths (the dumbbell trunks; the agg→edge down-links into the
+    receiver's edge switch in a fat-tree): for each used link, the
+    fraction of the host's window routed through it, its capacity
+    share (link capacity × this host's flow share on it), and its
+    buffer share.  ``free_fraction`` is the share of flows that never
+    cross an inter-switch link (same-edge traffic).
     """
 
     #: (window fraction, capacity bits/s, buffer bytes) per used link,
@@ -288,26 +277,33 @@ class FabricProfile:
     free_fraction: float
 
 
+def _receiver_side_link(path) -> Optional[int]:
+    """A plan path's last inter-switch link (None: same-edge path)."""
+    return next((i for kind, i in reversed(path) if kind == "link"), None)
+
+
 def fluid_fabric_profile(
         config: ExperimentConfig) -> Optional[FabricProfile]:
     """The fluid fabric stage for ``config.fabric`` (None for star).
 
-    Mirrors the multi-tier plan math of :mod:`repro.net.fabric` —
-    endpoint placement (``index % n_edges``), equal-cost set sizes, and
-    the canonical path-index → receiver-side link mapping (cross-pod
-    index ``j·(k/2)+m`` descends through agg ``j``) — and reuses the
-    actual routing-policy hash for per-path flow counts.  Asserted
-    against the packet plan in ``tests/test_fluid_fabric.py``.
+    Walks ``build_fabric_plan(config)`` flow by flow, numbered as the
+    packet workload numbers them (flow ``h·n_h + f`` of host ``h`` rides
+    global sender ``h·senders + f % senders``): the flow's equal-cost
+    group is the plan's path set from its sender's edge switch to its
+    host, the routing policy picks a path exactly as
+    :class:`~repro.net.fabric.MultiTierFabric` does at ingress, and the
+    flow is charged to that path's receiver-side link.  Checked against
+    the built packet fabric's own picks in ``tests/test_fluid_fabric.py``.
     """
     fc = config.fabric
     if fc.topology == "star":
         return None
+    plan = build_fabric_plan(config)
     wl = config.workload
     receivers = wl.receivers
-    cores = config.host.cpu.cores
     senders = wl.senders
-    n_h = cores * senders
-    cap_link = fc.uplink_scale * config.link.rate_bps
+    n_h = config.host.cpu.cores * senders
+    rate_bps = config.link.rate_bps
     buf = float(fc.buffer_bytes if fc.buffer_bytes is not None
                 else config.link.switch_buffer_bytes)
     policy = create_policy(fc.routing, seed=config.sim.seed,
@@ -315,51 +311,42 @@ def fluid_fabric_profile(
     #: Flowlet rehashes every burst boundary; over a run it converges
     #: to the uniform split, which is what the fluid stage models.
     ideal = fc.routing == "flowlet"
-    host_loads: List[Dict[object, float]] = [{} for _ in range(receivers)]
-    totals: Dict[object, float] = {}
+    host_loads: List[Dict[int, float]] = [{} for _ in range(receivers)]
+    totals: Dict[int, float] = {}
     free = [0.0] * receivers
-
-    def add(host: int, key: object, weight: float) -> None:
-        host_loads[host][key] = host_loads[host].get(key, 0.0) + weight
-        totals[key] = totals.get(key, 0.0) + weight
-
-    if fc.topology == "dumbbell":
-        n_paths = fc.trunk_links
-        for h in range(receivers):
-            base = h * n_h
-            for f in range(n_h):
-                if ideal:
-                    for j in range(n_paths):
-                        add(h, j, 1.0 / n_paths)
+    #: (edge, host) -> receiver-side link per path, and the distinct
+    #: ones in path order (the links flowlet's ideal split spreads over).
+    groups: Dict[Tuple[int, int], Tuple[Tuple, Tuple]] = {}
+    for h in range(receivers):
+        loads = host_loads[h]
+        by_sender = []
+        for s in range(senders):
+            key = (plan.sender_edge[h * senders + s], h)
+            group = groups.get(key)
+            if group is None:
+                links = tuple(map(_receiver_side_link, plan.paths[key]))
+                group = groups[key] = (links, tuple(dict.fromkeys(links)))
+            by_sender.append(group)
+        base = h * n_h
+        for f in range(n_h):
+            links, distinct = by_sender[f % senders]
+            if not ideal:
+                n = len(links)
+                distinct = (links[policy.select(base + f, n, 0.0)
+                                  if n > 1 else 0],)
+            weight = 1.0 / len(distinct)
+            for link in distinct:
+                if link is None:
+                    free[h] += weight
                 else:
-                    add(h, policy.select(base + f, n_paths, 0.0), 1.0)
-    else:  # fattree
-        half = fc.fattree_k // 2
-        n_edges = fc.fattree_k * half
-        for h in range(receivers):
-            host_edge = h % n_edges
-            dpod = host_edge // half
-            base = h * n_h
-            for f in range(n_h):
-                sender = h * senders + f % senders
-                src_edge = sender % n_edges
-                if src_edge == host_edge:
-                    free[h] += 1.0
-                    continue
-                spod = src_edge // half
-                n_paths = half if spod == dpod else half * half
-                if ideal:
-                    for j in range(half):
-                        add(h, (dpod, j, host_edge), 1.0 / half)
-                else:
-                    idx = policy.select(base + f, n_paths, 0.0)
-                    j = idx if spod == dpod else idx // half
-                    add(h, (dpod, j, host_edge), 1.0)
+                    loads[link] = loads.get(link, 0.0) + weight
+                    totals[link] = totals.get(link, 0.0) + weight
     terms: List[Tuple[float, float, float]] = []
     for h in range(receivers):
-        for key, n_hj in host_loads[h].items():
+        for link, n_hj in host_loads[h].items():
+            cap_link = plan.links[link][2] * rate_bps
             terms.append((n_hj / n_h / receivers,
-                          cap_link * (n_hj / totals[key]) / receivers,
+                          cap_link * (n_hj / totals[link]) / receivers,
                           buf / receivers))
     return FabricProfile(tuple(sorted(terms)),
                          sum(free) / (n_h * receivers))
@@ -1135,6 +1122,7 @@ class FluidSolver:
             "mean_nic_delay_us": mean_delay * 1e6,
             "nic_buffer_peak_fraction":
                 run.peak_queue_bytes / config.host.nic.buffer_bytes,
-            "iommu_entries": float(registered_iommu_entries(config)),
+            "iommu_entries": float(config.host.registered_pages_per_thread
+                                   * config.host.cpu.cores),
             "remote_memory_GBps": remote_Bps / 1e9,
         }

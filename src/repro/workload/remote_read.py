@@ -22,7 +22,8 @@ from typing import List, Optional, Tuple
 
 from repro.core.config import ExperimentConfig
 from repro.host.host import ReceiverHost
-from repro.net.fabric import Fabric, MultiTierFabric, build_fabric_plan
+from repro.net.fabric import Fabric, MultiTierFabric
+from repro.net.plan import build_fabric_plan
 from repro.sim.component import Component
 from repro.sim.engine import Simulator
 from repro.sim.randoms import RngRegistry
@@ -233,14 +234,13 @@ def build_remote_read_graph(
         for i in range(receivers)
     ]
     deliver = [host.deliver_packet for host in hosts]
-    n_senders = config.workload.senders * receivers
     if config.fabric.topology == "star":
-        fabric = Fabric(sim, config.link, n_senders=n_senders,
+        fabric = Fabric(sim, config.link,
+                        n_senders=config.workload.senders * receivers,
                         receivers=deliver)
     else:
-        plan = build_fabric_plan(config, n_senders=n_senders,
-                                 n_hosts=receivers)
-        fabric = MultiTierFabric(sim, config, plan, deliver)
+        fabric = MultiTierFabric(sim, config, build_fabric_plan(config),
+                                 deliver)
     workloads = [
         HostWorkload(sim, config, host, fabric,
                      host_index=i, arrival_rng=arrival_rng)

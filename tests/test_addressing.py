@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import NicConfig
 from repro.host.addressing import (
     _COMPLETIONS_PER_PAGE,
     _DESCS_PER_PAGE,
@@ -181,10 +182,11 @@ def test_ring_page_keys_equal_region_page_key(hugepages, ring_pages, start,
     check) name the same pages as ``Region.page_key``, across cursor
     wrap-around, with 4 KB and 2 MB data pages."""
     desc, comp, tx_desc, tx_comp, staging = ring_pages
-    (layout,) = build_thread_layouts(
-        1, 12 * 2**20, hugepages, desc_ring_pages=desc,
-        completion_ring_pages=comp, tx_desc_ring_pages=tx_desc,
-        tx_completion_ring_pages=tx_comp, ack_staging_pages=staging)
+    nic = NicConfig(desc_ring_pages=desc, completion_ring_pages=comp,
+                    tx_desc_ring_pages=tx_desc,
+                    tx_completion_ring_pages=tx_comp,
+                    ack_staging_pages=staging)
+    (layout,) = build_thread_layouts(1, 12 * 2**20, hugepages, nic)
     layout._cursor["rx"] = layout._cursor["tx"] = start
     rng = random.Random(seed)
     twin = random.Random(seed)

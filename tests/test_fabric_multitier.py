@@ -15,12 +15,8 @@ import pytest
 from repro.core.config import ExperimentConfig, FabricConfig
 from repro.core.experiment import ExperimentHandle
 from repro.core.scenario import run_configs
-from repro.net.fabric import (
-    build_fabric_plan,
-    dumbbell_plan,
-    fattree_plan,
-)
 from repro.net.packet import Packet
+from repro.net.plan import build_fabric_plan, dumbbell_plan, fattree_plan
 from repro.net.switch import Switch, SwitchPort
 from repro.sim import Simulator
 
@@ -99,15 +95,25 @@ class TestDumbbellPlan:
 class TestBuildFabricPlan:
     def test_dispatch(self):
         fattree = build_fabric_plan(
-            multitier_config("fattree", fattree_k=4), 8, 1)
+            multitier_config("fattree", fattree_k=4))
         assert len(fattree.switches) == 20
         dumbbell = build_fabric_plan(
-            multitier_config("dumbbell", trunk_links=2), 8, 1)
+            multitier_config("dumbbell", trunk_links=2))
         assert len(dumbbell.switches) == 2
+
+    def test_endpoint_counts_come_from_the_workload(self):
+        """``senders`` machines per receiver host, disjoint per host."""
+        config = multitier_config("fattree", senders=5, fattree_k=4)
+        config = dataclasses.replace(
+            config, workload=dataclasses.replace(config.workload,
+                                                 receivers=3))
+        plan = build_fabric_plan(config)
+        assert len(plan.sender_edge) == 15
+        assert len(plan.host_edge) == 3
 
     def test_star_has_no_plan(self):
         with pytest.raises(ValueError, match="star"):
-            build_fabric_plan(ExperimentConfig(), 8, 1)
+            build_fabric_plan(ExperimentConfig())
 
 
 class TestPerPortDropAccounting:

@@ -65,6 +65,30 @@ def test_working_set_matches_core_model(cores, hugepages):
 # -- fidelity plumbing ---------------------------------------------------
 
 
+@pytest.mark.parametrize("region_mb,hugepages,entries", [
+    (4, True, 192),
+    (12, True, 240),
+    (4, False, 12456),
+    (12, False, 37032),
+])
+def test_iommu_entries_gauge_matches_the_packet_host(region_mb, hugepages,
+                                                     entries):
+    """The fluid ``iommu_entries`` gauge and the packet host's
+    page-table count read one ``HostConfig`` footprint: data region
+    plus registered control pages, per thread, times 12 cores."""
+    import random
+
+    from repro.host import ReceiverHost
+    from repro.sim import Simulator
+
+    config = quick_config(hugepages=hugepages)
+    config = dataclasses.replace(config, host=dataclasses.replace(
+        config.host, rx_region_bytes=region_mb * 2**20))
+    host = ReceiverHost(Simulator(), config.host, random.Random(1))
+    gauge = fluid.FluidSolver(config).snapshot()["iommu_entries"]
+    assert gauge == host.registered_iommu_entries() == entries
+
+
 def test_unknown_fidelity_rejected_by_config():
     with pytest.raises(ValueError, match="fidelity") as exc:
         quick_config(fidelity="warp")

@@ -1,10 +1,10 @@
-"""Fluid fabric profile: the calibrated aggregate stage must mirror
-the packet engine's multi-tier plan, not approximate it.
+"""Fluid fabric profile: the calibrated aggregate stage must route
+over the packet engine's multi-tier plan, not approximate it.
 
 For static and ECMP routing the per-path flow counts come from the
-*same* ``repro.net.routing`` hash the packet fabric uses, so the
-profile's capacity shares are exact.  These tests cross-check the
-profile against an independently-built packet plan plus policy, which
+*same* plan and ``repro.net.routing`` policy the packet fabric uses,
+so the profile's capacity shares are exact.  These tests check the
+profile against the paths a built packet fabric actually picks, which
 is the contract that keeps ``analysis/xval`` honest.
 """
 
@@ -14,7 +14,9 @@ from collections import Counter
 import pytest
 
 from repro.core.config import ExperimentConfig, FabricConfig
+from repro.core.topology import Topology
 from repro.net.routing import create_policy
+from repro.sim import Simulator
 from repro.sim.fluid import FabricProfile, FluidRun, fluid_fabric_profile
 
 
@@ -105,31 +107,6 @@ class TestFattreeProfile:
         assert sum(t[0] for t in profile.terms) + profile.free_fraction \
             == pytest.approx(1.0)
 
-    def test_ecmp_downlink_counts_match_the_routing_hash(self):
-        """Replay the profile's plan math independently: same endpoint
-        placement, same equal-cost set sizes, same path-index → agg
-        mapping, same hash — the per-downlink weights must agree."""
-        config = make_config("fattree", "ecmp", seed=3, senders=8,
-                            cores=2, fattree_k=4)
-        profile = fluid_fabric_profile(config)
-        k, half = 4, 2
-        n_edges = k * half
-        policy = create_policy("ecmp", seed=config.sim.seed)
-        weights = Counter()
-        host_edge, n_h = 0, 16
-        for f in range(n_h):
-            src_edge = (f % 8) % n_edges
-            if src_edge == host_edge:
-                continue
-            same_pod = src_edge // half == host_edge // half
-            n_paths = half if same_pod else half * half
-            idx = policy.select(f, n_paths, 0.0)
-            j = idx if same_pod else idx // half
-            weights[j] += 1
-        expected = sorted(w / n_h for w in weights.values())
-        assert sorted(t[0] for t in profile.terms) \
-            == pytest.approx(expected)
-
     def test_flowlet_spreads_over_both_downlinks(self):
         config = make_config("fattree", "flowlet", senders=8, cores=2,
                              fattree_k=4)
@@ -138,6 +115,67 @@ class TestFattreeProfile:
         assert len(profile.terms) == 2  # one per agg in the dest pod
         for frac, _cap, _buf in profile.terms:
             assert frac == pytest.approx(loaded / 2)
+
+
+def packet_picked_terms(config):
+    """The profile's terms, read off a built packet fabric.
+
+    Every sender link's ingress is wrapped to record the path the
+    fabric's own path group and routing policy pick for each flow's
+    first packet; each flow is then charged to the last inter-switch
+    port of that path (none: a same-edge flow, counted as free)."""
+    sim = Simulator()
+    topology = Topology.build(sim, config)
+    fabric = topology.fabric
+    picked = {}
+    for link in fabric.sender_links:
+        def record(pkt, ingress=link.deliver):
+            ingress(pkt)
+            picked.setdefault(pkt.flow_id, pkt.path[:-1])
+        link.deliver = record
+    sim.run(until=20e-6)
+    receivers = topology.n_receivers
+    per_host = [Counter() for _ in range(receivers)]
+    free = 0
+    for h, workload in enumerate(topology.workloads):
+        for conn in workload.connections:
+            links = picked[conn.flow_id]
+            if links:
+                per_host[h][links[-1]] += 1
+            else:
+                free += 1
+    n_h = len(topology.workloads[0].connections)
+    totals = sum(per_host, Counter())
+    terms = sorted(
+        (count / n_h / receivers,
+         port.rate_bps * (count / totals[port]) / receivers,
+         port.queue.capacity_bytes / receivers)
+        for counts in per_host for port, count in counts.items())
+    return terms, free / (n_h * receivers)
+
+
+class TestProfileMatchesThePacketFabric:
+    @pytest.mark.parametrize("topology,fabric_kwargs", [
+        ("fattree", {"fattree_k": 4}),
+        ("dumbbell", {"trunk_links": 2}),
+    ], ids=["fattree", "dumbbell"])
+    def test_ecmp_link_fractions_match_the_packet_picks(
+            self, topology, fabric_kwargs):
+        """Per receiver-side link flow fractions, capacity shares and
+        buffer shares equal what the packet engine's own routing puts
+        on each port, with two receivers sharing the fabric.  Six
+        senders per host over a k=4 tree's eight edges put the two
+        hosts' senders on different edges."""
+        config = make_config(topology, "ecmp", seed=3, senders=6,
+                             cores=2, **fabric_kwargs)
+        config = dataclasses.replace(
+            config, workload=dataclasses.replace(config.workload,
+                                                 receivers=2))
+        profile = fluid_fabric_profile(config)
+        terms, free = packet_picked_terms(config)
+        assert len(profile.terms) == len(terms)
+        assert list(profile.terms) == [pytest.approx(t) for t in terms]
+        assert profile.free_fraction == pytest.approx(free)
 
 
 class TestFluidRunFabricFields:

@@ -148,6 +148,36 @@ def test_routing_is_pinned_to_the_kernel_layer():
         f"imports {repro_imports}")
 
 
+def test_fabric_plan_is_a_kernel_leaf():
+    """``repro.net.plan`` is the one fabric description both
+    fidelities read: the packet fabric instantiates it and the fluid
+    profile walks it, so it is pinned at layer 0 beside the routing
+    hash.  Stricter than the layer rule, its only ``repro`` import is
+    the pure-data config — a leaf, like ``sim.wheel`` — so the plan
+    can never pick up a dependency that one fidelity sees and the
+    other does not."""
+    sys.path.insert(0, str(REPO / "scripts"))
+    try:
+        from check_layering import KERNEL_MODULES, layer_of
+    finally:
+        sys.path.pop(0)
+    assert "repro.net.plan" in KERNEL_MODULES
+    assert layer_of("repro.net.plan") == 0
+    path = REPO / "src" / "repro" / "net" / "plan.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    repro_imports = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            repro_imports += [a.name for a in node.names
+                              if a.name.split(".")[0] == "repro"]
+        elif isinstance(node, ast.ImportFrom):
+            if node.module and node.module.split(".")[0] == "repro":
+                repro_imports.append(node.module)
+    assert repro_imports == ["repro.core.config"], (
+        f"net/plan.py may import only repro.core.config, "
+        f"imports {repro_imports}")
+
+
 def test_upward_import_is_flagged(tmp_path):
     # A fake repro tree where the bottom layer imports a higher one.
     pkg = make_fake_tree(tmp_path)
