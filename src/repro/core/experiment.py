@@ -14,7 +14,8 @@ whose records export to Perfetto via :mod:`repro.obs.perfetto`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from dataclasses import replace
+from typing import Dict, Hashable, List, Optional
 
 from repro.core.config import ExperimentConfig
 from repro.core.metrics import Summary, summarize
@@ -25,7 +26,8 @@ from repro.obs.telemetry import MetricsSampler
 from repro.sim.engine import Simulator
 from repro.sim.tracing import Tracer
 
-__all__ = ["run_experiment", "build_handle", "ExperimentHandle"]
+__all__ = ["run_experiment", "build_handle", "solve_key",
+           "ExperimentHandle"]
 
 
 class RunHandle:
@@ -201,6 +203,25 @@ def build_handle(config: ExperimentConfig):
 
         return FluidExperiment(config)
     return ExperimentHandle(config)
+
+
+def solve_key(config: ExperimentConfig) -> Hashable:
+    """What ``config``'s run reads, as a dict key: configs with equal
+    keys give results that differ only in their ``params`` labels.
+
+    A packet run draws from ``sim.seed`` throughout, so its key is the
+    config itself.  A fluid solve reads the seed in one place only, the
+    routing hash of :func:`~repro.sim.fluid.fluid_fabric_profile`, so
+    its key is the config with the seed normalized plus that profile:
+    seed repeats share a key unless their hash moves a flow onto
+    another receiver-side link.
+    """
+    if config.fidelity == "fluid":
+        from repro.sim.fluid import fluid_fabric_profile
+
+        return (replace(config, sim=replace(config.sim, seed=0)),
+                fluid_fabric_profile(config))
+    return config
 
 
 def run_experiment(

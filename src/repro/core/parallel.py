@@ -5,9 +5,10 @@ calls, and every Figure 1 fleet is thousands more, so both fan out to
 a :class:`~concurrent.futures.ProcessPoolExecutor`.  One private loop,
 :func:`_ordered`, does that fan-out; three entry points wrap it:
 
-- :func:`run_many` — a sweep: cache hits are settled up front, every
-  miss is submitted at once, and a list of :class:`RunOutcome` comes
-  back;
+- :func:`run_many` — a sweep: cache hits are settled up front, the
+  misses are grouped by :func:`~repro.core.experiment.solve_key`, one
+  run per group is submitted at once, and a list of
+  :class:`RunOutcome` (one per config) comes back;
 - :func:`run_stream` — the constant-memory sibling: configs are drawn
   lazily, at most a bounded window (default ``2 × workers``) of runs
   is in flight or buffered, and outcomes are yielded one at a time.
@@ -53,16 +54,18 @@ to :class:`~repro.obs.telemetry.RunAggregate`.
 
 from __future__ import annotations
 
+import copy
 import multiprocessing
 import os
 import signal
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
     Callable,
     Dict,
+    Hashable,
     Iterable,
     Iterator,
     List,
@@ -73,7 +76,7 @@ from typing import (
 
 from repro.core.cache import ResultCache
 from repro.core.config import ExperimentConfig
-from repro.core.experiment import run_experiment
+from repro.core.experiment import run_experiment, solve_key
 from repro.core.results import ExperimentResult, FailedRun
 
 __all__ = [
@@ -241,6 +244,36 @@ def _execute(index: int, config: ExperimentConfig, want_snapshot: bool,
             error=f"run exceeded {timeout:g}s timeout", elapsed_s=elapsed)
         return ("timeout", failed, stats_for(handles))
     return ("ok", result, snapshot, stats_for(handles))
+
+
+def _shared(payload: tuple, config: ExperimentConfig,
+            solved_by: int) -> tuple:
+    """An :func:`_execute` payload of run ``solved_by``, made
+    ``config``'s own: the two configs share a
+    :func:`~repro.core.experiment.solve_key`, so only the ``params``
+    labels differ.
+
+    The result (or failure) and snapshot are copies carrying
+    ``config``'s params.  Stats, when telemetry is on, name the run
+    reused and time nothing, so each run is timed once.
+    """
+    kind, stats = payload[0], payload[-1]
+    if stats is not None:
+        stats = {"solved_by": solved_by, "ts": time.time()}
+    if kind == "error":
+        return payload[:-1] + (stats,)
+    if kind == "timeout":
+        failed = replace(payload[1],
+                         params={**config.describe(), "failed": True})
+        return ("timeout", failed, stats)
+    _, result, snapshot, _ = payload
+    result = replace(result, params=config.describe(),
+                     metrics=dict(result.metrics),
+                     message_latency_us=dict(result.message_latency_us))
+    if snapshot is not None:
+        snapshot = copy.deepcopy(snapshot)
+        snapshot["meta"]["params"] = config.describe()
+    return ("ok", result, snapshot, stats)
 
 
 def _settler(
@@ -431,10 +464,16 @@ def run_many(
 
     Cache hits are settled (``cached`` events, ``progress``) before
     any run starts; every miss is then submitted at once, so one slow
-    run cannot hold back the rest of the sweep.  ``progress`` is
-    invoked once per finished run with the run's table index and
-    result — in completion order under a pool, which is table order
-    only for serial execution.
+    run cannot hold back the rest of the sweep.  Misses with equal
+    :func:`~repro.core.experiment.solve_key` (fluid seed repeats whose
+    routing hash gives one fabric profile) run once, as the group's
+    first index, and every other member settles a copy labelled with
+    its own params: its own outcome, snapshot, cache entry,
+    ``progress`` call and ``finished``/``failed`` event (which carries
+    ``solved_by``, the index run, and no timings).  Nothing is kept
+    past the call.  ``progress`` is invoked once per config with its
+    table index and result — in completion order under a pool, which
+    is table order only for serial execution.
 
     ``events`` receives lifecycle event dicts (see module docstring) as
     they happen; ``None`` disables all telemetry work.  ``failures``
@@ -478,13 +517,28 @@ def run_many(
         if progress is not None:
             progress(index, outcome.result)
 
+    # Misses with one solve key run once, as the group's first index;
+    # every other member settles its own copy of that run.
+    groups: Dict[Hashable, List[int]] = {}
+    for index in pending:
+        groups.setdefault(solve_key(configs[index]), []).append(index)
+    members = {group[0]: group for group in groups.values()}
+
+    def settle_group(task: tuple, payload: tuple) -> List[RunOutcome]:
+        first = task[0]
+        return [settle(task, payload)] + [
+            settle((index, configs[index]),
+                   _shared(payload, configs[index], first))
+            for index in members[first][1:]]
+
     # Snapshots are computed in-worker whenever they are wanted *or*
     # cached, so a later `--metrics-out` rerun can hit the same entry.
     want = want_snapshots or cache is not None
-    tasks = [(index, configs[index], want, timeout) for index in pending]
-    for outcome in _ordered(_execute, tasks, workers, len(tasks),
-                            events, settle):
-        outcomes[outcome.index] = outcome
+    tasks = [(first, configs[first], want, timeout) for first in members]
+    for group in _ordered(_execute, tasks, workers, len(tasks),
+                          events, settle_group):
+        for outcome in group:
+            outcomes[outcome.index] = outcome
     return outcomes  # type: ignore[return-value]
 
 

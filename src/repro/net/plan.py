@@ -7,11 +7,15 @@ makes every hop a real switch port, and
 :func:`~repro.sim.fluid.fluid_fabric_profile` charges flows to its
 links.  A layer-0 kernel module (``scripts/check_layering.py``) whose
 only ``repro`` import is ``repro.core.config``.
+
+The builders remember their recent plans by argument, so every run of
+one fabric shape shares a plan object: callers read it, never change it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from repro.core.config import ExperimentConfig
@@ -62,6 +66,7 @@ class FabricPlan:
         return max(len(p) for group in self.paths.values() for p in group)
 
 
+@lru_cache(maxsize=32)
 def fattree_plan(k: int, n_senders: int, n_hosts: int,
                  uplink_scale: float = 1.0) -> FabricPlan:
     """A k-ary fat-tree: k pods × (k/2 edge + k/2 agg) + (k/2)² cores.
@@ -169,6 +174,7 @@ def fattree_plan(k: int, n_senders: int, n_hosts: int,
     )
 
 
+@lru_cache(maxsize=32)
 def dumbbell_plan(trunk_links: int, n_senders: int, n_hosts: int,
                   trunk_scale: float = 1.0) -> FabricPlan:
     """A two-switch dumbbell with ``trunk_links`` parallel trunks.

@@ -40,6 +40,13 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 
 
+def _fold(acc: int, part: int) -> int:
+    """Fold one integer into a :func:`stable_hash` state."""
+    acc = (acc ^ (part & _MASK64)) * 0xBF58476D1CE4E5B9 & _MASK64
+    acc = (acc ^ (acc >> 27)) * 0x94D049BB133111EB & _MASK64
+    return acc ^ (acc >> 31)
+
+
 def stable_hash(*parts: int) -> int:
     """Deterministic 64-bit hash of a tuple of integers.
 
@@ -49,9 +56,7 @@ def stable_hash(*parts: int) -> int:
     """
     acc = 0x9E3779B97F4A7C15
     for part in parts:
-        acc = (acc ^ (part & _MASK64)) * 0xBF58476D1CE4E5B9 & _MASK64
-        acc = (acc ^ (acc >> 27)) * 0x94D049BB133111EB & _MASK64
-        acc ^= acc >> 31
+        acc = _fold(acc, part)
     return acc
 
 
@@ -76,10 +81,15 @@ class StaticRouting(RoutingPolicy):
 class EcmpRouting(RoutingPolicy):
     """Hash-based ECMP: each flow is pinned to one equal-cost path."""
 
+    def __init__(self, seed: int) -> None:
+        super().__init__(seed)
+        #: ``stable_hash(seed)``: ``select`` folds in only the flow id.
+        self._seeded = stable_hash(seed)
+
     def select(self, flow_id: int, n_paths: int, now: float) -> int:
         if n_paths <= 1:
             return 0
-        return stable_hash(self.seed, flow_id) % n_paths
+        return _fold(self._seeded, flow_id) % n_paths
 
 
 class FlowletRouting(RoutingPolicy):

@@ -47,7 +47,9 @@ import math
 import operator
 import types
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -286,7 +288,7 @@ def fluid_fabric_profile(
         config: ExperimentConfig) -> Optional[FabricProfile]:
     """The fluid fabric stage for ``config.fabric`` (None for star).
 
-    Walks ``build_fabric_plan(config)`` flow by flow, numbered as the
+    Charges every flow of ``build_fabric_plan(config)``, numbered as the
     packet workload numbers them (flow ``h·n_h + f`` of host ``h`` rides
     global sender ``h·senders + f % senders``): the flow's equal-cost
     group is the plan's path set from its sender's edge switch to its
@@ -294,6 +296,9 @@ def fluid_fabric_profile(
     :class:`~repro.net.fabric.MultiTierFabric` does at ingress, and the
     flow is charged to that path's receiver-side link.  Checked against
     the built packet fabric's own picks in ``tests/test_fluid_fabric.py``.
+
+    ``sim.seed`` reaches a fluid solve here only, through the routing
+    hash (``core.experiment.solve_key`` relies on it).
     """
     fc = config.fabric
     if fc.topology == "star":
@@ -302,23 +307,23 @@ def fluid_fabric_profile(
     wl = config.workload
     receivers = wl.receivers
     senders = wl.senders
-    n_h = config.host.cpu.cores * senders
+    cores = config.host.cpu.cores
+    n_h = cores * senders
     rate_bps = config.link.rate_bps
     buf = float(fc.buffer_bytes if fc.buffer_bytes is not None
                 else config.link.switch_buffer_bytes)
-    policy = create_policy(fc.routing, seed=config.sim.seed,
-                           flowlet_gap=fc.flowlet_gap)
     #: Flowlet rehashes every burst boundary; over a run it converges
     #: to the uniform split, which is what the fluid stage models.
     ideal = fc.routing == "flowlet"
-    host_loads: List[Dict[int, float]] = [{} for _ in range(receivers)]
-    totals: Dict[int, float] = {}
-    free = [0.0] * receivers
+    select = create_policy(fc.routing, seed=config.sim.seed,
+                           flowlet_gap=fc.flowlet_gap).select
     #: (edge, host) -> receiver-side link per path, and the distinct
     #: ones in path order (the links flowlet's ideal split spreads over).
     groups: Dict[Tuple[int, int], Tuple[Tuple, Tuple]] = {}
+    #: Per host, link (None: no link hop) -> the weights its flows add,
+    #: in flow order; summed left to right as a per-flow walk would.
+    host_adds: List[Dict[Optional[int], List[float]]] = []
     for h in range(receivers):
-        loads = host_loads[h]
         by_sender = []
         for s in range(senders):
             key = (plan.sender_edge[h * senders + s], h)
@@ -327,29 +332,58 @@ def fluid_fabric_profile(
                 links = tuple(map(_receiver_side_link, plan.paths[key]))
                 group = groups[key] = (links, tuple(dict.fromkeys(links)))
             by_sender.append(group)
-        base = h * n_h
-        for f in range(n_h):
-            links, distinct = by_sender[f % senders]
-            if not ideal:
+        adds: Dict[Optional[int], List[float]] = {}
+        if ideal:
+            # Every flow splits evenly over its group's distinct links,
+            # so the flows of one round of senders repeat ``cores`` times.
+            for _, distinct in by_sender:
+                weight = 1.0 / len(distinct)
+                for link in distinct:
+                    adds.setdefault(link, []).append(weight)
+            for link in adds:
+                adds[link] *= cores
+        else:
+            # Each flow puts its whole weight of 1.0 on the path picked
+            # (``select`` only when there is a choice), so a count in
+            # any order gives the same sums.
+            picks: Counter = Counter()
+            base = h * n_h
+            for s, (links, _) in enumerate(by_sender):
                 n = len(links)
-                distinct = (links[policy.select(base + f, n, 0.0)
-                                  if n > 1 else 0],)
-            weight = 1.0 / len(distinct)
-            for link in distinct:
-                if link is None:
-                    free[h] += weight
+                if n > 1:
+                    picks.update(links[select(flow, n, 0.0)]
+                                 for flow in range(base + s, base + n_h,
+                                                   senders))
                 else:
-                    loads[link] = loads.get(link, 0.0) + weight
-                    totals[link] = totals.get(link, 0.0) + weight
+                    picks[links[0]] += cores
+            # Integer sums: one term is as exact as ``count`` ones.
+            adds = {link: [float(count)] for link, count in picks.items()}
+        host_adds.append(adds)
+    totals: Dict[int, float] = {}
+    for adds in host_adds:
+        for link, weights in adds.items():
+            if link is not None:
+                totals[link] = _sum_in_order(weights, totals.get(link, 0.0))
     terms: List[Tuple[float, float, float]] = []
-    for h in range(receivers):
-        for link, n_hj in host_loads[h].items():
+    free = [0.0] * receivers
+    for h, adds in enumerate(host_adds):
+        for link, weights in adds.items():
+            n_hj = _sum_in_order(weights)
+            if link is None:
+                free[h] = n_hj
+                continue
             cap_link = plan.links[link][2] * rate_bps
             terms.append((n_hj / n_h / receivers,
                           cap_link * (n_hj / totals[link]) / receivers,
                           buf / receivers))
     return FabricProfile(tuple(sorted(terms)),
                          sum(free) / (n_h * receivers))
+
+
+def _sum_in_order(values: List[float], start: float = 0.0) -> float:
+    """``start + values[0] + values[1] + …``, added left to right
+    (``sum`` compensates its rounding from Python 3.12)."""
+    return reduce(operator.add, values, start)
 
 
 @dataclass

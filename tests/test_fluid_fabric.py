@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.config import ExperimentConfig, FabricConfig
 from repro.core.topology import Topology
+from repro.net.plan import build_fabric_plan
 from repro.net.routing import create_policy
 from repro.sim import Simulator
 from repro.sim.fluid import FabricProfile, FluidRun, fluid_fabric_profile
@@ -176,6 +177,71 @@ class TestProfileMatchesThePacketFabric:
         assert len(profile.terms) == len(terms)
         assert list(profile.terms) == [pytest.approx(t) for t in terms]
         assert profile.free_fraction == pytest.approx(free)
+
+
+def flow_by_flow_profile(config):
+    """The profile by its definition: every flow in packet-id order
+    adds ``1/d`` to each of the ``d`` receiver-side links it may take
+    (flowlet's even split) or 1.0 to the one its routing hash picks,
+    in that order, so float sums round as the definition's do."""
+    plan = build_fabric_plan(config)
+    senders, receivers = config.workload.senders, config.workload.receivers
+    n_h = config.host.cpu.cores * senders
+    policy = create_policy(config.fabric.routing, seed=config.sim.seed)
+    loads = [{} for _ in range(receivers)]
+    totals, free = {}, [0.0] * receivers
+    for h in range(receivers):
+        for f in range(n_h):
+            key = (plan.sender_edge[h * senders + f % senders], h)
+            links = [next((i for kind, i in reversed(path)
+                           if kind == "link"), None)
+                     for path in plan.paths[key]]
+            if config.fabric.routing == "flowlet":
+                picked = list(dict.fromkeys(links))
+            else:
+                picked = [links[policy.select(h * n_h + f, len(links), 0.0)
+                                if len(links) > 1 else 0]]
+            for link in picked:
+                if link is None:
+                    free[h] += 1.0 / len(picked)
+                else:
+                    loads[h][link] = loads[h].get(link, 0.0) \
+                        + 1.0 / len(picked)
+                    totals[link] = totals.get(link, 0.0) \
+                        + 1.0 / len(picked)
+    buf = float(config.fabric.buffer_bytes or
+                config.link.switch_buffer_bytes)
+    terms = sorted(
+        (n / n_h / receivers,
+         plan.links[link][2] * config.link.rate_bps * (n / totals[link])
+         / receivers,
+         buf / receivers)
+        for h in range(receivers) for link, n in loads[h].items())
+    return FabricProfile(tuple(terms), sum(free) / (n_h * receivers))
+
+
+class TestFlowByFlowOracle:
+    @pytest.mark.parametrize("routing", ["static", "ecmp", "flowlet"])
+    @pytest.mark.parametrize("topology,fabric_kwargs", [
+        ("fattree", {"fattree_k": 4}),
+        ("fattree", {"fattree_k": 6}),
+        ("dumbbell", {"trunk_links": 3}),
+    ], ids=["k4", "k6", "dumbbell3"])
+    def test_profile_equals_the_flow_by_flow_walk(
+            self, topology, fabric_kwargs, routing):
+        """Exact ``==``: the profile counts and repeats where the
+        definition walks flow by flow.  A k=6 tree's flowlet weights
+        are thirds, whose float sums depend on the order of adding."""
+        for seed, senders, cores, receivers in (
+                (1, 40, 2, 1), (2, 40, 5, 3), (17, 7, 3, 2)):
+            config = make_config(topology, routing, seed=seed,
+                                 senders=senders, cores=cores,
+                                 **fabric_kwargs)
+            config = dataclasses.replace(
+                config, workload=dataclasses.replace(
+                    config.workload, receivers=receivers))
+            assert fluid_fabric_profile(config) == \
+                flow_by_flow_profile(config)
 
 
 class TestFluidRunFabricFields:

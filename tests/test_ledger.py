@@ -167,6 +167,65 @@ class TestLifecycleEvents:
         assert rows[1].result.metrics["packets_sent"] > 0
 
 
+class TestSharedSolveRows:
+    """Configs that share a solve (fluid seed repeats) keep one row
+    each; only the run that solved carries timings."""
+
+    def stream(self, workers=None):
+        configs = [ExperimentConfig(
+            host=HostConfig(cpu=CpuConfig(cores=cores)),
+            workload=WorkloadConfig(senders=4), fidelity="fluid",
+            sim=SimConfig(warmup=0.5e-3, duration=1e-3, seed=seed))
+            for seed, cores in ((3, 2), (3, 4), (4, 2), (5, 2))]
+        events = []
+        run_many(configs, workers=workers, events=events.append)
+        return events
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_one_row_per_config_and_one_start_per_solve(self, workers):
+        events = self.stream(workers)
+        for kind in ("queued", "finished"):
+            assert sorted(e["index"] for e in events_of(events, kind)) \
+                == [0, 1, 2, 3]
+        assert sorted(e["index"] for e in events_of(events, "started")) \
+            == [0, 1]
+        rows = {e["index"]: e for e in events_of(events, "finished")}
+        for index in (0, 1):
+            assert "solved_by" not in rows[index]
+            assert rows[index]["wall_s"] > 0
+            assert rows[index]["engine_events"] > 0
+        for index in (2, 3):
+            row = rows[index]
+            assert row["solved_by"] == 0
+            assert "wall_s" not in row and "engine_events" not in row
+            assert row["params"]["seed"] == (4, 5)[index - 2]
+            assert row["metrics"] == rows[0]["metrics"]
+
+    def test_aggregate_times_solves_and_counts_configs(self):
+        aggregate = RunAggregate().fold_all(self.stream())
+        assert aggregate.done == aggregate.finished == 4
+        assert aggregate.started == 2
+        assert aggregate.sketches["wall_s"].count == 2
+        assert aggregate.sketches["events_per_sec"].count == 2
+        assert aggregate.sketches["throughput_gbps"].count == 4
+
+    def test_failed_shared_row_names_the_solve(self):
+        cpu = CpuConfig(cores=2)
+        object.__setattr__(cpu, "cores", 0)   # past validation: raises
+        configs = [ExperimentConfig(
+            host=HostConfig(cpu=cpu), workload=WorkloadConfig(senders=4),
+            fidelity="fluid",
+            sim=SimConfig(warmup=0.5e-3, duration=1e-3, seed=seed))
+            for seed in (3, 4)]
+        events = []
+        run_many(configs, events=events.append, failures="keep")
+        first, second = events_of(events, "failed")
+        assert (first["index"], second["index"]) == (0, 1)
+        assert "solved_by" not in first and "wall_s" in first
+        assert second["solved_by"] == 0 and "wall_s" not in second
+        assert second["exception_type"] == "ZeroDivisionError"
+
+
 class TestRunAggregate:
     def stream(self):
         events = []

@@ -7,6 +7,7 @@ the offending config attached, and per-run timeouts degrade to
 structured FailedRun placeholders instead of sinking the sweep.
 """
 
+import dataclasses
 import time
 
 import pytest
@@ -20,6 +21,7 @@ from repro.core.config import (
     WorkloadConfig,
     baseline_config,
 )
+from repro.core.experiment import run_experiment
 from repro.core.parallel import (
     RunOutcome,
     SweepRunError,
@@ -59,6 +61,25 @@ def crashing_config():
     config = tiny_config()
     object.__setattr__(config, "transport", "definitely-not-a-cc")
     return config
+
+
+def fluid_repeats():
+    """Five fluid star configs in two solves: cores 2 at seeds 3/4/5
+    and cores 4 at seeds 3/4, interleaved."""
+    return [dataclasses.replace(tiny_config(seed=seed, cores=cores),
+                                fidelity="fluid")
+            for seed, cores in ((3, 2), (3, 4), (4, 2), (4, 4), (5, 2))]
+
+
+def failing_fluid_config(seed):
+    """A fluid config whose solve raises (zero cores, set past
+    validation); every seed shares one solve key."""
+    cpu = CpuConfig(cores=2)
+    object.__setattr__(cpu, "cores", 0)
+    config = tiny_config(seed=seed)
+    return dataclasses.replace(
+        config, host=dataclasses.replace(config.host, cpu=cpu),
+        fidelity="fluid")
 
 
 def sleep_then_stamp(delay, value):
@@ -318,3 +339,80 @@ class TestRunManyWithCache:
         kinds = [event["ev"] for event in events]
         assert kinds.count("cached") == 1 and kinds.count("finished") == 2
         assert kinds.index("cached") < kinds.index("finished")
+
+
+class TestSharedSolves:
+    """Configs with one solve key run once; every member still gets a
+    result, snapshot, cache entry and progress call of its own."""
+
+    def test_fan_out_is_invisible(self, tmp_path):
+        configs = fluid_repeats()
+        cache = ResultCache(tmp_path / "cache")
+        runs = {
+            "serial": run_many(configs, want_snapshots=True),
+            "pooled": run_many(configs, workers=2, want_snapshots=True),
+            "cold": run_many(configs, want_snapshots=True, cache=cache),
+            "warm": run_many(configs, want_snapshots=True, cache=cache),
+        }
+        assert all(o.cached for o in runs["warm"])
+        alone = []
+        for config in configs:
+            handles = []
+            result = run_experiment(config, handle_out=handles)
+            alone.append((result, handles[0].metrics_snapshot()))
+        for outcomes in runs.values():
+            assert [(o.result, o.snapshot) for o in outcomes] == alone
+        for config, outcome in zip(configs, runs["serial"]):
+            assert outcome.snapshot["meta"]["params"] == config.describe()
+        # Members own their copies: changing one changes no other.
+        first, shared = runs["serial"][0], runs["serial"][2]
+        first.result.metrics.clear()
+        first.snapshot["counters"].clear()
+        assert shared.result.metrics and shared.snapshot["counters"]
+
+    def test_each_member_has_its_own_cache_entry(self, tmp_path):
+        configs = fluid_repeats()
+        cache = ResultCache(tmp_path / "cache")
+        run_many(configs, cache=cache)
+        assert cache.stats().entries == len(configs)
+        (hit,) = run_many([configs[4]], cache=cache, want_snapshots=True)
+        assert hit.cached
+        assert hit.result.params["seed"] == 5
+        assert hit.snapshot["meta"]["params"]["seed"] == 5
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_progress_fires_once_per_config(self, workers):
+        calls = []
+        run_many(fluid_repeats(), workers=workers,
+                 progress=lambda index, result: calls.append(
+                     (index, result.params["seed"])))
+        assert sorted(calls) == [(0, 3), (1, 3), (2, 4), (3, 4), (4, 5)]
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_raising_group_fails_every_member(self, workers):
+        configs = [failing_fluid_config(7), *fluid_repeats()[:2],
+                   failing_fluid_config(8)]
+        outcomes = run_many(configs, workers=workers, failures="keep")
+        for index in (0, 3):
+            failed = outcomes[index].result
+            assert isinstance(failed, FailedRun)
+            assert failed.kind == "error"
+            assert failed.exception_type == "ZeroDivisionError"
+            assert failed.params["seed"] == configs[index].sim.seed
+        assert outcomes[1].result.metrics["app_throughput_gbps"] > 0
+
+    def test_raising_group_names_its_first_member(self):
+        configs = [*fluid_repeats()[:2], failing_fluid_config(7),
+                   failing_fluid_config(8)]
+        with pytest.raises(SweepRunError) as info:
+            run_many(configs)
+        assert info.value.index == 2
+        assert info.value.config is configs[2]
+
+    def test_timed_out_group_fails_every_member(self):
+        configs = fluid_repeats()
+        outcomes = run_many(configs, timeout=1e-9, failures="keep")
+        for config, outcome in zip(configs, outcomes):
+            assert outcome.result.kind == "timeout"
+            assert outcome.result.params == {**config.describe(),
+                                             "failed": True}

@@ -114,6 +114,14 @@ class TestEcmpRouting:
         assert [a.select(f, 8, 0.0) for f in range(64)] \
             == [b.select(f, 8, 0.0) for f in range(64)]
 
+    def test_pick_is_the_seed_and_flow_hash(self):
+        """``select`` starts from the seed's hash state and folds in
+        only the flow id: the same pick as hashing both parts."""
+        for seed in (0, 1, 2**63 + 5):
+            policy = EcmpRouting(seed=seed)
+            assert [policy.select(f, 5, 0.0) for f in range(64)] \
+                == [stable_hash(seed, f) % 5 for f in range(64)]
+
     def test_seed_changes_assignment(self):
         a = [EcmpRouting(seed=1).select(f, 4, 0.0) for f in range(64)]
         b = [EcmpRouting(seed=2).select(f, 4, 0.0) for f in range(64)]
