@@ -516,6 +516,13 @@ class ExperimentConfig:
         _require(self.fidelity in FIDELITIES,
                  f"unknown fidelity {self.fidelity!r}; "
                  f"expected one of {FIDELITIES}")
+        # A DMA takes credits for its whole wire size at once, so one
+        # larger than the credit window could never start.
+        wire = self.workload.wire_bytes_per_packet
+        _require(self.host.pcie.max_inflight_bytes >= wire,
+                 f"host.pcie.max_inflight_bytes "
+                 f"({self.host.pcie.max_inflight_bytes}) is smaller than "
+                 f"one packet's DMA ({wire} wire bytes)")
 
     def describe(self) -> Dict[str, Any]:
         """Flat summary of the knobs that vary across paper figures."""

@@ -193,15 +193,20 @@ class ExperimentHandle(RunHandle):
         )
 
 
-def build_handle(config: ExperimentConfig):
+def build_handle(config: ExperimentConfig, fabric_profile=None):
     """The run handle for ``config.fidelity``; both kinds have the phase
-    calls listed in :mod:`repro.core.fluid`."""
+    calls listed in :mod:`repro.core.fluid`.
+
+    ``fabric_profile`` is the fluid solve's fabric profile when the
+    caller already holds it (the second half of a fluid
+    :func:`solve_key`); the packet kernel ignores it.
+    """
     if config.fidelity == "fluid":
         # Local import: the fluid runner is optional machinery this
         # module should not pay for (or circularly depend on) up front.
         from repro.core.fluid import FluidExperiment
 
-        return FluidExperiment(config)
+        return FluidExperiment(config, fabric_profile)
     return ExperimentHandle(config)
 
 
@@ -227,6 +232,7 @@ def solve_key(config: ExperimentConfig) -> Hashable:
 def run_experiment(
     config: ExperimentConfig,
     handle_out: Optional[list] = None,
+    fabric_profile=None,
 ) -> ExperimentResult:
     """Run one experiment end to end and return its result.
 
@@ -237,8 +243,9 @@ def run_experiment(
     ``config.fidelity`` selects the engine: the packet-level kernel
     (default) or the rate-based fluid solver — same lifecycle, same
     result schema, so callers never branch on fidelity themselves.
+    ``fabric_profile`` is passed to :func:`build_handle`.
     """
-    handle = build_handle(config)
+    handle = build_handle(config, fabric_profile)
     if handle_out is not None:
         handle_out.append(handle)
     handle.run_warmup()

@@ -32,7 +32,7 @@ from repro.core.config import ExperimentConfig
 from repro.core.experiment import RunHandle
 from repro.core.metrics import Summary
 from repro.core.results import ExperimentResult
-from repro.sim.fluid import FluidSolver, weighted_summary
+from repro.sim.fluid import FabricProfile, FluidSolver, weighted_summary
 
 __all__ = ["FluidExperiment"]
 
@@ -40,10 +40,11 @@ __all__ = ["FluidExperiment"]
 class FluidExperiment(RunHandle):
     """A built-but-not-finished fluid experiment (handle-compatible)."""
 
-    def __init__(self, config: ExperimentConfig):
+    def __init__(self, config: ExperimentConfig,
+                 fabric_profile: Optional[FabricProfile] = None):
         self.config = config
         self.n_receivers = config.workload.receivers
-        self.solver = FluidSolver(config)
+        self.solver = FluidSolver(config, fabric_profile)
         self._synthesized: Optional[
             Tuple[List[Tuple[float, float]], float]] = None
 

@@ -180,9 +180,10 @@ def _headline(result: ExperimentResult) -> Dict[str, float]:
 
 
 def _execute(index: int, config: ExperimentConfig, want_snapshot: bool,
-             timeout: Optional[float]) -> tuple:
+             timeout: Optional[float], fabric_profile=None) -> tuple:
     """Run one experiment — the task function of every run, pooled or
-    serial.
+    serial.  ``fabric_profile`` is a fluid solve key's profile, so the
+    solve does not derive it again (see :func:`run_many`).
 
     Returns one of ``("ok", result, snapshot, stats)``,
     ``("timeout", failed_run, stats)``, or
@@ -220,7 +221,8 @@ def _execute(index: int, config: ExperimentConfig, want_snapshot: bool,
             previous = signal.signal(signal.SIGALRM, _raise_timeout)
             signal.setitimer(signal.ITIMER_REAL, timeout)
         try:
-            result = run_experiment(config, handle_out=handles)
+            result = run_experiment(config, handle_out=handles,
+                                    fabric_profile=fabric_profile)
             snapshot = (handles[0].metrics_snapshot()
                         if want_snapshot else None)
         finally:
@@ -534,7 +536,11 @@ def run_many(
     # Snapshots are computed in-worker whenever they are wanted *or*
     # cached, so a later `--metrics-out` rerun can hit the same entry.
     want = want_snapshots or cache is not None
-    tasks = [(first, configs[first], want, timeout) for first in members]
+    # A fluid key is (normalized config, fabric profile): the
+    # representative's solve reuses the profile the key computed.
+    tasks = [(group[0], configs[group[0]], want, timeout,
+              key[1] if configs[group[0]].fidelity == "fluid" else None)
+             for key, group in groups.items()]
     for group in _ordered(_execute, tasks, workers, len(tasks),
                           events, settle_group):
         for outcome in group:

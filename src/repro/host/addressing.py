@@ -120,6 +120,18 @@ class ThreadLayout:
     conn_state: Region
     #: Mutable cursor state for ring-page cycling (per 128/256 entries).
     _cursor: dict = field(default_factory=lambda: {"rx": 0, "tx": 0})
+    #: ``(bound, bits)`` of the per-packet draws (payload slot,
+    #: connection-state page, ACK-staging page), fixed at construction.
+    _draws: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        slots = self.data.num_pages  # one slot per page
+        if self.data.page_size == PAGE_4K and slots > 1:
+            slots -= 1  # a 4 KB slot also spills into the next page
+        object.__setattr__(self, "_draws", tuple(
+            (bound, bound.bit_length()) for bound in (
+                slots, self.conn_state.num_pages,
+                self.ack_staging.num_pages)))
 
     def all_regions(self) -> Sequence[Region]:
         return (
@@ -136,80 +148,94 @@ class ThreadLayout:
         """Number of IOMMU entries this thread keeps registered."""
         return sum(region.num_pages for region in self.all_regions())
 
-    def payload_pages(self, rng: random.Random, payload_bytes: int) -> List[int]:
-        """Pages written by one packet's payload DMA.
+    def rx_dma_pages(self, rng: random.Random,
+                     payload_bytes: int) -> List[int]:
+        """Every page one received packet's DMA touches, in the order
+        the IOMMU translates them: the payload pages, two
+        connection-state pages, then the Rx descriptor and completion
+        ring pages.
 
-        Buffers are drawn at random from the thread's pool: the paper
-        attributes IOTLB misses to "lack of locality in IOMMU access
-        patterns — subsequent packets do not necessarily lie in
+        *Payload.* Buffers are drawn at random from the thread's pool:
+        the paper attributes IOTLB misses to "lack of locality in IOMMU
+        access patterns — subsequent packets do not necessarily lie in
         contiguous memory regions".  With 4 KB mappings a 4 KB-MTU
         packet (payload + metadata) straddles two pages (paper §3.1:
         "fetching two pages instead of just a single hugepage").
-        """
-        # rng._randbelow(n) is exactly what randrange(n) calls for a
-        # positive stop — same draw sequence, minus argument plumbing.
-        data = self.data
-        if data.page_size == PAGE_2M:
-            return [data.base + rng._randbelow(data.num_pages) * PAGE_2M]
-        slots = data.num_pages  # one 4 KB slot per page
-        slot = rng._randbelow(slots - 1 if slots > 1 else 1)
-        offset = slot * PAGE_4K
-        # payload plus headers/metadata spills into the next page
-        # (open-coded span_keys: offset is always in range here)
-        end = offset + payload_bytes + PAGE_4K - 1
-        if end >= data.size:
-            end = data.size - 1
-        base = data.base
-        return list(range(base + offset,
-                          base + (end // PAGE_4K) * PAGE_4K + 1,
-                          PAGE_4K))
 
-    def conn_state_page(self, rng: random.Random) -> int:
-        """Connection-state page touched for one packet.
+        *Connection state* is touched twice per packet: the posted-WQE
+        read and the flow-state update live on independent pages.  Each
+        thread serves one connection per sender (40 by default); their
+        descriptors and state span several pages with packet arrivals
+        interleaved across connections, so each page is effectively
+        random within the pool.
 
-        Each thread serves one connection per sender (40 by default);
-        their descriptors and state span several pages with packet
-        arrivals interleaved across connections, so the page accessed
-        per packet is effectively random within the pool.
-        """
-        conn = self.conn_state
-        return conn.base + rng._randbelow(conn.num_pages) * PAGE_4K
-
-    def rx_control_pages(self) -> List[int]:
-        """Descriptor-fetch and completion-write pages for one Rx packet.
-
-        Rings advance sequentially, so the hot page changes every
+        *Rings* advance sequentially, so the hot page changes every
         ``_DESCS_PER_PAGE`` packets — control pages have high but not
         perfect locality.
+
+        Three draws from ``rng`` per packet, in this order: the payload
+        slot, then the two connection-state pages.  Each draw is
+        ``rng.randrange(bound)`` open-coded as CPython computes it
+        (``getrandbits(bound.bit_length())`` until the value is below
+        ``bound``), so the generator sees the very same calls.
         """
+        bits = rng.getrandbits
+        (slots, k), (conns, kc), _ = self._draws
+        slot = bits(k)
+        while slot >= slots:
+            slot = bits(k)
+        data = self.data
+        if data.page_size == PAGE_2M:
+            pages = [data.base + slot * PAGE_2M]
+        else:
+            offset = slot * PAGE_4K
+            # payload plus headers/metadata spills into the next page
+            # (open-coded span_keys: offset is always in range here)
+            end = offset + payload_bytes + PAGE_4K - 1
+            if end >= data.size:
+                end = data.size - 1
+            base = data.base
+            pages = list(range(base + offset,
+                               base + (end // PAGE_4K) * PAGE_4K + 1,
+                               PAGE_4K))
+        conn = self.conn_state.base
+        for _ in (0, 1):
+            page = bits(kc)
+            while page >= conns:
+                page = bits(kc)
+            pages.append(conn + page * PAGE_4K)
         cursor = self._cursor
         index = cursor["rx"]
         cursor["rx"] = index + 1
         desc = self.rx_desc_ring
         comp = self.rx_completion_ring
-        return [
-            desc.base
-            + (index // _DESCS_PER_PAGE) % desc.num_pages * PAGE_4K,
-            comp.base
-            + (index // _COMPLETIONS_PER_PAGE) % comp.num_pages * PAGE_4K,
-        ]
+        pages.append(desc.base
+                     + (index // _DESCS_PER_PAGE) % desc.num_pages * PAGE_4K)
+        pages.append(comp.base
+                     + (index // _COMPLETIONS_PER_PAGE) % comp.num_pages
+                     * PAGE_4K)
+        return pages
 
     def tx_control_pages(self, rng: random.Random) -> List[int]:
         """Descriptor, completion, and payload-staging pages for one
         transmitted ACK (the paper's footnote 3 counts the ACK's PCIe
-        transactions against the same IOTLB)."""
+        transactions against the same IOTLB).  One draw from ``rng``,
+        the staging page, open-coded as in :meth:`rx_dma_pages`."""
+        bound, k = self._draws[2]
+        slot = rng.getrandbits(k)
+        while slot >= bound:
+            slot = rng.getrandbits(k)
         cursor = self._cursor
         index = cursor["tx"]
         cursor["tx"] = index + 1
         desc = self.tx_desc_ring
         comp = self.tx_completion_ring
-        staging = self.ack_staging
         return [
             desc.base
             + (index // _DESCS_PER_PAGE) % desc.num_pages * PAGE_4K,
             comp.base
             + (index // _COMPLETIONS_PER_PAGE) % comp.num_pages * PAGE_4K,
-            staging.base + rng._randbelow(staging.num_pages) * PAGE_4K,
+            self.ack_staging.base + slot * PAGE_4K,
         ]
 
 

@@ -30,7 +30,6 @@ from repro.host.pcie import PcieLink
 from repro.net.packet import Ack, Packet
 from repro.sim.component import Component
 from repro.sim.engine import Simulator
-from repro.sim.resources import CreditPool
 from repro.sim.tracing import Tracer
 
 __all__ = ["ReceiverHost"]
@@ -67,12 +66,10 @@ class ReceiverHost(Component):
             for region in layout.all_regions():
                 self.pagetable.register_region(region)
         self.pcie = PcieLink(sim, config.pcie)
-        self.credits = CreditPool(sim, config.pcie.max_inflight_bytes)
         self.nic = Nic(
             sim,
             config.nic,
             self.pcie,
-            self.credits,
             self.iommu,
             self.memory,
             self.layouts,
@@ -113,7 +110,7 @@ class ReceiverHost(Component):
         self.remote_antagonist = StreamAntagonist(
             self.remote_memory, config.remote_antagonist_cores,
             config.antagonist_per_core_Bps)
-        self._ack_egress: Optional[Callable[[Ack], None]] = None
+        self._ack_egress: Optional[Callable[[Ack, float], None]] = None
         self._stats_since = sim.now
         sim.call(config.cpu.descriptor_flush_interval, self._flush_tick)
 
@@ -154,8 +151,10 @@ class ReceiverHost(Component):
         for thread in self.threads:
             thread.on_processed = receiver
 
-    def attach_ack_egress(self, egress: Callable[[Ack], None]) -> None:
-        """Fabric hook for ACKs leaving the host."""
+    def attach_ack_egress(self,
+                          egress: Callable[[Ack, float], None]) -> None:
+        """Fabric hook for ACKs leaving the host: called as
+        ``egress(ack, wire_time)`` (see :meth:`Nic.transmit_ack`)."""
         self._ack_egress = egress
 
     # -- datapath -------------------------------------------------------------

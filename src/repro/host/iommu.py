@@ -10,7 +10,7 @@ contention makes each of those accesses slower.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from repro.core.config import IommuConfig
 from repro.host.iotlb import Iotlb
@@ -89,7 +89,7 @@ class Iommu(Component):
         registry.gauge("misses_per_translation", component,
                        fn=self.misses_per_translation)
 
-    def translate(self, page_keys: Iterable[int]) -> TranslationResult:
+    def translate(self, page_keys: Sequence[int]) -> TranslationResult:
         """Translate every page in ``page_keys`` for one DMA.
 
         With memory protection disabled this is free: "if memory
@@ -98,45 +98,35 @@ class Iommu(Component):
         """
         if not self.config.enabled:
             return ZERO_TRANSLATION
-        latency = 0.0
-        accesses = 0
-        misses = 0
-        walk_accesses = 0
-        hit_latency = self.config.iotlb_hit_latency
-        iotlb_access = self.iotlb.access
-        walk = self.pagetable.walk
-        walk_access_latency = self.memory.walk_access_latency
-        device_tlb = self.device_tlb
-        if device_tlb is None:
-            for key in page_keys:
-                accesses += 1
-                if iotlb_access(key):
-                    latency += hit_latency
-                    continue
-                misses += 1
-                steps = walk(key)
-                walk_accesses += steps
-                latency += steps * walk_access_latency()
+        misses = self.total_misses
+        walk_accesses = self.total_walk_accesses
+        if self.device_tlb is None:
+            latency = self.iotlb.lookup(
+                page_keys, self.config.iotlb_hit_latency, self._walk)
         else:
-            device_access = device_tlb.access
-            for key in page_keys:
-                accesses += 1
-                if device_access(key):
-                    # ATS hit on the NIC: no IOMMU traffic at all.
-                    latency += hit_latency
-                    continue
-                if iotlb_access(key):
-                    latency += hit_latency
-                    continue
-                misses += 1
-                steps = walk(key)
-                walk_accesses += steps
-                latency += steps * walk_access_latency()
+            # ATS: a hit on the NIC's device TLB causes no IOMMU traffic
+            # at all; its misses go to the IOTLB.
+            latency = self.device_tlb.lookup(
+                page_keys, self.config.iotlb_hit_latency, self._iotlb_cost)
+        accesses = len(page_keys)
         self.translations += 1
         self.page_accesses += accesses
-        self.total_misses += misses
-        self.total_walk_accesses += walk_accesses
-        return TranslationResult(latency, accesses, misses, walk_accesses)
+        return TranslationResult(latency, accesses,
+                                 self.total_misses - misses,
+                                 self.total_walk_accesses - walk_accesses)
+
+    def _iotlb_cost(self, key: int) -> float:
+        """A device-TLB miss: the IOTLB's cost for ``key``."""
+        return self.iotlb.lookup((key,), self.config.iotlb_hit_latency,
+                                 self._walk)
+
+    def _walk(self, key: int) -> float:
+        """An IOTLB miss: walk the page table; each step is one memory
+        read at the (possibly contended) walk latency."""
+        steps = self.pagetable.walk(key)
+        self.total_misses += 1
+        self.total_walk_accesses += steps
+        return steps * self.memory.walk_access_latency()
 
     def misses_per_translation(self) -> float:
         """Mean IOTLB misses per DMA (the paper's "IOTLB misses per

@@ -9,11 +9,15 @@ Fig. 3 knee, and real IOTLBs add conflict misses on top.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional
+from typing import Callable, List, Optional, Sequence
 
 from repro.sim.component import Component
 
 __all__ = ["Iotlb"]
+
+
+def _no_cost(key: int) -> float:
+    return 0.0
 
 
 class Iotlb(Component):
@@ -57,24 +61,49 @@ class Iotlb(Component):
 
     def access(self, key: int) -> bool:
         """Look up ``key``; inserts it on miss.  True on hit."""
-        line = self._single
-        if line is None:
-            # Open-coded _set_for: this runs per page per packet.
-            sets = self._sets
-            frame = key >> 12
-            frame ^= frame >> 7
-            frame ^= frame >> 13
-            line = sets[frame % len(sets)]
-        if key in line:
-            line.move_to_end(key)
-            self.hits += 1
-            return True
-        self.misses += 1
-        line[key] = True
-        if len(line) > self._way_capacity:
-            line.popitem(last=False)
-            self.evictions += 1
-        return False
+        hits = self.hits
+        self.lookup((key,), 0.0, _no_cost)
+        return self.hits > hits
+
+    def lookup(self, keys: Sequence[int], hit_cost: float,
+               miss_cost: Callable[[int], float]) -> float:
+        """Look up each of ``keys`` in order, inserting misses (LRU), and
+        return their summed cost, added in key order: ``hit_cost`` per
+        hit and ``miss_cost(key)`` per miss, called as the miss happens.
+
+        The IOMMU prices a whole DMA's pages with one call; its
+        ``miss_cost`` walks the page table.
+        """
+        cost = 0.0
+        hits = misses = evictions = 0
+        single = self._single
+        sets = self._sets
+        n_sets = len(sets)
+        capacity = self._way_capacity
+        for key in keys:
+            if single is None:
+                # Open-coded _set_for: this runs per page per packet.
+                frame = key >> 12
+                frame ^= frame >> 7
+                frame ^= frame >> 13
+                line = sets[frame % n_sets]
+            else:
+                line = single
+            if key in line:
+                line.move_to_end(key)
+                hits += 1
+                cost += hit_cost
+                continue
+            misses += 1
+            line[key] = True
+            if len(line) > capacity:
+                line.popitem(last=False)
+                evictions += 1
+            cost += miss_cost(key)
+        self.hits += hits
+        self.misses += misses
+        self.evictions += evictions
+        return cost
 
     def bind_own_metrics(self, registry, component: str) -> None:
         """Register hit/miss/eviction counters in ``registry``."""

@@ -115,7 +115,9 @@ class MemoryController(Component):
         self.config = config or MemoryConfig()
         self._counters: Dict[str, TrafficCounter] = {}
         self._constants: Dict[str, _ConstantSource] = {}
-        self._utilization = 0.0
+        #: Offered load / achievable bandwidth (may exceed 1), as of the
+        #: last tick; a plain attribute, read per packet.
+        self.utilization = 0.0
         self._queue_delay = 0.0
         self._allocation: Dict[str, float] = {}
         # Time-integrals of achieved bandwidth for reporting.
@@ -173,7 +175,7 @@ class MemoryController(Component):
         """Register bus-level gauges plus one achieved-bandwidth gauge
         per demand source known at bind time (all reader-backed)."""
         registry.gauge("utilization", component, unit="fraction",
-                       fn=lambda: self._utilization)
+                       fn=lambda: self.utilization)
         registry.gauge("queue_delay_us", component, unit="us",
                        fn=lambda: self._queue_delay * 1e6)
         registry.gauge("bandwidth_GBps", component, unit="GB/s",
@@ -229,8 +231,8 @@ class MemoryController(Component):
                     for n, cls, d, w in sources
                 ]
         total_demand = sum(d for _, _, d, _ in sources)
-        self._utilization = total_demand / capacity if capacity else 0.0
-        self._queue_delay = queue_delay_for(self._utilization, cfg)
+        self.utilization = total_demand / capacity if capacity else 0.0
+        self._queue_delay = queue_delay_for(self.utilization, cfg)
         alloc = weighted_water_fill(
             [d for _, _, d, _ in sources],
             [w for _, _, _, w in sources],
@@ -248,11 +250,6 @@ class MemoryController(Component):
 
 
     # -- latency queries ---------------------------------------------------
-
-    @property
-    def utilization(self) -> float:
-        """Offered load / achievable bandwidth (may exceed 1)."""
-        return self._utilization
 
     def dma_write_latency(self) -> float:
         """Memory-side latency of one DMA write (idle + bus queueing)."""

@@ -27,7 +27,6 @@ from repro.net.packet import Ack, Packet
 from repro.sim.component import Component
 from repro.sim.engine import Simulator
 from repro.sim.queues import ByteQueue
-from repro.sim.resources import CreditPool
 from repro.sim.tracing import Tracer
 
 __all__ = ["Nic", "RxRing"]
@@ -38,7 +37,12 @@ _ACK_TX_LATENCY = 0.3e-6
 
 
 class RxRing:
-    """Free-descriptor accounting for one receive queue."""
+    """Free-descriptor accounting for one receive queue.
+
+    The NIC's DMA pump takes descriptors by decrementing ``free`` (and
+    counts an ``exhaustions`` when it finds none); the CPU gives them
+    back with :meth:`replenish`.
+    """
 
     def __init__(self, capacity: int):
         if capacity <= 0:
@@ -46,14 +50,6 @@ class RxRing:
         self.capacity = capacity
         self.free = capacity
         self.exhaustions = 0
-
-    def take(self) -> bool:
-        """Consume one descriptor; False (and counted) when empty."""
-        if self.free == 0:
-            self.exhaustions += 1
-            return False
-        self.free -= 1
-        return True
 
     def replenish(self, n: int) -> None:
         if n < 0:
@@ -71,7 +67,6 @@ class Nic(Component):
         sim: Simulator,
         config: NicConfig,
         pcie: PcieLink,
-        credits: CreditPool,
         iommu: Iommu,
         memory: MemoryController,
         layouts: List[ThreadLayout],
@@ -82,7 +77,6 @@ class Nic(Component):
         self.sim = sim
         self.config = config
         self.pcie = pcie
-        self.credits = credits
         self.iommu = iommu
         self.memory = memory
         self.layouts = layouts
@@ -91,7 +85,11 @@ class Nic(Component):
         self.tracer = tracer
         self.buffer = ByteQueue(sim, config.buffer_bytes, name="nic-input")
         self.rings = [RxRing(config.ring_descriptors) for _ in layouts]
+        #: PCIe credits: DMA bytes in flight, at most
+        #: ``pcie.config.max_inflight_bytes``.  A DMA takes its wire
+        #: bytes when it starts and returns them when it completes.
         self._inflight_bytes = 0
+        self._max_inflight_bytes = pcie.config.max_inflight_bytes
         self._traffic: TrafficCounter = memory.register_counter(
             "nic-dma", "nic")
         self._ack_countdown = config.ack_coalescing
@@ -179,36 +177,28 @@ class Nic(Component):
     def _pump(self) -> None:
         """Start DMAs while the head packet has descriptors and credits."""
         buffer = self.buffer
-        peek = buffer.peek
-        pop = buffer.pop
+        items = buffer.items
         rings = self.rings
-        try_acquire = self.credits.try_acquire
+        max_inflight = self._max_inflight_bytes
         start_dma = self._start_dma
-        while True:
-            head = peek()
-            if head is None:
-                return
-            pkt: Packet = head[0]
+        while items:
+            pkt: Packet = items[0][0]
             ring = rings[pkt.thread_id]
-            if not ring.take():
+            if not ring.free:
+                ring.exhaustions += 1
                 return  # head-of-line stall until CPU replenishes
-            if not try_acquire(pkt.wire_bytes):
-                ring.free += 1  # undo the take; retry when credits release
-                return
-            pop()
-            self._inflight_bytes += pkt.wire_bytes
+            inflight = self._inflight_bytes + pkt.wire_bytes
+            if inflight > max_inflight:
+                return  # retry when a DMA completes and returns credits
+            ring.free -= 1
+            buffer.pop()
+            self._inflight_bytes = inflight
             start_dma(pkt)
 
     def _start_dma(self, pkt: Packet) -> None:
-        layout = self.layouts[pkt.thread_id]
-        rng = self.rng
-        pages = layout.payload_pages(rng, pkt.payload_bytes)
-        # Connection state is touched twice per packet: the posted-WQE
-        # read and the flow-state update live on independent pages.
-        pages.append(layout.conn_state_page(rng))
-        pages.append(layout.conn_state_page(rng))
-        pages += layout.rx_control_pages()
-        translation = self.iommu.translate(pages)
+        translation = self.iommu.translate(
+            self.layouts[pkt.thread_id].rx_dma_pages(
+                self.rng, pkt.payload_bytes))
         pcie_delay = self.pcie.occupy(pkt.wire_bytes)
         mem_latency = self.memory.dma_write_latency()
         total = (self.pcie.config.dma_fixed_latency
@@ -244,7 +234,6 @@ class Nic(Component):
 
     def _dma_done(self, pkt: Packet, span: int = 0) -> None:
         self._inflight_bytes -= pkt.wire_bytes
-        self.credits.release(pkt.wire_bytes)
         pkt.dma_done_time = self.sim.now
         self.dma_completed_packets += 1
         self.dma_completed_payload_bytes += pkt.payload_bytes
@@ -271,10 +260,15 @@ class Nic(Component):
     # -- transmit path (ACKs) --------------------------------------------------
 
     def transmit_ack(self, ack: Ack, thread_id: int,
-                     on_wire: Callable[[Ack], None]) -> None:
+                     on_wire: Callable[[Ack, float], None]) -> None:
         """Send an ACK: its descriptor/staging pages go through the same
         IOTLB (the paper's footnote 3 counts the ACK's transactions in
-        the per-packet miss budget)."""
+        the per-packet miss budget).
+
+        ``on_wire(ack, wire_time)`` is called at once with the absolute
+        time the ACK leaves the NIC; the fabric schedules its delivery
+        from there, so an ACK costs one engine event, not two.
+        """
         self._ack_countdown -= ack.acked_count
         if self._ack_countdown > 0:
             # Coalesced away; a later ACK will carry this acknowledgment.
@@ -285,7 +279,7 @@ class Nic(Component):
         translation = self.iommu.translate(pages)
         self.acks_sent += 1
         latency = _ACK_TX_LATENCY + translation.latency
-        self.sim.call(latency, on_wire, ack)
+        on_wire(ack, self.sim.now + latency)
 
     # -- telemetry ----------------------------------------------------------
 

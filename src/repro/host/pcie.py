@@ -8,8 +8,9 @@ Two behaviours matter for the paper:
 - **Credit-based flow control**: a fixed number of in-flight DMA bytes.
   When credits are exhausted, "requests are enqueued in the NIC input
   buffer ... until requisite number of credits become available"
-  (paper §2, step 3).  The credits themselves live in the NIC
-  (:class:`repro.sim.resources.CreditPool`); this class handles rates.
+  (paper §2, step 3).  The NIC counts the credits itself, as its DMA
+  bytes in flight against ``PcieConfig.max_inflight_bytes``
+  (:class:`repro.host.nic.Nic`); this class handles rates.
 """
 
 from __future__ import annotations

@@ -124,13 +124,17 @@ class Fabric(Component):
         self._ack_handlers[flow_id] = on_ack
         self._flow_host[flow_id] = host
 
-    def route_ack(self, ack: Ack) -> None:
-        """Receiver-to-sender path: fixed one-way delay, no queueing."""
+    def route_ack(self, ack: Ack, wire_time: float) -> None:
+        """Receiver-to-sender path: fixed one-way delay, no queueing.
+
+        Called when the receiver's NIC hands the ACK over, with the
+        absolute ``wire_time`` it leaves the NIC; the flow's handler is
+        scheduled ``one_way_delay`` later (one event per ACK).
+        """
         handler = self._ack_handlers.get(ack.flow_id)
         if handler is None:
             raise KeyError(f"ACK for unknown flow {ack.flow_id}")
-        ack.send_time = self.sim.now
-        self.sim.call(self.config.one_way_delay, handler, ack)
+        self.sim.at(wire_time + self.config.one_way_delay, handler, ack)
 
     # -- telemetry -------------------------------------------------------------
 
@@ -286,13 +290,17 @@ class MultiTierFabric(Component):
         self._ack_handlers[flow_id] = on_ack
         self._flow_host[flow_id] = host
 
-    def route_ack(self, ack: Ack) -> None:
-        """Receiver-to-sender path: fixed one-way delay, no queueing."""
+    def route_ack(self, ack: Ack, wire_time: float) -> None:
+        """Receiver-to-sender path: fixed one-way delay, no queueing.
+
+        Called when the receiver's NIC hands the ACK over, with the
+        absolute ``wire_time`` it leaves the NIC; the flow's handler is
+        scheduled ``one_way_delay`` later (one event per ACK).
+        """
         handler = self._ack_handlers.get(ack.flow_id)
         if handler is None:
             raise KeyError(f"ACK for unknown flow {ack.flow_id}")
-        ack.send_time = self.sim.now
-        self.sim.call(self.config.one_way_delay, handler, ack)
+        self.sim.at(wire_time + self.config.one_way_delay, handler, ack)
 
     # -- telemetry -------------------------------------------------------------
 

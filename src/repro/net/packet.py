@@ -55,7 +55,7 @@ class Packet:
     )
 
     #: Free list shared by all flows/simulations (packets carry no
-    #: cross-run state after reset()).
+    #: cross-run state once re-stamped by acquire()).
     _pool: List["Packet"] = []
 
     def __init__(
@@ -99,33 +99,19 @@ class Packet:
             return cls(flow_id, seq, payload_bytes, wire_bytes,
                        sent_time, thread_id, is_retransmission)
         pkt = pool.pop()
-        pkt.reset(flow_id, seq, payload_bytes, wire_bytes,
-                  sent_time, thread_id, is_retransmission)
+        pkt.flow_id = flow_id
+        pkt.seq = seq
+        pkt.payload_bytes = payload_bytes
+        pkt.wire_bytes = wire_bytes
+        pkt.sent_time = sent_time
+        pkt.thread_id = thread_id
+        pkt.is_retransmission = is_retransmission
+        pkt.ecn_marked = False
+        pkt.nic_arrival_time = None
+        pkt.dma_done_time = None
+        pkt.cpu_done_time = None
+        pkt._pooled = False
         return pkt
-
-    def reset(
-        self,
-        flow_id: int,
-        seq: int,
-        payload_bytes: int,
-        wire_bytes: int,
-        sent_time: float,
-        thread_id: int,
-        is_retransmission: bool = False,
-    ) -> None:
-        """Re-stamp every slot for reuse (timestamps cleared, ECN off)."""
-        self.flow_id = flow_id
-        self.seq = seq
-        self.payload_bytes = payload_bytes
-        self.wire_bytes = wire_bytes
-        self.sent_time = sent_time
-        self.thread_id = thread_id
-        self.is_retransmission = is_retransmission
-        self.ecn_marked = False
-        self.nic_arrival_time = None
-        self.dma_done_time = None
-        self.cpu_done_time = None
-        self._pooled = False
 
     def release(self) -> None:
         """Return this packet to the free list.
@@ -178,7 +164,6 @@ class Ack:
         "acked_count",
         "nic_buffer_fraction",
         "memory_utilization",
-        "send_time",
     )
 
     def __init__(
@@ -202,7 +187,6 @@ class Ack:
         self.acked_count = acked_count
         self.nic_buffer_fraction = nic_buffer_fraction
         self.memory_utilization = memory_utilization
-        self.send_time = 0.0
 
     def __repr__(self) -> str:
         return f"Ack(flow={self.flow_id}, seq={self.seq})"

@@ -9,8 +9,6 @@ Public surface:
 
 - :class:`~repro.sim.engine.Simulator` — event loop (``at``, ``call``,
   ``schedule_timer``, ``run``, ``peek``).
-- :class:`~repro.sim.resources.CreditPool` — non-blocking counting
-  resource (models PCIe flow-control credits).
 - :class:`~repro.sim.queues.ByteQueue` — finite byte-capacity tail-drop
   queue with enqueue/dequeue/drop counters (models the NIC input SRAM).
 - :class:`~repro.sim.wheel.TimerHandle` /
@@ -28,14 +26,12 @@ from repro.sim.component import Component, SimComponent, join_name
 from repro.sim.engine import Simulator
 from repro.sim.queues import ByteQueue
 from repro.sim.randoms import RngRegistry
-from repro.sim.resources import CreditPool
 from repro.sim.tracing import Tracer
 from repro.sim.wheel import TimerHandle, TimerWheel
 
 __all__ = [
     "ByteQueue",
     "Component",
-    "CreditPool",
     "RngRegistry",
     "SimComponent",
     "Simulator",

@@ -1020,13 +1020,18 @@ class FluidSolver:
     aggregates exactly as ``repro.core.topology.Topology.snapshot``.
     """
 
-    def __init__(self, config: ExperimentConfig):
+    def __init__(self, config: ExperimentConfig,
+                 fabric_profile: Optional[FabricProfile] = None):
+        """``fabric_profile``, when given, is ``config``'s
+        :func:`fluid_fabric_profile` already computed (a sweep's solve
+        key holds it); None derives it here."""
         self.config = config
         _host_constants(self, types.SimpleNamespace(**fluid_inputs(config)))
         self.steps = 0
         # Multi-tier fabric stage (None on the star: the guarded branch
         # in the step is never entered, and the rest stay inert).
-        profile = fluid_fabric_profile(config)
+        profile = (fabric_profile if fabric_profile is not None
+                   else fluid_fabric_profile(config))
         self.fabric_profile = profile
         if profile is not None:
             #: Per used link: (window fraction, capacity bytes/s,

@@ -31,8 +31,13 @@ class ByteQueue:
         self.sim = sim
         self.name = name
         self.capacity_bytes = capacity_bytes
-        self._items: Deque[Tuple[Any, int, float]] = deque()
-        self._bytes = 0
+        #: The queued ``(item, size_bytes, enqueue_time)`` entries, head
+        #: first, and their total size.  Both are plain attributes so a
+        #: hot caller reads them without a call; change them only
+        #: through :meth:`offer` and :meth:`pop`, which keep the
+        #: counters below exact.
+        self.items: Deque[Tuple[Any, int, float]] = deque()
+        self.bytes_used = 0
         # Counters: offered = enqueued + dropped, and
         # enqueued = dequeued + len(self).
         self.enqueued_count = 0
@@ -43,27 +48,23 @@ class ByteQueue:
         self.peak_bytes = 0
 
     def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def bytes_used(self) -> int:
-        return self._bytes
+        return len(self.items)
 
     @property
     def bytes_free(self) -> int:
-        return self.capacity_bytes - self._bytes
+        return self.capacity_bytes - self.bytes_used
 
     def offer(self, item: Any, size_bytes: int) -> bool:
         """Enqueue if it fits; otherwise drop (tail drop) and return False."""
         if size_bytes < 0:
             raise ValueError(f"negative size {size_bytes}")
-        used = self._bytes
+        used = self.bytes_used
         if used + size_bytes > self.capacity_bytes:
             self.dropped_count += 1
             self.dropped_bytes += size_bytes
             return False
-        self._items.append((item, size_bytes, self.sim.now))
-        used = self._bytes = used + size_bytes
+        self.items.append((item, size_bytes, self.sim.now))
+        used = self.bytes_used = used + size_bytes
         self.enqueued_count += 1
         self.enqueued_bytes += size_bytes
         if used > self.peak_bytes:
@@ -77,17 +78,12 @@ class ByteQueue:
         compute per-item queueing delay (the paper's "host delay"
         component at the NIC).
         """
-        if not self._items:
+        if not self.items:
             return None
-        entry = self._items.popleft()
-        self._bytes -= entry[1]
+        entry = self.items.popleft()
+        self.bytes_used -= entry[1]
         self.dequeued_count += 1
         return entry
-
-    def peek(self) -> Optional[Tuple[Any, int, float]]:
-        if not self._items:
-            return None
-        return self._items[0]
 
     def drop_rate(self) -> float:
         """Fraction of offered items that were dropped."""

@@ -134,7 +134,7 @@ class TestThreadLayouts:
         (layout,) = build_thread_layouts(1, 12 * 2**20, hugepages=True)
         rng = random.Random(0)
         for _ in range(50):
-            pages = layout.payload_pages(rng, 4096)
+            pages = layout.rx_dma_pages(rng, 4096)[:-4]
             assert len(pages) == 1
             assert pages[0] in layout.data.page_keys()
 
@@ -142,17 +142,18 @@ class TestThreadLayouts:
         (layout,) = build_thread_layouts(1, 12 * 2**20, hugepages=False)
         rng = random.Random(0)
         for _ in range(50):
-            pages = layout.payload_pages(rng, 4096)
+            pages = layout.rx_dma_pages(rng, 4096)[:-4]
             assert len(pages) == 2
             assert pages[1] - pages[0] == PAGE_4K
 
     def test_rx_control_pages_cycle_through_ring(self):
         (layout,) = build_thread_layouts(1, 12 * 2**20, hugepages=True)
-        first = layout.rx_control_pages()
+        rng = random.Random(0)
+        first = layout.rx_dma_pages(rng, 4096)[-2:]
         # The descriptor page advances after 128 packets.
         for _ in range(127):
-            layout.rx_control_pages()
-        later = layout.rx_control_pages()
+            layout.rx_dma_pages(rng, 4096)
+        later = layout.rx_dma_pages(rng, 4096)[-2:]
         assert later[0] != first[0]
 
     def test_conn_state_page_within_pool(self):
@@ -160,7 +161,7 @@ class TestThreadLayouts:
         rng = random.Random(0)
         pool = set(layout.conn_state.page_keys())
         for _ in range(20):
-            assert layout.conn_state_page(rng) in pool
+            assert set(layout.rx_dma_pages(rng, 4096)[-4:-2]) <= pool
 
     def test_tx_control_pages_include_staging(self):
         (layout,) = build_thread_layouts(1, 12 * 2**20, hugepages=True)
@@ -188,6 +189,7 @@ def test_ring_page_keys_equal_region_page_key(hugepages, ring_pages, start,
                     ack_staging_pages=staging)
     (layout,) = build_thread_layouts(1, 12 * 2**20, hugepages, nic)
     layout._cursor["rx"] = layout._cursor["tx"] = start
+    rx_rng = random.Random(seed)
     rng = random.Random(seed)
     twin = random.Random(seed)
 
@@ -196,7 +198,7 @@ def test_ring_page_keys_equal_region_page_key(hugepages, ring_pages, start,
             (entry // per_page) % region.num_pages * PAGE_4K)
 
     for entry in range(start, start + count):
-        assert layout.rx_control_pages() == [
+        assert layout.rx_dma_pages(rx_rng, 4096)[-2:] == [
             key(layout.rx_desc_ring, entry, _DESCS_PER_PAGE),
             key(layout.rx_completion_ring, entry, _COMPLETIONS_PER_PAGE)]
         slot = twin.randrange(layout.ack_staging.num_pages)
@@ -204,3 +206,26 @@ def test_ring_page_keys_equal_region_page_key(hugepages, ring_pages, start,
             key(layout.tx_desc_ring, entry, _DESCS_PER_PAGE),
             key(layout.tx_completion_ring, entry, _COMPLETIONS_PER_PAGE),
             layout.ack_staging.page_key(slot * PAGE_4K)]
+
+
+@pytest.mark.parametrize("hugepages", [True, False])
+def test_rx_dma_pages_draw_order(hugepages):
+    """One packet's pages: the payload pages, then two connection-state
+    pages, from three draws in that order (a twin generator replays
+    them through ``Region.page_key``/``span_keys``)."""
+    (layout,) = build_thread_layouts(1, 12 * 2**20, hugepages)
+    data, conn = layout.data, layout.conn_state
+    rng, twin = random.Random(7), random.Random(7)
+    for _ in range(200):
+        pages = layout.rx_dma_pages(rng, 4096)
+        if hugepages:
+            payload = [data.page_key(
+                twin.randrange(data.num_pages) * PAGE_2M)]
+        else:
+            payload = data.span_keys(
+                twin.randrange(data.num_pages - 1) * PAGE_4K,
+                4096 + PAGE_4K)
+        conns = [conn.page_key(twin.randrange(conn.num_pages) * PAGE_4K)
+                 for _ in range(2)]
+        assert pages[:-2] == payload + conns
+    assert rng.random() == twin.random()

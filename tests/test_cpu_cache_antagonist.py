@@ -24,7 +24,7 @@ from repro.host.nic import Nic
 from repro.host.pagetable import PageTable
 from repro.host.pcie import PcieLink
 from repro.net.packet import Packet
-from repro.sim import CreditPool, Simulator
+from repro.sim import Simulator
 
 
 def make_thread(cores_rate_bps=11.5e9, slowdown=0.0, batch=4):
@@ -34,10 +34,8 @@ def make_thread(cores_rate_bps=11.5e9, slowdown=0.0, batch=4):
     pagetable = PageTable()
     for region in layouts[0].all_regions():
         pagetable.register_region(region)
-    pcie_config = PcieConfig()
     nic = Nic(
-        sim, NicConfig(), PcieLink(sim, pcie_config),
-        CreditPool(sim, pcie_config.max_inflight_bytes),
+        sim, NicConfig(), PcieLink(sim, PcieConfig()),
         Iommu(IommuConfig(enabled=False), Iotlb(128), pagetable, memory),
         memory, layouts, random.Random(0), deliver=lambda p: None)
     copy_model = CopyTrafficModel(DdioConfig(), memory)

@@ -30,7 +30,7 @@ def test_dma_to_unmapped_address_faults_loudly():
     sim = Simulator()
     host = ReceiverHost(sim, HostConfig(cpu=CpuConfig(cores=2)),
                         random.Random(0))
-    host.attach_ack_egress(lambda a: None)
+    host.attach_ack_egress(lambda ack, wire_time: None)
     host.attach_receiver(lambda p: None)
     # Forge a layout access outside registered space by unregistering.
     for region in host.layouts[0].all_regions():
@@ -45,7 +45,7 @@ def test_thread_id_out_of_range_raises():
     sim = Simulator()
     host = ReceiverHost(sim, HostConfig(cpu=CpuConfig(cores=2)),
                         random.Random(0))
-    host.attach_ack_egress(lambda a: None)
+    host.attach_ack_egress(lambda ack, wire_time: None)
     host.attach_receiver(lambda p: None)
     with pytest.raises(IndexError):
         host.deliver_packet(Packet(0, 0, 4096, 4452, 0.0, thread_id=7))

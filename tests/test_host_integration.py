@@ -25,7 +25,7 @@ def make_host(cores=4, iommu=True, antagonists=0, hugepages=True,
     )
     host = ReceiverHost(sim, config, random.Random(1))
     egress = []
-    host.attach_ack_egress(egress.append)
+    host.attach_ack_egress(lambda ack, wire_time: egress.append(ack))
     processed = []
 
     def on_packet(pkt):

@@ -230,16 +230,31 @@ class TestFabric:
         got = []
         fabric.register_flow(7, got.append)
         ack = Ack(flow_id=7, seq=1, sent_time_echo=0.0, host_delay=0.0)
-        fabric.route_ack(ack)
+        fabric.route_ack(ack, 0.0)
         sim.run()
         assert got == [ack]
         assert sim.now == pytest.approx(10e-6)
 
+    def test_ack_arrives_one_way_delay_after_its_wire_time(self):
+        sim, fabric, _ = self.make()
+        got = []
+        fabric.register_flow(7, lambda ack: got.append(sim.now))
+        sim.run(until=1e-6)
+        wire_time = 1e-6 + 0.3e-6
+        fabric.route_ack(
+            Ack(flow_id=7, seq=1, sent_time_echo=0.0, host_delay=0.0),
+            wire_time)
+        sim.run()
+        # The very float a hop-by-hop schedule gives: a call of
+        # one_way_delay made at the wire time.
+        assert got == [wire_time + LinkConfig().one_way_delay]
+
     def test_ack_for_unknown_flow_raises(self):
         sim, fabric, _ = self.make()
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="unknown flow 99"):
             fabric.route_ack(
-                Ack(flow_id=99, seq=0, sent_time_echo=0.0, host_delay=0.0))
+                Ack(flow_id=99, seq=0, sent_time_echo=0.0, host_delay=0.0),
+                0.0)
 
     def test_duplicate_flow_registration_rejected(self):
         _, fabric, _ = self.make()

@@ -6,10 +6,12 @@ import random as _random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import MemoryConfig
+from repro.core.config import CpuConfig, HostConfig, MemoryConfig, PcieConfig
+from repro.host import ReceiverHost
 from repro.host.iotlb import Iotlb
 from repro.host.memory import queue_delay_for, weighted_water_fill
-from repro.sim import ByteQueue, CreditPool, Simulator
+from repro.net.packet import Packet
+from repro.sim import ByteQueue, Simulator
 from repro.sim.randoms import derive_seed
 
 # ---------------------------------------------------------------------------
@@ -73,24 +75,41 @@ def test_byte_queue_conservation(ops):
 
 
 # ---------------------------------------------------------------------------
-# CreditPool conservation
+# PCIe credit conservation (the NIC's DMA bytes in flight)
 # ---------------------------------------------------------------------------
 
 
-@given(st.lists(st.integers(min_value=1, max_value=10), min_size=1,
-                max_size=50))
-def test_credit_pool_never_exceeds_capacity(amounts):
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=5),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=1),
+                          st.integers(min_value=64, max_value=4096),
+                          st.floats(min_value=0.0, max_value=2e-6)),
+                min_size=1, max_size=80))
+def test_credit_pool_never_exceeds_capacity(window_packets, arrivals):
+    """Over random arrival/run sequences the NIC's in-flight DMA bytes
+    stay within ``[0, max_inflight_bytes]``, and return to 0 (with the
+    buffer empty and every accepted packet DMA'd) once drained."""
+    budget = window_packets * 4452
     sim = Simulator()
-    pool = CreditPool(sim, capacity=25)
-    held = []
-    for n in amounts:
-        if pool.try_acquire(n):
-            held.append(n)
-        assert 0 <= pool.available <= pool.capacity
-        assert pool.in_use == sum(held)
-    for n in held:
-        pool.release(n)
-    assert pool.available == pool.capacity
+    host = ReceiverHost(
+        sim, HostConfig(cpu=CpuConfig(cores=2),
+                        pcie=PcieConfig(max_inflight_bytes=budget)),
+        _random.Random(0))
+    host.attach_ack_egress(lambda ack, wire_time: None)
+    host.attach_receiver(lambda pkt: None)
+    nic = host.nic
+    for seq, (thread, payload, gap) in enumerate(arrivals):
+        host.deliver_packet(Packet(0, seq, payload, payload + 356,
+                                   sim.now, thread))
+        assert 0 <= nic._inflight_bytes <= budget
+        sim.run(until=sim.now + gap)
+        assert 0 <= nic._inflight_bytes <= budget
+    sim.run(until=sim.now + 1e-3)
+    assert nic._inflight_bytes == 0
+    assert len(nic.buffer) == 0
+    assert nic.buffer.dequeued_count == nic.buffer.enqueued_count
+    assert nic.dma_completed_packets == (nic.rx_packets
+                                         - nic.dropped_packets)
 
 
 # ---------------------------------------------------------------------------
@@ -187,3 +206,31 @@ def test_lru_iotlb_matches_reference_model(seed):
         reference.append(key)
         if len(reference) > 8:
             reference.pop(0)
+
+
+@settings(max_examples=50)
+@given(st.lists(st.lists(st.integers(min_value=0, max_value=300),
+                         max_size=8), min_size=1, max_size=60),
+       st.sampled_from([1, 2, 4, 8, None]))
+def test_iotlb_lookup_matches_one_by_one_access(batches, ways):
+    """A priced lookup of a batch is the same accesses, one by one, in
+    order: the same misses (priced as they happen), the summed cost,
+    counters and cached entries."""
+    batched = Iotlb(entries=16, ways=ways)
+    single = Iotlb(entries=16, ways=ways)
+    for batch in batches:
+        keys = [frame << 12 for frame in batch]
+        missed = []
+
+        def miss_cost(key):
+            missed.append(key)
+            return 1000.0
+
+        cost = batched.lookup(keys, 1.0, miss_cost)
+        hits = [single.access(key) for key in keys]
+        assert missed == [key for key, hit in zip(keys, hits) if not hit]
+        assert cost == sum(1.0 if hit else 1000.0 for hit in hits)
+    assert (batched.hits, batched.misses, batched.evictions) \
+        == (single.hits, single.misses, single.evictions)
+    assert [list(line) for line in batched._sets] \
+        == [list(line) for line in single._sets]

@@ -27,6 +27,7 @@ from repro.core.experiment import build_handle, run_experiment, solve_key
 from repro.core.parallel import run_many
 from repro.core.results import ResultTable
 from repro.core.scenario import bundled_scenarios, run_configs
+from repro.sim import fluid
 from repro.sim.fluid import fluid_fabric_profile
 
 #: A window short enough to run every bundled spec point in the suite.
@@ -108,6 +109,25 @@ class TestKeys:
         assert started == [0, 1]
         assert outcomes[0].result.metrics != outcomes[1].result.metrics
         assert outcomes[2].result == run_experiment(three)
+
+    def test_a_solve_reuses_its_keys_profile(self, monkeypatch):
+        """Each config's profile is walked once, for its key; the solve
+        run for a key is handed that profile instead of walking it
+        again."""
+        configs = [fluid_config(seed, topology="fattree", routing="ecmp")
+                   for seed in (1, 2, 3)]
+        expected = [run_experiment(config) for config in configs]
+        walked = []
+
+        def counting_profile(config):
+            walked.append(config.sim.seed)
+            return fluid_fabric_profile(config)
+
+        monkeypatch.setattr(fluid, "fluid_fabric_profile",
+                            counting_profile)
+        outcomes = run_many(configs)
+        assert walked == [1, 2, 3]
+        assert [o.result for o in outcomes] == expected
 
 
 def bundled_sweeps():

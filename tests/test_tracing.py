@@ -84,7 +84,7 @@ def test_nic_emits_trace_events_when_enabled():
     tracer = Tracer(sim, enabled=True)
     host = ReceiverHost(sim, HostConfig(), random.Random(0),
                         tracer=tracer)
-    host.attach_ack_egress(lambda a: None)
+    host.attach_ack_egress(lambda ack, wire_time: None)
     host.attach_receiver(lambda p: None)
     host.deliver_packet(Packet(0, 0, 4096, 4452, 0.0, 0))
     sim.run(until=1e-4)
