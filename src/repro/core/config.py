@@ -318,26 +318,27 @@ class LinkConfig:
                  "ecn threshold must be positive")
 
 
-#: Fabric topologies the graph builder knows how to construct: the
-#: historical one-hop star, a k-ary fat-tree (edge/agg/core tiers),
-#: and a two-switch dumbbell with parallel trunk links.
+#: Fabric topologies with a plan (:mod:`repro.net.plan`): the
+#: historical one-hop star (one switch), a k-ary fat-tree (edge/agg/
+#: core tiers), and a two-switch dumbbell with parallel trunk links.
 TOPOLOGIES = ("star", "fattree", "dumbbell")
 
 
 @dataclass(frozen=True)
 class FabricConfig:
-    """Multi-tier fabric shape and routing policy.
+    """Fabric shape and routing policy.
 
     The default (``star`` + ``static``) is the historical one-hop
-    fabric; multi-tier topologies route every packet through real
-    per-hop switch queues (:mod:`repro.net.fabric`).
+    fabric: one switch with an egress port per receiver host.  Every
+    topology routes each packet through real per-hop switch queues
+    (:mod:`repro.net.fabric`).
     """
 
     #: One of :data:`TOPOLOGIES`.
     topology: str = "star"
     #: Any name in the routing registry ("static", "ecmp", "flowlet",
-    #: plus anything registered from outside).  Ignored by ``star``,
-    #: which has a single path by construction.
+    #: plus anything registered from outside).  Never consulted on
+    #: ``star``, whose every host has a single path by construction.
     routing: str = "static"
     #: Fat-tree arity (pods); must be even.  k=4 gives 8 edge and 8 agg
     #: switches plus 4 cores, with (k/2)^2 = 4 cross-pod paths.
@@ -349,7 +350,8 @@ class FabricConfig:
     #: links in the dumbbell.  < 1 makes the fabric the bottleneck.
     uplink_scale: float = 1.0
     #: Per-port output buffer for multi-tier switches; ``None`` falls
-    #: back to :attr:`LinkConfig.switch_buffer_bytes`.
+    #: back to :attr:`LinkConfig.switch_buffer_bytes`.  Rejected on
+    #: ``star``, whose egress buffer is ``link.switch_buffer_bytes``.
     buffer_bytes: Optional[int] = None
     #: Flowlet gap threshold (seconds): an inter-packet gap larger than
     #: this ends the flowlet and rehashes the flow onto a (possibly)
@@ -374,6 +376,9 @@ class FabricConfig:
         _require(self.uplink_scale > 0, "uplink_scale must be positive")
         _require(self.buffer_bytes is None or self.buffer_bytes > 0,
                  "fabric buffer must be positive when set")
+        _require(self.buffer_bytes is None or self.topology != "star",
+                 "fabric.buffer_bytes applies to multi-tier topologies; "
+                 "the star's egress buffer is link.switch_buffer_bytes")
         _require(self.flowlet_gap > 0, "flowlet_gap must be positive")
 
 

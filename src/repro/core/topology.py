@@ -8,20 +8,20 @@ snapshots, sweep points and the day and isolation studies alike.  It is
 the one way a packet graph is built, whether the experiment has one
 receiver host (the paper's setup) or many.
 
-The fabric between senders and hosts is chosen by
-``config.fabric.topology``: the historical one-hop ``star`` (built on
-the exact historical code path, so star results stay byte-identical),
-or a planned multi-tier graph — a k-ary ``fattree`` or a two-switch
-``dumbbell`` — where every hop is a real switch port and a routing
-policy (static/ECMP/flowlet) picks among equal-cost paths per packet
-(see :mod:`repro.net.fabric` and :mod:`repro.net.routing`).
+The fabric between senders and hosts is the plan of
+``config.fabric.topology``: the historical one-hop ``star`` (one
+switch, one egress port per host), a k-ary ``fattree`` or a two-switch
+``dumbbell``.  Every hop is a real switch port and a routing policy
+(static/ECMP/flowlet) picks among equal-cost paths per packet (see
+:mod:`repro.net.fabric` and :mod:`repro.net.routing`).
 
 Metric namespacing follows the component tree: a single-host topology
 keeps every historical flat name (``nic.rx_packets``,
 ``transport.mean_cwnd``), while a multi-host topology prefixes each
 host's subtree (``host0/nic.rx_packets``, ``host1/transport.mean_cwnd``)
-and keeps fabric-level metrics shared (``fabric.fabric_drops``).
-Multi-tier fabrics additionally expose per-hop metrics
+and keeps fabric-level metrics shared (``fabric.fabric_drops``).  The
+star's egress ports sit at the root (``port0.dropped``); multi-tier
+fabrics expose per-hop metrics per switch
 (``fabric/agg1/port2.dropped``).
 """
 

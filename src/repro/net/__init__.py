@@ -1,4 +1,4 @@
-"""Network substrate: packets, links, switch, and the star fabric."""
+"""Network substrate: packets, links, switch ports, and the planned fabric."""
 
 from repro.net.fabric import Fabric
 from repro.net.link import Link

@@ -39,9 +39,6 @@ class Link(Component):
         self.name = name
         self.label = name
         self._busy_until = 0.0
-        self.items_sent = 0
-        self.bytes_sent = 0
-        self._busy_integral = 0.0
 
     def send(self, item: Any, wire_bytes: int) -> float:
         """Transmit ``item``; returns the delivery time."""
@@ -52,24 +49,6 @@ class Link(Component):
         start = now if now > busy else busy
         tx = wire_bytes * 8 / self.rate_bps
         self._busy_until = start + tx
-        self._busy_integral += tx
-        self.items_sent += 1
-        self.bytes_sent += wire_bytes
         arrival = start + tx + self.prop_delay
         self.sim.at(arrival, self.deliver, item)
         return arrival
-
-    def queueing_delay(self) -> float:
-        """Time a packet sent now would wait for the link to free up."""
-        return max(0.0, self._busy_until - self.sim.now)
-
-    def utilization(self, elapsed: float) -> float:
-        if elapsed <= 0:
-            return 0.0
-        return min(self._busy_integral / elapsed, 1.0)
-
-    def bind_own_metrics(self, registry, component: str) -> None:
-        registry.counter("items_sent", component,
-                         fn=lambda: self.items_sent)
-        registry.counter("bytes_sent", component, unit="bytes",
-                         fn=lambda: self.bytes_sent)

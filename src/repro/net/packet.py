@@ -45,10 +45,9 @@ class Packet:
         "dma_done_time",
         "cpu_done_time",
         "thread_id",
-        # Multi-tier fabric state: the equal-cost path (a tuple of
-        # switch ports) chosen at ingress and the current hop index.
-        # Only ever written by MultiTierFabric — the one-hop star path
-        # never touches these slots, keeping its hot path unchanged.
+        # Fabric state, written by the Fabric only: the index of the
+        # equal-cost path chosen at ingress (in ``Fabric.paths``) and
+        # the current hop along it.
         "path",
         "hop",
         "_pooled",

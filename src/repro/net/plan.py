@@ -1,10 +1,11 @@
-"""Fabric plans: the pure description of a multi-tier fabric.
+"""Fabric plans: the pure description of a switched fabric.
 
 A :class:`FabricPlan` lists switches, directed inter-switch links,
 endpoint attachment and the equal-cost path sets, with no simulator
-state.  Both fidelities read it: :class:`~repro.net.fabric.MultiTierFabric`
-makes every hop a real switch port, and
-:func:`~repro.sim.fluid.fluid_fabric_profile` charges flows to its
+state.  Every topology has one, the one-hop star included (a single
+switch, no inter-switch link).  Both fidelities read it:
+:class:`~repro.net.fabric.Fabric` makes every hop a real switch port,
+and :func:`~repro.sim.fluid.fluid_fabric_profile` charges flows to its
 links.  A layer-0 kernel module (``scripts/check_layering.py``) whose
 only ``repro`` import is ``repro.core.config``.
 
@@ -25,6 +26,7 @@ __all__ = [
     "build_fabric_plan",
     "dumbbell_plan",
     "fattree_plan",
+    "star_plan",
 ]
 
 #: A hop in a planned path: ("link", link_index) for an inter-switch
@@ -34,10 +36,12 @@ _PlanHop = Tuple[str, int]
 
 @dataclass(frozen=True)
 class FabricPlan:
-    """Pure description of a multi-tier fabric (no simulator state).
+    """Pure description of a switched fabric (no simulator state).
 
     ``switches``
         ``(name, tier)`` per switch, tiers in {"edge", "agg", "core"}.
+        An empty name (the star's one switch) puts the switch's ports
+        at the root of the fabric's metric namespace.
     ``links``
         Directed inter-switch links ``(src_switch, dst_switch, scale)``;
         each becomes one output port on ``src_switch`` whose rate is
@@ -64,6 +68,28 @@ class FabricPlan:
     @property
     def max_hops(self) -> int:
         return max(len(p) for group in self.paths.values() for p in group)
+
+
+@lru_cache(maxsize=32)
+def star_plan(n_senders: int, n_hosts: int) -> FabricPlan:
+    """The one-hop star: one switch, one egress port per receiver host.
+
+    Every sender attaches to the switch, and each host's only path is
+    its own egress port — the port feeding the host's access link,
+    where the paper's incast queues.
+    """
+    if n_senders < 1:
+        raise ValueError(f"need at least one sender, got {n_senders}")
+    if n_hosts < 1:
+        raise ValueError("need at least one receiver host")
+    return FabricPlan(
+        switches=(("", "edge"),),
+        links=(),
+        host_ports=tuple((0, h) for h in range(n_hosts)),
+        sender_edge=(0,) * n_senders,
+        host_edge=(0,) * n_hosts,
+        paths={(0, h): ((("host", h),),) for h in range(n_hosts)},
+    )
 
 
 @lru_cache(maxsize=32)
@@ -205,7 +231,7 @@ def dumbbell_plan(trunk_links: int, n_senders: int, n_hosts: int,
 
 
 def build_fabric_plan(config: ExperimentConfig) -> FabricPlan:
-    """The plan for ``config.fabric`` (star has none and raises).
+    """The plan for ``config.fabric.topology``.
 
     ``config.workload`` gives the endpoint counts: ``receivers`` hosts,
     each with its own ``senders`` sender machines.
@@ -213,11 +239,12 @@ def build_fabric_plan(config: ExperimentConfig) -> FabricPlan:
     fc = config.fabric
     n_hosts = config.workload.receivers
     n_senders = config.workload.senders * n_hosts
+    if fc.topology == "star":
+        return star_plan(n_senders, n_hosts)
     if fc.topology == "fattree":
         return fattree_plan(fc.fattree_k, n_senders, n_hosts,
                             uplink_scale=fc.uplink_scale)
     if fc.topology == "dumbbell":
         return dumbbell_plan(fc.trunk_links, n_senders, n_hosts,
                              trunk_scale=fc.uplink_scale)
-    raise ValueError(
-        f"no multi-tier plan for topology {fc.topology!r}")
+    raise ValueError(f"no plan for topology {fc.topology!r}")

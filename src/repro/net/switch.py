@@ -3,10 +3,11 @@
 The paper's incast (40 senders → 1 receiver) aggregates at the switch
 port feeding the receiver's access link.  The port has a large buffer
 (fabric congestion is not the subject of the paper) and optional ECN
-marking so the DCTCP baseline has a signal to work with.  Multi-tier
-fabrics compose ports into :class:`Switch` nodes — one per edge/agg/
-core switch — so every hop shows up in the metric tree with its own
-drop and occupancy counters (``fabric/agg1/port2.dropped``).
+marking so the DCTCP baseline has a signal to work with.  The fabric
+composes ports into :class:`Switch` nodes — one per edge/agg/core
+switch, or the star's single switch — so every hop shows up in the
+metric tree with its own drop and occupancy counters
+(``fabric/agg1/port2.dropped``; ``port0.dropped`` on the star).
 """
 
 from __future__ import annotations
@@ -123,9 +124,10 @@ class Switch(Component):
     label = "switch"
 
     def __init__(self, name: str, tier: str):
+        #: Empty for the star's one switch (its ports sit at the root).
         self.name = name
         self.label = name
-        #: "edge" / "agg" / "core" (or "switch" for the dumbbell ends).
+        #: "edge" / "agg" / "core".
         self.tier = tier
         self._ports: List[Tuple[str, SwitchPort]] = []
 

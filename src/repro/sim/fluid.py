@@ -286,15 +286,18 @@ def _receiver_side_link(path) -> Optional[int]:
 
 def fluid_fabric_profile(
         config: ExperimentConfig) -> Optional[FabricProfile]:
-    """The fluid fabric stage for ``config.fabric`` (None for star).
+    """The fluid fabric stage for ``config.fabric``.
 
-    Charges every flow of ``build_fabric_plan(config)``, numbered as the
-    packet workload numbers them (flow ``h·n_h + f`` of host ``h`` rides
-    global sender ``h·senders + f % senders``): the flow's equal-cost
-    group is the plan's path set from its sender's edge switch to its
-    host, the routing policy picks a path exactly as
-    :class:`~repro.net.fabric.MultiTierFabric` does at ingress, and the
-    flow is charged to that path's receiver-side link.  Checked against
+    None for the star: its plan has no inter-switch link to charge, and
+    its egress port feeds the host's access link, which the host stage
+    already models.  Otherwise charges every flow of
+    ``build_fabric_plan(config)``, numbered as the packet workload
+    numbers them (flow ``h·n_h + f`` of host ``h`` rides global sender
+    ``h·senders + f % senders``): the flow's equal-cost group is the
+    plan's path set from its sender's edge switch to its host, the
+    routing policy picks a path exactly as
+    :class:`~repro.net.fabric.Fabric` does at ingress, and the flow is
+    charged to that path's receiver-side link.  Checked against
     the built packet fabric's own picks in ``tests/test_fluid_fabric.py``.
 
     ``sim.seed`` reaches a fluid solve here only, through the routing

@@ -22,7 +22,7 @@ from typing import List, Optional, Tuple
 
 from repro.core.config import ExperimentConfig
 from repro.host.host import ReceiverHost
-from repro.net.fabric import Fabric, MultiTierFabric
+from repro.net.fabric import Fabric
 from repro.net.plan import build_fabric_plan
 from repro.sim.component import Component
 from repro.sim.engine import Simulator
@@ -213,10 +213,8 @@ def build_remote_read_graph(
     machines and ``cores × senders`` flows, so per-host congestion is
     independent by construction (the headline multi-receiver claim).
 
-    The fabric is the historical one-hop star, or, for any other
-    ``config.fabric.topology``, a :class:`MultiTierFabric` built from
-    its plan.  Both offer the same surface: ``send_packet``,
-    ``register_flow``, ``route_ack``, ``fabric_drops``.
+    The fabric is built from ``config.fabric``'s plan, whatever the
+    topology: the one-hop star is a one-switch plan.
 
     With one receiver the build order — RNG streams, host, fabric,
     endpoint, connections — replays the historical single-host
@@ -233,14 +231,8 @@ def build_remote_read_graph(
             tracer=tracer)
         for i in range(receivers)
     ]
-    deliver = [host.deliver_packet for host in hosts]
-    if config.fabric.topology == "star":
-        fabric = Fabric(sim, config.link,
-                        n_senders=config.workload.senders * receivers,
-                        receivers=deliver)
-    else:
-        fabric = MultiTierFabric(sim, config, build_fabric_plan(config),
-                                 deliver)
+    fabric = Fabric(sim, config, build_fabric_plan(config),
+                    [host.deliver_packet for host in hosts])
     workloads = [
         HostWorkload(sim, config, host, fabric,
                      host_index=i, arrival_rng=arrival_rng)

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Regenerate golden_single_host.json (see test_golden_single_host.py).
+"""Regenerate the star golden snapshots (see test_golden_single_host.py):
+golden_single_host.json and golden_star_two_receivers.json.
 
 Only run this after an *intentional* change to simulation behaviour —
-the whole point of the golden file is that accidental changes fail CI.
+the whole point of the golden files is that accidental changes fail CI.
 
     PYTHONPATH=src python tests/data/make_golden.py
 """
@@ -13,9 +14,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from test_golden_single_host import GOLDEN, golden_run  # noqa: E402
+from test_golden_single_host import (  # noqa: E402
+    GOLDEN,
+    GOLDEN_TWO_RECEIVERS,
+    golden_run,
+)
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(golden_run(), indent=1, sort_keys=True)
-                      + "\n")
-    print(f"wrote {GOLDEN}")
+    for path, receivers in ((GOLDEN, 1), (GOLDEN_TWO_RECEIVERS, 2)):
+        path.write_text(json.dumps(golden_run(receivers), indent=1,
+                                   sort_keys=True) + "\n")
+        print(f"wrote {path}")

@@ -11,6 +11,7 @@ from repro.core.config import (
     CpuConfig,
     DdioConfig,
     ExperimentConfig,
+    FabricConfig,
     HostConfig,
     IommuConfig,
     LinkConfig,
@@ -92,6 +93,15 @@ class TestValidation:
     def test_link_validation(self):
         with pytest.raises(ValueError):
             LinkConfig(rate_bps=0)
+
+    def test_fabric_buffer_rejected_on_the_star(self):
+        """The star's egress buffer is the link's; a fabric buffer
+        there would be silently ignored, so it is refused."""
+        with pytest.raises(ValueError, match=r"fabric\.buffer_bytes.*"
+                           r"link\.switch_buffer_bytes"):
+            FabricConfig(buffer_bytes=150_000)
+        for topology in ("fattree", "dumbbell"):
+            FabricConfig(topology=topology, buffer_bytes=150_000)
 
     def test_sim_validation(self):
         with pytest.raises(ValueError):

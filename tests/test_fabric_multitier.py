@@ -16,7 +16,12 @@ from repro.core.config import ExperimentConfig, FabricConfig
 from repro.core.experiment import ExperimentHandle
 from repro.core.scenario import run_configs
 from repro.net.packet import Packet
-from repro.net.plan import build_fabric_plan, dumbbell_plan, fattree_plan
+from repro.net.plan import (
+    build_fabric_plan,
+    dumbbell_plan,
+    fattree_plan,
+    star_plan,
+)
 from repro.net.switch import Switch, SwitchPort
 from repro.sim import Simulator
 
@@ -111,9 +116,24 @@ class TestBuildFabricPlan:
         assert len(plan.sender_edge) == 15
         assert len(plan.host_edge) == 3
 
-    def test_star_has_no_plan(self):
-        with pytest.raises(ValueError, match="star"):
-            build_fabric_plan(ExperimentConfig())
+    def test_star_is_a_one_switch_plan(self):
+        """One unnamed switch, one egress port per host, every sender
+        on it, and each host's group the single direct path."""
+        config = ExperimentConfig()
+        config = dataclasses.replace(
+            config, workload=dataclasses.replace(config.workload,
+                                                 receivers=2))
+        plan = build_fabric_plan(config)
+        n_senders = 2 * config.workload.senders
+        assert plan is star_plan(n_senders, 2)
+        assert plan.switches == (("", "edge"),)
+        assert plan.links == ()
+        assert plan.host_ports == ((0, 0), (0, 1))
+        assert plan.sender_edge == (0,) * n_senders
+        assert plan.host_edge == (0, 0)
+        assert plan.paths == {(0, 0): ((("host", 0),),),
+                              (0, 1): ((("host", 1),),)}
+        assert plan.max_hops == 1
 
 
 class TestPerPortDropAccounting:

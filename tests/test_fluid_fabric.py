@@ -132,7 +132,7 @@ def packet_picked_terms(config):
     for link in fabric.sender_links:
         def record(pkt, ingress=link.deliver):
             ingress(pkt)
-            picked.setdefault(pkt.flow_id, pkt.path[:-1])
+            picked.setdefault(pkt.flow_id, fabric.paths[pkt.path][:-1])
         link.deliver = record
     sim.run(until=20e-6)
     receivers = topology.n_receivers

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.config import (
     ExperimentConfig,
-    LinkConfig,
     WorkloadConfig,
     baseline_config,
 )
@@ -14,6 +13,7 @@ from repro.core.experiment import run_experiment
 from repro.core.scenario import run_configs
 from repro.core.topology import Topology
 from repro.net.fabric import Fabric
+from repro.net.plan import star_plan
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import Simulator
 
@@ -35,30 +35,26 @@ def test_config_rejects_zero_receivers():
 
 def test_fabric_rejects_empty_receiver_list():
     with pytest.raises(ValueError, match="at least one receiver"):
-        Fabric(Simulator(), LinkConfig(), n_senders=1, receivers=[])
+        star_plan(1, 0)
 
 
-def test_fabric_requires_exactly_one_delivery_spec():
-    sim = Simulator()
-    with pytest.raises(ValueError, match="exactly one"):
-        Fabric(sim, LinkConfig(), n_senders=1)
-    with pytest.raises(ValueError, match="exactly one"):
-        Fabric(sim, LinkConfig(), n_senders=1,
-               deliver_to_host=lambda pkt: None,
-               receivers=[lambda pkt: None])
+def test_fabric_rejects_receivers_the_plan_does_not_have():
+    with pytest.raises(ValueError, match="2 receiver callbacks"):
+        Fabric(Simulator(), ExperimentConfig(), star_plan(1, 1),
+               [lambda pkt: None, lambda pkt: None])
 
 
 def test_fabric_rejects_flow_routed_to_unknown_host():
-    fabric = Fabric(Simulator(), LinkConfig(), n_senders=2,
-                    receivers=[lambda pkt: None, lambda pkt: None])
+    fabric = Fabric(Simulator(), ExperimentConfig(), star_plan(2, 2),
+                    [lambda pkt: None, lambda pkt: None])
     fabric.register_flow(0, lambda ack: None, host=1)
     with pytest.raises(ValueError, match="routed to unknown host"):
         fabric.register_flow(1, lambda ack: None, host=2)
 
 
 def test_fabric_rejects_duplicate_flow():
-    fabric = Fabric(Simulator(), LinkConfig(), n_senders=1,
-                    receivers=[lambda pkt: None])
+    fabric = Fabric(Simulator(), ExperimentConfig(), star_plan(1, 1),
+                    [lambda pkt: None])
     fabric.register_flow(7, lambda ack: None)
     with pytest.raises(ValueError, match="already registered"):
         fabric.register_flow(7, lambda ack: None)
