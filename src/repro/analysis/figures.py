@@ -20,7 +20,9 @@ density / window length:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -238,8 +240,8 @@ def _sweep_table(results, x_key: str) -> str:
 
 
 def _render_sweep(spec: ScenarioSpec, table: ResultTable, *,
-                  base: ExperimentConfig, snapshots: Optional[list],
-                  **_) -> ScenarioResult:
+                  base_config: Callable[[], ExperimentConfig],
+                  snapshots: Optional[list], **_) -> ScenarioResult:
     """The sweep's table, or the figure its ``panels`` draw from the
     completed runs with the failed ones tabled under it."""
     render = spec.render or RenderSpec()
@@ -255,7 +257,8 @@ def _render_sweep(spec: ScenarioSpec, table: ResultTable, *,
             if s.kind == "metric":
                 series.append(_metric_series(rows, panel, s))
             elif s.kind == "model":
-                series.append(_model_series(rows, panel, s, base))
+                series.append(_model_series(rows, panel, s,
+                                            base_config()))
             else:
                 series.append(_max_goodput_series(rows, panel, s))
         panels[panel.name] = (panel.x_label, panel.y_label, series)
@@ -283,8 +286,9 @@ def fleet_summary(aggregate, detail: str = "") -> str:
 
 
 def _render_fleet(spec: ScenarioSpec, aggregate, *,
-                  base: ExperimentConfig, elapsed: float,
-                  run_args: Mapping[str, Any], **_) -> ScenarioResult:
+                  base_config: Callable[[], ExperimentConfig],
+                  elapsed: float, run_args: Mapping[str, Any],
+                  **_) -> ScenarioResult:
     """Fig. 1 from a streamed
     :class:`~repro.workload.fleet_agg.FleetAggregate`, or its scatter,
     summary and footer (wall time, hosts/s, fidelity/backend).
@@ -317,7 +321,8 @@ def _render_fleet(spec: ScenarioSpec, aggregate, *,
     from repro.workload.fleet import FleetSampler
 
     knobs = spec.fleet_knobs()
-    backend = FleetSampler(fidelity=base.fidelity).resolve_backend(
+    fidelity = base_config().fidelity
+    backend = FleetSampler(fidelity=fidelity).resolve_backend(
         knobs["backend"])
     hosts_per_s = aggregate.hosts / elapsed if elapsed > 0 else 0.0
     report = [
@@ -325,13 +330,13 @@ def _render_fleet(spec: ScenarioSpec, aggregate, *,
                        "fleet drop rate vs utilization"),
         fleet_summary(aggregate, f"{elapsed:.1f}s wall, "
                                  f"{hosts_per_s:.0f} hosts/s, "
-                                 f"{base.fidelity}/{backend}")]
+                                 f"{fidelity}/{backend}")]
     if run_args.get("checkpoint") is not None:
         report.append(f"checkpoint: {run_args['checkpoint']}")
     # FleetAggregate.from_dict ignores the extra key, so the payload
     # stays loadable by ``repro fleet merge``.
     payload = {**aggregate.to_dict(), "run_info": {
-        "fidelity": base.fidelity, "backend": backend,
+        "fidelity": fidelity, "backend": backend,
         "hosts_per_s": round(hosts_per_s, 1),
         "elapsed_s": round(elapsed, 3),
         "batch_size": knobs["batch_size"],
@@ -366,8 +371,10 @@ RUN_FLAGS = ("--timeout-s", "--keep-failed", "--metrics-out", "--csv",
              "--out", "--workers", "--live", "--ledger", "--cache-dir")
 
 #: driver -> (its render binding over what ``ScenarioSpec.run``
-#: returns, called with the keywords ``base``, ``snapshots``,
-#: ``elapsed`` and ``run_args``; the :data:`RUN_FLAGS` it honours).
+#: returns, called with the keywords ``base_config`` (building the
+#: spec's base config, which a sweep's axes may be needed to complete),
+#: ``snapshots``, ``elapsed`` and ``run_args``; the :data:`RUN_FLAGS`
+#: it honours).
 #: ``--out`` writes the figure, so it also needs a spec that renders
 #: one.
 _BINDINGS = {
@@ -407,7 +414,8 @@ def run_scenario(
     start = time.perf_counter()
     raw = spec.run(quality, base, snapshots_out=snapshots_out,
                    fidelity=fidelity, **run_args)
-    return render(spec, raw, base=spec.base_config(quality, base, fidelity),
+    return render(spec, raw, base_config=functools.partial(
+                      spec.base_config, quality, base, fidelity),
                   snapshots=snapshots_out,
                   elapsed=time.perf_counter() - start, run_args=run_args)
 

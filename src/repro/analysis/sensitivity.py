@@ -65,10 +65,8 @@ def _perturb_config(config: ExperimentConfig, parameter: str,
     base = _baseline_value(config, parameter)
     value = type(base)(base * factor)
     overrides = {_PARAMETERS[parameter]: value}
-    if parameter == "pcie_goodput":
-        # Raw capacity first: goodput may never exceed it.
-        overrides = {"host.pcie.raw_bps": max(config.host.pcie.raw_bps,
-                                              value), **overrides}
+    if parameter == "pcie_goodput":  # goodput may not exceed raw capacity
+        overrides["host.pcie.raw_bps"] = max(config.host.pcie.raw_bps, value)
     return apply_overrides(config, overrides)
 
 

@@ -49,19 +49,16 @@ import contextlib
 import dataclasses
 import json
 import math
+import operator
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.config import (
-    CpuConfig,
+    FIDELITIES,
+    TOPOLOGIES,
     ExperimentConfig,
-    FabricConfig,
-    HostConfig,
-    IommuConfig,
-    SimConfig,
-    WorkloadConfig,
     baseline_config,
 )
 from repro.core.experiment import run_experiment
@@ -71,7 +68,10 @@ from repro.core.scenario import (
     ScenarioError,
     ScenarioSpec,
     SweepAxis,
+    apply_overrides,
 )
+from repro.net.routing import available as routing_names
+from repro.transport.registry import available as transport_names
 
 __all__ = ["build_parser", "main"]
 
@@ -184,30 +184,6 @@ def _telemetry(args: argparse.Namespace, label: str):
             print(f"ledger: {ledger.path}")
 
 
-def _transport_choices() -> tuple:
-    from repro.transport.registry import available
-
-    return tuple(available())
-
-
-def _fidelity_choices() -> tuple:
-    from repro.core.config import FIDELITIES
-
-    return FIDELITIES
-
-
-def _topology_choices() -> tuple:
-    from repro.core.config import TOPOLOGIES
-
-    return TOPOLOGIES
-
-
-def _routing_choices() -> tuple:
-    from repro.net.routing import available
-
-    return tuple(available())
-
-
 def _host_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cores", type=int, default=12,
                         help="receiver threads/cores (default 12)")
@@ -225,14 +201,14 @@ def _host_args(parser: argparse.ArgumentParser) -> None:
                         help="receiver hosts, each with its own incast "
                              "(default 1)")
     parser.add_argument("--transport", default="swift",
-                        choices=_transport_choices())
+                        choices=tuple(transport_names()))
     parser.add_argument("--topology", default="star",
-                        choices=_topology_choices(),
+                        choices=TOPOLOGIES,
                         help="fabric between senders and hosts: the "
                              "one-hop star, a k-ary fat tree, or a "
                              "two-switch dumbbell (default star)")
     parser.add_argument("--routing", default="static",
-                        choices=_routing_choices(),
+                        choices=tuple(routing_names()),
                         help="multipath routing policy for multi-tier "
                              "fabrics (default static)")
     parser.add_argument("--fattree-k", type=int, default=4,
@@ -267,7 +243,7 @@ def _shared_args(parser: argparse.ArgumentParser, *,
                             default=duration_ms)
     if fidelity is not _OMIT:
         parser.add_argument(
-            "--fidelity", default=fidelity, choices=_fidelity_choices(),
+            "--fidelity", default=fidelity, choices=FIDELITIES,
             help="simulation engine: packet-level kernel or rate-based "
                  "fluid solver (default "
                  f"{fidelity or 'the scenario spec, else packet'})")
@@ -281,35 +257,52 @@ def _shared_args(parser: argparse.ArgumentParser, *,
                                  "runs become FAILED rows, not aborts")
 
 
-def _config_from_args(args: argparse.Namespace,
-                      trace: bool = False,
-                      trace_max_records: int = 1_000_000,
-                      ) -> ExperimentConfig:
-    return ExperimentConfig(
-        host=HostConfig(
-            cpu=CpuConfig(cores=args.cores),
-            iommu=IommuConfig(enabled=not args.no_iommu),
-            hugepages=not args.no_hugepages,
-            antagonist_cores=args.antagonists,
-            rx_region_bytes=args.region_mb * 2**20,
-        ),
-        workload=WorkloadConfig(senders=args.senders,
-                                receivers=args.receivers),
-        transport=args.transport,
-        fabric=FabricConfig(
-            topology=args.topology,
-            routing=args.routing,
-            fattree_k=args.fattree_k,
-            trunk_links=args.trunk_links,
-        ),
-        # trace and profile have no --fidelity flag: packet only.
-        fidelity=getattr(args, "fidelity", "packet"),
-        sim=SimConfig(warmup=args.warmup_ms * 1e-3,
-                      duration=args.duration_ms * 1e-3,
-                      seed=args.seed,
-                      trace=trace,
-                      trace_max_records=trace_max_records),
-    )
+#: Each config flag's argparse dest -> (dotted config path, unit
+#: conversion or None): every command that builds a config reads its
+#: flags through here, each flag keeping its own default.
+FLAG_PATHS = {
+    "cores": ("host.cpu.cores", None),
+    "no_iommu": ("host.iommu.enabled", operator.not_),
+    "no_hugepages": ("host.hugepages", operator.not_),
+    "antagonists": ("host.antagonist_cores", None),
+    "region_mb": ("host.rx_region_bytes", lambda mb: mb * 2**20),
+    "senders": ("workload.senders", None),
+    "receivers": ("workload.receivers", None),
+    "transport": ("transport", None),
+    "topology": ("fabric.topology", None),
+    "routing": ("fabric.routing", None),
+    "fattree_k": ("fabric.fattree_k", None),
+    "trunk_links": ("fabric.trunk_links", None),
+    "fidelity": ("fidelity", None),
+    "seed": ("sim.seed", None),
+    "warmup_ms": ("sim.warmup", lambda ms: ms * 1e-3),
+    "duration_ms": ("sim.duration", lambda ms: ms * 1e-3),
+    "max_records": ("sim.trace_max_records", None),
+    "sample_interval_us": ("sim.sample_interval", lambda us: us * 1e-6),
+}
+
+
+def _overrides(args: argparse.Namespace,
+               dests: Optional[Sequence[str]] = None) -> Dict[str, Any]:
+    """Dotted overrides from the flags ``dests`` (default: every
+    :data:`FLAG_PATHS` flag ``args`` has), in config units."""
+    overrides = {}
+    for dest in dests or [d for d in FLAG_PATHS if hasattr(args, d)]:
+        path, convert = FLAG_PATHS[dest]
+        value = getattr(args, dest)
+        overrides[path] = (value if convert is None or value is None
+                           else convert(value))
+    return overrides
+
+
+def _config(args: argparse.Namespace, *,
+            base: Optional[ExperimentConfig] = None,
+            trace: bool = False) -> ExperimentConfig:
+    """A one-experiment command's config: ``base`` (default: the config
+    defaults) with every config flag ``args`` has, and ``sim.trace``."""
+    return apply_overrides(base or ExperimentConfig(),
+                           {**_overrides(args), "sim.trace": trace},
+                           source=f"repro {args.command}")
 
 
 def _print_result(result) -> None:
@@ -338,7 +331,7 @@ def _write_metrics(path: str, payload) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+    config = _config(args)
     print(f"running: {config.describe()}")
     handles: list = []
     result = run_experiment(config, handle_out=handles)
@@ -381,9 +374,8 @@ def _sweep_spec(args: argparse.Namespace) -> ScenarioSpec:
     if iommu_states:
         axes = (SweepAxis("host.iommu.enabled", iommu_states),) + axes
     return ScenarioSpec(name=f"sweep-{args.axis}", axes=axes,
-                        base={"sim.warmup": args.warmup_ms * 1e-3,
-                              "sim.duration": args.duration_ms * 1e-3,
-                              "sim.seed": args.seed},
+                        base=_overrides(args, ("warmup_ms", "duration_ms",
+                                              "seed")),
                         render=RenderSpec(style="table", x=x_key),
                         source=f"<sweep {args.axis}>")
 
@@ -421,25 +413,19 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         return 0
 
     if args.scenario_command == "validate":
-        from repro.core.scenario import load_scenario_file
-
         known = _scenario_specs(args)
         targets = args.names or sorted(known)
         failures = 0
         for target in targets:
             try:
-                if target in known:
-                    spec = known[target]
-                elif Path(target).exists():
-                    spec = load_scenario_file(target)
-                else:
-                    spec = find_scenario(target)
+                spec = (known[target] if target in known
+                        else find_scenario(target))
+                summary = spec.validate()
             except ScenarioError as exc:
                 print(f"FAIL {target}: {exc}")
                 failures += 1
                 continue
-            print(f"OK   {spec.name} ({spec.source}): "
-                  f"{spec.validate()}")
+            print(f"OK   {spec.name} ({spec.source}): {summary}")
         return 1 if failures else 0
 
     # run
@@ -551,8 +537,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
                               else -(-args.hosts // _HOSTS_PER_SHARD)))
     spec = ScenarioSpec(
         name="fleet", driver="fleet",
-        base={"sim.warmup": args.warmup_ms * 1e-3,
-              "sim.duration": args.duration_ms * 1e-3},
+        base=_overrides(args, ("warmup_ms", "duration_ms")),
         driver_args={"n_hosts": args.hosts, "seed": args.seed,
                      "shards": shards, "backend": args.backend,
                      "batch_size": args.batch_size},
@@ -611,13 +596,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro.core.experiment import ExperimentHandle
     from repro.obs.perfetto import write_trace
 
-    config = _config_from_args(args, trace=True,
-                               trace_max_records=args.max_records)
-    if args.sample_interval_us is not None:
-        config = dataclasses.replace(
-            config, sim=dataclasses.replace(
-                config.sim,
-                sample_interval=args.sample_interval_us * 1e-6))
+    config = _config(args, trace=True)
     print(f"tracing: {config.describe()}")
     handle = ExperimentHandle(config)
     if not args.include_warmup:
@@ -734,7 +713,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     from repro.core.experiment import ExperimentHandle
     from repro.obs.profiler import SimProfiler
 
-    config = _config_from_args(args)
+    config = _config(args)
     print(f"profiling: {config.describe()}")
     handle = ExperimentHandle(config)
     profiler = SimProfiler(handle.sim)
@@ -765,10 +744,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 
 def cmd_model(args: argparse.Namespace) -> int:
-    config = baseline_config()
-    config = dataclasses.replace(
-        config, host=dataclasses.replace(
-            config.host, cpu=CpuConfig(cores=args.cores)))
+    config = _config(args, base=baseline_config())
     model = ThroughputModel(config)
     print(f"{'misses/pkt':>11} {'bound (Gbps)':>13}")
     for misses_x10 in range(0, 61, 5):

@@ -8,7 +8,7 @@ experiment fails at construction, not 30 simulated milliseconds in.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.core import calibration as cal
@@ -290,10 +290,6 @@ class HostConfig:
         """Data pages one MTU payload spans."""
         return 1 if self.hugepages else 2
 
-    def with_(self, **changes: Any) -> "HostConfig":
-        """A copy with the given fields replaced (sweep helper)."""
-        return replace(self, **changes)
-
 
 @dataclass(frozen=True)
 class LinkConfig:
@@ -349,8 +345,8 @@ class FabricConfig:
     #: rate: edge<->agg and agg<->core links in the fat-tree, trunk
     #: links in the dumbbell.  < 1 makes the fabric the bottleneck.
     uplink_scale: float = 1.0
-    #: Per-port output buffer for multi-tier switches; ``None`` falls
-    #: back to :attr:`LinkConfig.switch_buffer_bytes`.  Rejected on
+    #: Per-port output buffer for multi-tier switches (``None``: see
+    #: :attr:`ExperimentConfig.switch_buffer_bytes`).  Rejected on
     #: ``star``, whose egress buffer is ``link.switch_buffer_bytes``.
     buffer_bytes: Optional[int] = None
     #: Flowlet gap threshold (seconds): an inter-packet gap larger than
@@ -528,6 +524,12 @@ class ExperimentConfig:
                  f"host.pcie.max_inflight_bytes "
                  f"({self.host.pcie.max_inflight_bytes}) is smaller than "
                  f"one packet's DMA ({wire} wire bytes)")
+
+    @property
+    def switch_buffer_bytes(self) -> int:
+        """Per-port buffer of every fabric switch, at both fidelities:
+        ``fabric.buffer_bytes``, else ``link.switch_buffer_bytes``."""
+        return self.fabric.buffer_bytes or self.link.switch_buffer_bytes
 
     def describe(self) -> Dict[str, Any]:
         """Flat summary of the knobs that vary across paper figures."""

@@ -35,6 +35,7 @@ and ``driver = "isolation"`` runs the small-RPC victim study.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -102,6 +103,7 @@ class ScenarioError(ValueError):
 # Dotted-path overrides over the nested config dataclasses
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _field_types(cls) -> Dict[str, Any]:
     """Resolved annotation per dataclass field (PEP 563 strings undone)."""
     return typing.get_type_hints(cls)
@@ -188,14 +190,6 @@ def _coerce_value(path: str, value: Any, leaf_type, *, source: str,
         f"{type(value).__name__} ({value!r})")
 
 
-def _replace_path(config, parts: Sequence[str], value):
-    name = parts[0]
-    if len(parts) == 1:
-        return dataclasses.replace(config, **{name: value})
-    child = _replace_path(getattr(config, name), parts[1:], value)
-    return dataclasses.replace(config, **{name: child})
-
-
 def apply_overrides(
     config: ExperimentConfig,
     overrides: Mapping[str, Any],
@@ -205,20 +199,58 @@ def apply_overrides(
 ) -> ExperimentConfig:
     """Apply dotted-path overrides, validating each path and value.
 
-    A value the target config itself rejects (``__post_init__``) is
-    re-raised as a :class:`ScenarioError` naming the offending key.
+    Each touched dataclass is rebuilt once, with all of its overrides,
+    so the result does not depend on key order.  A value the config
+    itself rejects (``__post_init__``) is re-raised as a
+    :class:`ScenarioError` naming the offending key.
     """
-    for path, value in overrides.items():
+    return _apply(config, {path: (value, context)
+                           for path, value in overrides.items()}, source)
+
+
+def _apply(config: ExperimentConfig, given: Mapping[str, Tuple[Any, str]],
+           source: str) -> ExperimentConfig:
+    """:func:`apply_overrides` with ``given`` mapping each path to
+    ``(value, context)``.  Each touched dataclass is rebuilt once,
+    children before parents, so every ``__post_init__``, the root's
+    cross-field checks included, sees the finished values."""
+    values: Dict[str, Any] = {}
+    tree: Dict[str, Any] = {}
+    for path in sorted(given):
+        value, context = given[path]
         leaf_type = _resolve_leaf(path, source=source, context=context)
-        value = _coerce_value(path, value, leaf_type, source=source,
-                             context=context)
+        *sections, name = path.split(".")
+        node = tree
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[name] = values[path] = _coerce_value(
+            path, value, leaf_type, source=source, context=context)
+
+    def rebuild(target, node: Dict[str, Any], prefix: str):
+        # A dict is a section: leaf values are scalars (_coerce_value).
+        fields = {name: rebuild(getattr(target, name), sub,
+                                f"{prefix}{name}.")
+                  if isinstance(sub, dict) else sub
+                  for name, sub in node.items()}
         try:
-            config = _replace_path(config, path.split("."), value)
+            return dataclasses.replace(target, **fields)
         except ValueError as exc:
-            raise ScenarioError(
-                f"{source}: {context}{path!r} = {value!r} rejected by "
-                f"config validation: {exc}") from exc
-    return config
+            # Name the keys under each field rejected on its own, else
+            # (a cross-field check) every key under the section.
+            alone = []
+            for name, value in fields.items():
+                try:
+                    dataclasses.replace(target, **{name: value})
+                except ValueError:
+                    alone.append(f"{prefix}{name}.")
+            keys = ", ".join(f"{given[path][1]}{path!r} = {value!r}"
+                             for path, value in values.items()
+                             if f"{path}.".startswith(tuple(alone)
+                                                      or prefix))
+            raise ScenarioError(f"{source}: {keys} rejected by config "
+                                f"validation: {exc}") from exc
+
+    return rebuild(config, tree, "") if given else config
 
 
 def derive_seed(seed: int, repeat: int) -> int:
@@ -460,6 +492,19 @@ class ScenarioSpec:
                 f"preset {name!r} (have: {sorted(self.quality)})"
             ) from None
 
+    def _given(self, quality: Optional[str],
+               fidelity: Optional[str]) -> Dict[str, Tuple[Any, str]]:
+        """The overrides every point starts from, each with its
+        context: the spec's fidelity (or ``fidelity``), then ``[base]``,
+        then the quality preset's, later ones winning."""
+        preset = self._preset(quality) or QualityPreset()
+        context = f"[quality.{quality or self.default_quality}] "
+        return {"fidelity": (fidelity or self.fidelity, "[scenario] "),
+                **{path: (value, "[base] ")
+                   for path, value in self.base.items()},
+                **{path: (value, context)
+                   for path, value in preset.overrides.items()}}
+
     def base_config(
         self,
         quality: Optional[str] = None,
@@ -469,23 +514,9 @@ class ScenarioSpec:
         """The config every expanded point starts from: ``base`` (or
         the defaults) + the spec's fidelity (or the ``fidelity``
         argument — the CLI's ``--fidelity``) + base overrides + the
-        quality preset's."""
-        config = base if base is not None else ExperimentConfig()
-        chosen = fidelity if fidelity is not None else self.fidelity
-        if chosen not in FIDELITIES:
-            raise ScenarioError(
-                f"{self.source}: 'fidelity' must be one of "
-                f"{FIDELITIES}, got {chosen!r}")
-        if config.fidelity != chosen:
-            config = dataclasses.replace(config, fidelity=chosen)
-        config = apply_overrides(config, self.base, source=self.source,
-                                 context="[base] ")
-        preset = self._preset(quality)
-        if preset is not None:
-            config = apply_overrides(config, preset.overrides,
-                                     source=self.source,
-                                     context="[quality] ")
-        return config
+        quality preset's, applied in one :func:`apply_overrides`."""
+        return _apply(base if base is not None else ExperimentConfig(),
+                      self._given(quality, fidelity), self.source)
 
     def axis_grid(self, quality: Optional[str] = None) -> List[Tuple]:
         """Scaled value grid per axis under the chosen preset."""
@@ -508,14 +539,16 @@ class ScenarioSpec:
 
         Product expansion nests axes in declaration order (first axis
         outermost); zip expansion pairs them index by index.  Repeats
-        are innermost, with seeds from :func:`derive_seed`.
+        are innermost, with seeds from :func:`derive_seed`.  Each point
+        is one :func:`apply_overrides`, base and axis values together.
         """
         if self.driver != "sweep":
             raise ScenarioError(
                 f"{self.source}: scenario {self.name!r} uses driver "
                 f"{self.driver!r}; only sweep scenarios expand to "
                 f"config lists")
-        config = self.base_config(quality, base, fidelity)
+        config = base if base is not None else ExperimentConfig()
+        given = self._given(quality, fidelity)
         grids = self.axis_grid(quality)
         if self.expansion == "zip":
             lengths = {axis.path: len(grid)
@@ -530,28 +563,15 @@ class ScenarioSpec:
         else:
             combos = itertools.product(*grids)
 
-        leaf_types = [
-            _resolve_leaf(axis.path, source=self.source,
-                          context=f"axes[{i}] ")
-            for i, axis in enumerate(self.axes)
-        ]
         configs: List[ExperimentConfig] = []
         for combo in combos:
-            point = config
-            for axis, leaf_type, value in zip(self.axes, leaf_types,
-                                              combo):
-                value = _coerce_value(axis.path, value, leaf_type,
-                                      source=self.source,
-                                      context="axes ")
-                point = _replace_path(point, axis.path.split("."),
-                                      value)
-            for repeat in range(self.repeats):
-                if repeat == 0:
-                    configs.append(point)
-                else:
-                    seed = derive_seed(point.sim.seed, repeat)
-                    configs.append(_replace_path(
-                        point, ("sim", "seed"), seed))
+            for i, (axis, value) in enumerate(zip(self.axes, combo)):
+                given[axis.path] = (value, f"axes[{i}] ")
+            point = _apply(config, given, self.source)
+            configs.append(point)
+            configs += [apply_overrides(point, {"sim.seed": derive_seed(
+                point.sim.seed, repeat)}, source=self.source)
+                for repeat in range(1, self.repeats)]
         return configs
 
     def validate(self) -> str:

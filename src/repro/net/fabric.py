@@ -62,9 +62,6 @@ class Fabric(Component):
         self.config = link_cfg
         self.plan = plan
         self._receivers = list(receivers)
-        buffer_bytes = (fabric_cfg.buffer_bytes
-                        if fabric_cfg.buffer_bytes is not None
-                        else link_cfg.switch_buffer_bytes)
         sender_delay = link_cfg.one_way_delay * _SENDER_LEG_FRACTION
         hop_delay = (link_cfg.one_way_delay * (1 - _SENDER_LEG_FRACTION)
                      / plan.max_hops)
@@ -76,7 +73,7 @@ class Fabric(Component):
             port = SwitchPort(
                 sim,
                 rate_bps=scale * link_cfg.rate_bps,
-                buffer_bytes=buffer_bytes,
+                buffer_bytes=config.switch_buffer_bytes,
                 prop_delay=hop_delay,
                 deliver=self._advance,
                 ecn_threshold_bytes=link_cfg.ecn_threshold_bytes,
@@ -92,7 +89,7 @@ class Fabric(Component):
             port = SwitchPort(
                 sim,
                 rate_bps=link_cfg.rate_bps,
-                buffer_bytes=buffer_bytes,
+                buffer_bytes=config.switch_buffer_bytes,
                 prop_delay=hop_delay,
                 deliver=self._receivers[host],
                 ecn_threshold_bytes=link_cfg.ecn_threshold_bytes,

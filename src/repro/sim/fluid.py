@@ -313,8 +313,7 @@ def fluid_fabric_profile(
     cores = config.host.cpu.cores
     n_h = cores * senders
     rate_bps = config.link.rate_bps
-    buf = float(fc.buffer_bytes if fc.buffer_bytes is not None
-                else config.link.switch_buffer_bytes)
+    buf = float(config.switch_buffer_bytes)
     #: Flowlet rehashes every burst boundary; over a run it converges
     #: to the uniform split, which is what the fluid stage models.
     ideal = fc.routing == "flowlet"

@@ -19,7 +19,6 @@ is exactly the shared-NIC-buffer coupling the study measures.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Dict
 
@@ -76,11 +75,10 @@ def congested_vs_uncongested(
     """Convenience: run the study at a genuinely uncongested operating
     point (light open-loop load, no antagonists — every queue near
     empty) and at the congested one (``base`` as given)."""
-    uncongested = dataclasses.replace(
-        base,
-        host=dataclasses.replace(base.host, antagonist_cores=0),
-        workload=dataclasses.replace(base.workload, offered_load=0.25),
-    )
+    from repro.core.scenario import apply_overrides
+
+    uncongested = apply_overrides(base, {"host.antagonist_cores": 0,
+                                         "workload.offered_load": 0.25})
     return {
         "uncongested": run_isolation_study(uncongested),
         "congested": run_isolation_study(base),

@@ -8,7 +8,16 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main, sweep_configs
-from repro.core.config import baseline_config
+from repro.core.config import (
+    CpuConfig,
+    ExperimentConfig,
+    FabricConfig,
+    HostConfig,
+    IommuConfig,
+    SimConfig,
+    WorkloadConfig,
+    baseline_config,
+)
 
 
 def test_parser_requires_command():
@@ -684,3 +693,196 @@ def test_bundled_spec_runs_through_the_cli(tmp_path, capsys, name):
     assert main(argv) == 0
     for path in outputs.values():
         assert path.exists(), path
+
+
+def test_scenario_validate_keeps_going_past_a_rejected_expansion(
+        tmp_path, capsys):
+    bad = tmp_path / "bad_axis.toml"
+    bad.write_text('[scenario]\nname = "bad_axis"\n'
+                   '[[axes]]\npath = "host.cpu.cores"\nvalues = [0, 2]\n')
+    assert main(["scenario", "validate", str(bad), "figure3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(
+        f"FAIL {bad}: bad_axis.toml: axes[0] 'host.cpu.cores' = 0")
+    assert lines[1].startswith("OK   figure3")
+
+
+# ---------------------------------------------------------------------------
+# Flags -> config through the one flag table
+# ---------------------------------------------------------------------------
+
+def _historical_config(args, trace=False, trace_max_records=1_000_000):
+    """Frozen copy of the config ``run``/``trace``/``profile`` built by
+    hand before the flag table: the reference the table must match."""
+    return ExperimentConfig(
+        host=HostConfig(
+            cpu=CpuConfig(cores=args.cores),
+            iommu=IommuConfig(enabled=not args.no_iommu),
+            hugepages=not args.no_hugepages,
+            antagonist_cores=args.antagonists,
+            rx_region_bytes=args.region_mb * 2**20,
+        ),
+        workload=WorkloadConfig(senders=args.senders,
+                                receivers=args.receivers),
+        transport=args.transport,
+        fabric=FabricConfig(
+            topology=args.topology,
+            routing=args.routing,
+            fattree_k=args.fattree_k,
+            trunk_links=args.trunk_links,
+        ),
+        fidelity=getattr(args, "fidelity", "packet"),
+        sim=SimConfig(warmup=args.warmup_ms * 1e-3,
+                      duration=args.duration_ms * 1e-3,
+                      seed=args.seed,
+                      trace=trace,
+                      trace_max_records=trace_max_records),
+    )
+
+
+class _Built(Exception):
+    """Carries what a command built out before anything runs."""
+
+
+def _built(monkeypatch, argv, *targets):
+    """The first argument ``repro <argv>`` hands any of ``targets``."""
+    def capture(built, *args, **kwargs):
+        raise _Built(built)
+
+    for target in targets:
+        monkeypatch.setattr(target, capture)
+    with pytest.raises(_Built) as built:
+        main(argv)
+    return built.value.args[0]
+
+
+#: Each config flag set away from its default, by argparse dest.
+FLAG_VALUES = {
+    "cores": ["--cores", "4"],
+    "no_iommu": ["--no-iommu"],
+    "no_hugepages": ["--no-hugepages"],
+    "antagonists": ["--antagonists", "3"],
+    "region_mb": ["--region-mb", "4"],
+    "senders": ["--senders", "8"],
+    "receivers": ["--receivers", "2"],
+    "transport": ["--transport", "dctcp"],
+    "topology": ["--topology", "fattree"],
+    "routing": ["--routing", "ecmp"],
+    "fattree_k": ["--fattree-k", "6"],
+    "trunk_links": ["--trunk-links", "3"],
+    "fidelity": ["--fidelity", "fluid"],
+    "seed": ["--seed", "9"],
+    "warmup_ms": ["--warmup-ms", "0.5"],
+    "duration_ms": ["--duration-ms", "1.5"],
+    "max_records": ["--max-records", "500"],
+    "sample_interval_us": ["--sample-interval-us", "20"],
+}
+
+#: Flag combinations; ``()`` is the defaults, ``None`` every flag the
+#: command has.
+FLAG_COMBOS = [
+    (),
+    ("cores", "no_iommu", "senders", "warmup_ms", "duration_ms"),
+    ("no_hugepages", "region_mb", "antagonists", "seed", "fidelity"),
+    ("receivers", "transport", "topology", "routing", "fattree_k",
+     "trunk_links", "max_records"),
+    ("sample_interval_us",),
+    None,
+]
+
+
+def test_flag_values_cover_the_flag_table():
+    from repro.cli import FLAG_PATHS
+
+    assert set(FLAG_VALUES) == set(FLAG_PATHS)
+
+
+@pytest.mark.parametrize("combo", FLAG_COMBOS)
+@pytest.mark.parametrize("command", ["run", "trace", "profile"])
+def test_one_run_commands_build_the_historical_config(monkeypatch,
+                                                      command, combo):
+    own = {"run": {"fidelity"},
+           "trace": {"max_records", "sample_interval_us"}}.get(command,
+                                                              set())
+    others = {"fidelity", "max_records", "sample_interval_us"} - own
+    argv = [command]
+    for dest in FLAG_VALUES if combo is None else combo:
+        if dest not in others:
+            argv += FLAG_VALUES[dest]
+    args = build_parser().parse_args(argv)
+    if command == "trace":
+        oracle = _historical_config(args, trace=True,
+                                    trace_max_records=args.max_records)
+        if args.sample_interval_us is not None:
+            oracle = replace(oracle, sim=replace(
+                oracle.sim, sample_interval=args.sample_interval_us * 1e-6))
+    else:
+        oracle = _historical_config(args)
+    assert _built(monkeypatch, argv, "repro.cli.run_experiment",
+                  "repro.core.experiment.ExperimentHandle") == oracle
+
+
+@pytest.mark.parametrize("cores", [None, "8"])
+def test_model_builds_the_historical_config(monkeypatch, cores):
+    argv = ["model"] + ([] if cores is None else ["--cores", cores])
+    args = build_parser().parse_args(argv)
+    base = baseline_config()
+    oracle = replace(base, host=replace(base.host,
+                                        cpu=CpuConfig(cores=args.cores)))
+    assert _built(monkeypatch, argv, "repro.cli.ThroughputModel") == oracle
+
+
+WINDOW_FLAGS = ["--seed", "9", "--warmup-ms", "0.5", "--duration-ms",
+                "1.5", "--fidelity", "fluid"]
+
+
+@pytest.mark.parametrize("flags", [[], WINDOW_FLAGS])
+def test_sweep_and_fleet_bases_match_the_historical_ones(monkeypatch,
+                                                         flags):
+    for command, seeded in ((["sweep", "cores", "2", "4"], True),
+                            (["fleet", "--hosts", "2"], False)):
+        args = build_parser().parse_args(command + flags)
+        spec = _built(monkeypatch, command + flags, "repro.cli._run_scenario")
+        # The fleet's --seed seeds its sampler, not sim.seed.
+        oracle = ExperimentConfig(
+            fidelity=args.fidelity or "packet",
+            sim=SimConfig(warmup=args.warmup_ms * 1e-3,
+                          duration=args.duration_ms * 1e-3,
+                          seed=args.seed if seeded else 1))
+        assert spec.base_config(fidelity=args.fidelity) == oracle
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["run", "--cores", "0"], "host.cpu.cores"),
+    (["run", "--senders", "0"], "workload.senders"),
+    (["run", "--fattree-k", "3"], "fabric.fattree_k"),
+    (["run", "--region-mb", "0"], "host.rx_region_bytes"),
+    (["trace", "--max-records", "0"], "sim.trace_max_records"),
+    (["model", "--cores", "0"], "host.cpu.cores"),
+])
+def test_rejected_flag_value_is_one_error_line_naming_the_key(
+        monkeypatch, capsys, argv, key):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr("repro.cli.run_experiment", must_not_run)
+    monkeypatch.setattr("repro.core.experiment.ExperimentHandle",
+                        must_not_run)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    (line,) = captured.out.splitlines()
+    assert line.startswith("error: ") and f"'{key}'" in line
+    assert "Traceback" not in captured.err
+
+
+def test_scenario_run_renders_a_base_its_axes_complete(tmp_path, capsys):
+    # fabric.buffer_bytes is valid only off the star, which the axis,
+    # not [base], sets: the run and its report both build.
+    spec = tmp_path / "buffer.toml"
+    spec.write_text('[scenario]\nname = "buffer"\nfidelity = "fluid"\n'
+                    '[base]\n"fabric.buffer_bytes" = 150000\n'
+                    '"sim.warmup" = 5e-4\n"sim.duration" = 1e-3\n'
+                    '[[axes]]\npath = "fabric.topology"\n'
+                    'values = ["fattree", "dumbbell"]\n')
+    assert main(["scenario", "run", str(spec), "--no-cache"]) == 0
+    assert "tput Gbps" in capsys.readouterr().out

@@ -128,11 +128,12 @@ class TestHelpers:
         off = DdioConfig(enabled=False).copy_demand_fractions()
         assert on[0] < off[0]
 
-    def test_host_with_helper(self):
-        host = HostConfig()
-        changed = host.with_(antagonist_cores=5)
-        assert changed.antagonist_cores == 5
-        assert host.antagonist_cores == 0
+    def test_switch_buffer_falls_back_to_the_link_buffer(self):
+        star = ExperimentConfig(link=LinkConfig(switch_buffer_bytes=9000))
+        assert star.switch_buffer_bytes == 9000
+        tier = dataclasses.replace(star, fabric=FabricConfig(
+            topology="dumbbell", buffer_bytes=150_000))
+        assert tier.switch_buffer_bytes == 150_000
 
     def test_sim_end_time(self):
         assert SimConfig(warmup=1e-3, duration=2e-3).end_time == 3e-3

@@ -8,11 +8,14 @@ config list the historical hand-rolled loops built.
 """
 
 import dataclasses
+import functools
+import itertools
 
 import pytest
 
-from repro.core.config import ExperimentConfig, baseline_config
+from repro.core.config import FIDELITIES, ExperimentConfig, baseline_config
 from repro.core.scenario import (
+    QualityPreset,
     ScenarioError,
     ScenarioSpec,
     SweepAxis,
@@ -426,6 +429,155 @@ class TestBundledSpecs:
         on = [c for c in configs if c.host.iommu.enabled]
         assert [c.host.rx_region_bytes for c in on] == [
             4 * 2**20, 8 * 2**20, 12 * 2**20, 16 * 2**20]
+
+
+# ---------------------------------------------------------------------------
+# Override order: each touched dataclass is rebuilt once, validated once
+# ---------------------------------------------------------------------------
+
+def _outcome(overrides):
+    """The config ``overrides`` give on the defaults, or their error."""
+    try:
+        return apply_overrides(ExperimentConfig(), dict(overrides))
+    except ScenarioError as exc:
+        return str(exc)
+
+
+#: Multi-key overrides, each valid only once all of its keys have
+#: landed (the pairs), or rejected whatever the order (the last two).
+ORDER_CASES = {
+    "buffer-on-dumbbell": {"fabric.buffer_bytes": 150000,
+                           "fabric.topology": "dumbbell"},
+    "memory-pair": {"host.memory.achievable_Bps": 130e9,
+                    "host.memory.theoretical_Bps": 140e9},
+    "pcie-pair": {"host.pcie.goodput_bps": 130e9,
+                  "host.pcie.raw_bps": 140e9},
+    "across-sections": {"fabric.buffer_bytes": 150000,
+                        "fabric.topology": "fattree",
+                        "host.cpu.cores": 4, "sim.seed": 9},
+    "memory-pair-rejected": {"host.memory.achievable_Bps": 150e9,
+                             "host.memory.theoretical_Bps": 140e9},
+    "two-sections-rejected": {"fabric.fattree_k": 3,
+                              "host.cpu.cores": 0,
+                              "fabric.topology": "fattree"},
+}
+
+
+class TestOverrideOrder:
+    @pytest.mark.parametrize("name", sorted(ORDER_CASES))
+    def test_every_key_order_gives_one_outcome(self, name):
+        overrides = ORDER_CASES[name]
+        outcomes = {_outcome(order) for order in
+                    itertools.permutations(overrides.items())}
+        assert len(outcomes) == 1, outcomes
+        (outcome,) = outcomes
+        if name.endswith("rejected"):
+            assert isinstance(outcome, str)
+        else:
+            for path, value in overrides.items():
+                assert functools.reduce(getattr, path.split("."),
+                                        outcome) == value
+
+    def test_rejection_names_the_key_it_rejects_on_its_own(self):
+        # fabric is rebuilt before host in every order; of its keys,
+        # only fattree_k is rejected on its own.
+        for order in itertools.permutations(
+                ORDER_CASES["two-sections-rejected"].items()):
+            message = _outcome(order)
+            assert "'fabric.fattree_k' = 3" in message
+            assert "fabric.topology" not in message
+            assert "host.cpu.cores" not in message
+
+    def test_cross_field_rejection_names_every_key_it_read(self):
+        # Each value is valid on its own; only together do they break
+        # the root's PCIe credit check.
+        overrides = {"host.pcie.max_inflight_bytes": 5000,
+                     "workload.mtu_payload": 8192}
+        message = _outcome(overrides)
+        assert "'host.pcie.max_inflight_bytes' = 5000" in message
+        assert "'workload.mtu_payload' = 8192" in message
+
+    def test_axes_valid_only_together_expand_in_either_order(self):
+        axes = (SweepAxis("fabric.buffer_bytes", (150000,)),
+                SweepAxis("fabric.topology", ("dumbbell",)))
+        for order in (axes, axes[::-1]):
+            (config,) = ScenarioSpec(name="t", axes=order).expand()
+            assert config.fabric.topology == "dumbbell"
+            assert config.fabric.buffer_bytes == 150000
+
+    def test_base_buffer_with_a_topology_axis_expands(self):
+        spec = spec_from(MINIMAL + """
+[base]
+"fabric.buffer_bytes" = 150000
+
+[[axes]]
+path = "fabric.topology"
+values = ["fattree", "dumbbell"]
+""")
+        assert [(c.fabric.topology, c.fabric.buffer_bytes)
+                for c in spec.expand()] == [("fattree", 150000),
+                                            ("dumbbell", 150000)]
+
+    def test_axis_value_the_config_rejects_names_file_and_axis(self):
+        spec = spec_from(MINIMAL + """
+[[axes]]
+path = "host.cpu.cores"
+values = [0, 2]
+""")
+        with pytest.raises(ScenarioError,
+                           match=r"test\.toml: axes\[0\] "
+                                 r"'host\.cpu\.cores' = 0"):
+            spec.validate()
+
+
+def _replace_one(config, path, value):
+    """Reference edit: one key through nested ``dataclasses.replace``."""
+    head, _, rest = path.partition(".")
+    if rest:
+        value = _replace_one(getattr(config, head), rest, value)
+    return dataclasses.replace(config, **{head: value})
+
+
+def _reference_expand(spec, quality, fidelity):
+    """``spec``'s configs built key by key in declaration order."""
+    name = quality or spec.default_quality
+    preset = spec.quality[name] if name else QualityPreset()
+    config = dataclasses.replace(ExperimentConfig(), fidelity=fidelity)
+    for path, value in {**spec.base, **preset.overrides}.items():
+        config = _replace_one(config, path, value)
+    grids = [axis.scaled(preset.axis_values.get(axis.path))
+             for axis in spec.axes]
+    combos = (zip(*grids) if spec.expansion == "zip" and grids
+              else itertools.product(*grids))
+    configs = []
+    for combo in combos:
+        point = config
+        for axis, value in zip(spec.axes, combo):
+            point = _replace_one(point, axis.path, value)
+        configs.append(point)
+        configs += [_replace_one(point, "sim.seed",
+                                  derive_seed(point.sim.seed, repeat))
+                    for repeat in range(1, spec.repeats)]
+    return configs
+
+
+def test_bundled_specs_expand_to_the_nested_replace_reference():
+    """Every bundled sweep, under each preset and at both fidelities,
+    expands to the reference, whatever order its base keys are in."""
+    checked = 0
+    for spec in bundled_scenarios().values():
+        if spec.driver != "sweep":
+            continue
+        reordered = dataclasses.replace(
+            spec, base=dict(reversed(list(spec.base.items()))))
+        for quality in (None, *sorted(spec.quality)):
+            for fidelity in FIDELITIES:
+                expected = _reference_expand(spec, quality, fidelity)
+                assert spec.expand(quality, fidelity=fidelity) == expected
+                assert reordered.expand(quality,
+                                        fidelity=fidelity) == expected
+                checked += 1
+    assert checked >= 20
 
 
 # ---------------------------------------------------------------------------
