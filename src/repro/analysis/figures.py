@@ -410,12 +410,15 @@ def run_scenario(
     :meth:`ScenarioSpec.run`.
     """
     render = _BINDINGS[spec.driver][0]
+    base_config = functools.partial(spec.base_config, quality, base,
+                                    fidelity)
+    if spec.renders_model:
+        base_config()  # a bad render base fails before any point runs
     snapshots_out: Optional[list] = [] if snapshots else None
     start = time.perf_counter()
     raw = spec.run(quality, base, snapshots_out=snapshots_out,
                    fidelity=fidelity, **run_args)
-    return render(spec, raw, base_config=functools.partial(
-                      spec.base_config, quality, base, fidelity),
+    return render(spec, raw, base_config=base_config,
                   snapshots=snapshots_out,
                   elapsed=time.perf_counter() - start, run_args=run_args)
 

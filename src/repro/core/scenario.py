@@ -574,12 +574,24 @@ class ScenarioSpec:
                 for repeat in range(1, self.repeats)]
         return configs
 
+    @property
+    def renders_model(self) -> bool:
+        """Whether a panel draws a ``model`` series, the one render
+        input built from :meth:`base_config` rather than from the
+        runs, so that config must resolve without the axes."""
+        return self.render is not None and any(
+            series.kind == "model" for panel in self.render.panels
+            for series in panel.series)
+
     def validate(self) -> str:
         """Resolve every config the spec names, under each quality
         preset, and summarize its size (``repro scenario validate``)."""
         if self.driver != "sweep":
             self.base_config()
             return f"driver {self.driver}"
+        if self.renders_model:
+            for quality in (None, *self.quality):
+                self.base_config(quality)
         grids = ", ".join(f"{q}: {len(self.expand(quality=q))}"
                           for q in sorted(self.quality))
         return f"{len(self.expand())} config(s)" + (

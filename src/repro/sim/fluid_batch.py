@@ -44,6 +44,17 @@ of the step, so the config adapter rejects any ``fabric.topology`` but
 ``"star"`` (the fleet runs those hosts on the scalar solver), and
 message-latency percentiles need the scalar solver.
 
+A batch steps one lane per row it is given.  Hosts often repeat:
+a star host's solve does not read its seed, and the fleet draws
+from small discrete sets, so a 4096-host range of the Figure-1 fleet
+has only about 1 770 distinct input rows.  :func:`distinct_lanes`
+collapses the columns to those rows and returns the inverse index
+that scatters each lane's metrics back to every host that shares it.
+Its key is a row's bytes in every column after ``np.asarray`` (the
+conversion the batch applies), not Python ``==``: every lane op is
+elementwise, so rows with equal bytes end on equal bits, while
+``0.0`` and ``-0.0``, or floats one ulp apart, stay separate lanes.
+
 Layering: kernel (layer 0), like ``repro.sim.fluid`` — imports only
 numpy, its ``repro.sim`` neighbours and the pinned kernel config
 modules (enforced by ``scripts/check_layering.py``).
@@ -52,7 +63,7 @@ modules (enforced by ``scripts/check_layering.py``).
 from __future__ import annotations
 
 import types
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,7 +71,7 @@ from repro.core.config import ExperimentConfig
 from repro.sim import fluid
 from repro.sim.fluid import fluid_inputs, specialize_step
 
-__all__ = ["BatchFluidSolver"]
+__all__ = ["BatchFluidSolver", "distinct_lanes"]
 
 #: Per-host constants the step reads, held as float64 lane arrays: the
 #: lane form of ``repro.sim.fluid._host_constants`` computes them from
@@ -97,6 +108,43 @@ _ACC_ATTRS = ("elapsed", "rx_packets", "dropped_packets",
 _lane_step = specialize_step(np)
 #: The constant derivation's lane form: ``_lane_constants(batch, h)``.
 _lane_constants = specialize_step(np, source=fluid._host_constants)
+
+
+def distinct_lanes(inputs: Mapping[str, object]
+                   ) -> Tuple[Dict[str, object], np.ndarray]:
+    """Collapse lane columns to their distinct rows.
+
+    Returns ``(distinct, inverse)``: ``distinct`` holds the
+    :meth:`BatchFluidSolver.from_inputs` columns of each distinct row
+    once, in order of first appearance (a plain value stays plain),
+    and ``inverse[i]`` is the distinct lane of row ``i``, so
+    ``column[inverse]`` scatters a lane result back to row order.
+
+    Two rows share a lane only when every column holds the same bytes
+    in the same dtype after ``np.asarray``, the conversion the batch
+    itself applies.  So equal rows step on equal bits and, every lane
+    op being elementwise, end on equal bits: stepping the distinct
+    rows is bitwise the same as stepping them all.  Rows that Python's
+    ``==`` would merge but whose bits differ (``0.0`` and ``-0.0``)
+    stay apart, as do floats one ulp apart.
+    """
+    columns = {name: np.asarray(value) for name, value in inputs.items()}
+    lanes = {name: column for name, column in columns.items()
+             if column.ndim}
+    rows = np.concatenate(
+        [np.ascontiguousarray(column).view(np.uint8).reshape(
+            len(column), -1) for column in lanes.values()], axis=1)
+    _, first, inverse = np.unique(
+        rows.view(np.dtype((np.void, rows.shape[1]))).ravel(),
+        return_index=True, return_inverse=True)
+    # np.unique numbers rows in byte order; renumber by first row.
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    distinct = dict(inputs)
+    distinct.update({name: column[first[order]]
+                     for name, column in lanes.items()})
+    return distinct, rank[inverse.ravel()]
 
 
 class BatchFluidSolver:

@@ -26,8 +26,9 @@ outcome into a constant-memory
 :class:`~repro.workload.fleet_agg.FleetAggregate`, checkpoint shard
 cursors atomically, and resume a SIGKILLed run to the identical
 answer.  The batched fluid backend builds no config per star host: a
-range's draws go straight into lane columns and its outcomes fold into
-the aggregate as one batched insert per sketch.
+range's draws go straight into lane columns, hosts with the same fluid
+inputs share one lane, and the outcomes fold into the aggregate as one
+batched insert per sketch.
 """
 
 from __future__ import annotations
@@ -423,7 +424,10 @@ class FleetSampler:
         The body of one batched-fleet task, columnar from draw to fold:
         draw the range's hosts, step its star hosts as one
         :class:`~repro.sim.fluid_batch.BatchFluidSolver` lane set built
-        from their draws (:meth:`_lane_inputs`), and fold the outcomes
+        from their draws (:meth:`_lane_inputs`), one lane per distinct
+        input row (:func:`~repro.sim.fluid_batch.distinct_lanes`; a
+        star host's solve does not read its seed, so hosts repeat),
+        scatter the lanes' outcomes back to host order, and fold them
         into a fresh :class:`FleetAggregate` with one batched insert
         per sketch.  A config is built only for a host that runs on
         the scalar solver: one on another fabric, or every star host
@@ -436,7 +440,7 @@ class FleetSampler:
         ``want_hosts``; otherwise one ``(index, kind, payload)`` tuple
         per host for the parent's telemetry fan-out.
         """
-        from repro.sim.fluid_batch import BatchFluidSolver
+        from repro.sim.fluid_batch import BatchFluidSolver, distinct_lanes
 
         draws = [self._draw(index) for index in range(start, stop)]
         # One outcome list per metric, indexed by lane; a lane in
@@ -458,8 +462,9 @@ class FleetSampler:
                 if draw.topology == "star"]
         if star:
             try:
-                solver = BatchFluidSolver.from_inputs(
+                inputs, inverse = distinct_lanes(
                     self._lane_inputs([draws[lane] for lane in star]))
+                solver = BatchFluidSolver.from_inputs(inputs)
                 solver.run_until(self.warmup)
                 solver.reset_stats()
                 solver.run_until(self.warmup + self.duration)
@@ -469,7 +474,8 @@ class FleetSampler:
                     solve_alone(lane)
             else:
                 for key, column in columns.items():
-                    for lane, value in zip(star, metrics[key].tolist()):
+                    values = metrics[key][inverse].tolist()
+                    for lane, value in zip(star, values):
                         column[lane] = value
         for lane, draw in enumerate(draws):
             if draw.topology != "star":
@@ -582,7 +588,8 @@ class FleetSampler:
         (:func:`repro.core.parallel.map_stream`) that re-draws its
         hosts in-worker straight into lane columns and steps its star
         hosts as one lane set of
-        :class:`~repro.sim.fluid_batch.BatchFluidSolver`, and
+        :class:`~repro.sim.fluid_batch.BatchFluidSolver` (one lane per
+        distinct input row), and
         the returned partial aggregates merge in index order.  The
         per-host outcomes are bit-identical to the scalar backend's
         (see ``repro.sim.fluid_batch``), so both backends produce

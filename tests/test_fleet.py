@@ -127,6 +127,13 @@ def test_column_draw_equals_draw_config(seed, start):
                 == getattr(built, attr).tobytes()), attr
 
 
+def exact_row(config):
+    """A host's fluid inputs as a key that ``==`` cannot blur: each
+    value by type and ``repr`` (which tells ``-0.0`` from ``0.0``)."""
+    return tuple((name, type(value), repr(value))
+                 for name, value in sorted(fluid_inputs(config).items()))
+
+
 def test_shard_bounds_partition_exactly():
     for n_hosts in (0, 1, 7, 100):
         for shards in (1, 2, 3, 4, 9):
@@ -339,7 +346,10 @@ class TestBatchedBackend:
                             spy_batch)
         monkeypatch.setattr(experiment, "run_experiment", spy_run)
         state, rows = sampler._solve_range(0, 12, 0.01, True)
-        assert batches == [11]
+        # One lane per distinct fluid input row of the 11 star hosts.
+        assert batches == [len({
+            exact_row(sampler.draw_config(index))
+            for index in range(12) if index != 3})]
         assert scalar_runs == ["dumbbell"]
         assert FleetAggregate.from_dict(state).hosts == 12
         assert [index for index, _, _ in rows] == list(range(12))
@@ -347,6 +357,51 @@ class TestBatchedBackend:
         for index, kind, payload in rows:
             assert kind == "ok"
             metrics = run_experiment(sampler.draw_config(index)).metrics
+            assert payload == {key: metrics[key] for key in payload}
+
+    def test_repeated_hosts_share_a_lane_and_fold_as_scalar_runs(
+            self, monkeypatch):
+        """Hosts whose fluid inputs repeat another's (same draws, but
+        their own seed and stratum) step as one lane; each still folds
+        under its own stratum, and the aggregate and every host row
+        equal the scalar runs of the same hosts."""
+        from repro.core import experiment
+        from repro.sim import fluid_batch
+
+        sampler = self.sampler()
+        draw = sampler._draw
+
+        def draw_host(index):
+            host = draw(index)
+            if index % 3 == 0:  # 0, 3, 6, ... repeat host 1's draws
+                host = draw(1)._replace(seed=host.seed,
+                                        stratum=host.stratum)
+            return host
+
+        from_inputs = fluid_batch.BatchFluidSolver.from_inputs
+        batches = []
+
+        def spy_batch(inputs):
+            solver = from_inputs(inputs)
+            batches.append(solver.n)
+            return solver
+
+        monkeypatch.setattr(sampler, "_draw", draw_host)
+        monkeypatch.setattr(fluid_batch.BatchFluidSolver, "from_inputs",
+                            spy_batch)
+        n_hosts = 24
+        configs = [sampler.draw_config(index) for index in range(n_hosts)]
+        assert len({draw_host(i).seed for i in range(n_hosts)}) == n_hosts
+        assert len({draw_host(i).stratum for i in range(0, n_hosts, 3)
+                    }) > 1
+        state, rows = sampler._solve_range(0, n_hosts, 0.01, True)
+        assert batches == [len(set(map(exact_row, configs)))]
+        assert batches[0] <= n_hosts - n_hosts // 3
+        assert (FleetAggregate.from_dict(state)
+                == sampler.run_aggregate(n_hosts, backend="scalar"))
+        for (index, kind, payload), config in zip(rows, configs):
+            assert kind == "ok"
+            metrics = experiment.run_experiment(config).metrics
             assert payload == {key: metrics[key] for key in payload}
 
     def test_host_failing_alone_is_counted_and_the_rest_fold(

@@ -35,13 +35,14 @@ from repro.core.config import (
     WorkloadConfig,
 )
 from repro.sim import fluid, fluid_batch
-from repro.sim.fluid import FluidSolver, _where
+from repro.sim.fluid import FluidSolver, _where, fluid_inputs
 from repro.sim.fluid_batch import (
     _ACC_ATTRS,
     _CONST_ATTRS,
     _FLAG_ATTRS,
     _STATE_ATTRS,
     BatchFluidSolver,
+    distinct_lanes,
 )
 from repro.workload.fleet import FleetSampler, cohort_key, group_cohorts
 
@@ -243,6 +244,40 @@ def test_mixed_batch_matches_scalar_per_lane():
     batch.run_until(END)
     for lane, config in enumerate(configs):
         assert_lane_matches_scalar(batch, lane, solve_scalar(config))
+
+
+def test_distinct_lanes_merge_only_bitwise_equal_rows():
+    """Rows equal in every column share a lane; a zero of the other
+    sign or a float one ulp away keeps its own; the inverse maps each
+    row, in order, to its lane; and stepping the distinct lanes gives
+    every row the bits of a batch that steps them all."""
+    a = fluid_inputs(make_config("swift", 0.7, True, True, 8, 0, 10, 4))
+    b = fluid_inputs(make_config("cubic", None, False, True, 12, 8, 20,
+                                 4))
+    assert b["misses_per_packet"] == 0.0
+    b_negative_zero = dict(b, misses_per_packet=-0.0)
+    a_next_ulp = dict(a, offered_load=float(
+        np.nextafter(a["offered_load"], 1.0)))
+    rows = [a, b, a, b_negative_zero, a_next_ulp, b, a]
+    inputs = {name: [row[name] for row in rows] for name in a}
+    inputs["receivers"] = a["receivers"]  # a plain value stays plain
+    distinct, inverse = distinct_lanes(inputs)
+    assert inverse.tolist() == [0, 1, 0, 2, 3, 1, 0]
+    assert distinct["receivers"] == a["receivers"]
+    for name, column in inputs.items():
+        if name != "receivers":
+            assert (distinct[name].tobytes()
+                    == np.asarray(column)[[0, 1, 3, 4]].tobytes()), name
+    full = BatchFluidSolver.from_inputs(inputs)
+    lanes = BatchFluidSolver.from_inputs(distinct)
+    assert lanes.n == 4
+    for batch in (full, lanes):
+        batch.run_until(WARMUP)
+        batch.reset_stats()
+        batch.run_until(END)
+    for key, column in lanes.fleet_metrics().items():
+        assert (column[inverse].tobytes()
+                == full.fleet_metrics()[key].tobytes()), key
 
 
 class _Recorder:

@@ -10,6 +10,7 @@ config list the historical hand-rolled loops built.
 import dataclasses
 import functools
 import itertools
+import re
 
 import pytest
 
@@ -528,6 +529,56 @@ values = [0, 2]
                            match=r"test\.toml: axes\[0\] "
                                  r"'host\.cpu\.cores' = 0"):
             spec.validate()
+
+    @pytest.mark.parametrize("kind", ["metric", "model"])
+    def test_model_series_needs_a_base_that_resolves_alone(
+            self, tmp_path, capsys, monkeypatch, kind):
+        """A ``model`` series is built from the base config, so a base
+        that only the axes complete fails ``validate``, and ``run``
+        before any point runs, naming the key; a figure of measured
+        series alone still validates."""
+        from repro.cli import main
+
+        text = MINIMAL + f"""
+[base]
+"fabric.buffer_bytes" = 150000
+
+[[axes]]
+path = "fabric.topology"
+values = ["fattree", "dumbbell"]
+
+[render]
+style = "panels"
+
+[[render.panels]]
+name = "p"
+x = "cores"
+x_label = "x"
+y_label = "y"
+
+[[render.panels.series]]
+label = "s"
+kind = "{kind}"
+metric = "drop_rate"
+config_path = "host.cpu.cores"
+"""
+        spec = spec_from(text)
+        assert spec.renders_model == (kind == "model")
+        if kind == "metric":
+            assert spec.validate() == "2 config(s)"
+            return
+        key = "[base] 'fabric.buffer_bytes' = 150000"
+        with pytest.raises(ScenarioError, match=re.escape(key)):
+            spec.validate()
+        path = tmp_path / "model_base.toml"
+        path.write_text(text)
+        monkeypatch.setattr(ScenarioSpec, "run", lambda *args, **kw:
+                            pytest.fail("a point ran"))
+        for verb in ("validate", "run"):
+            assert main(["scenario", verb, str(path)]) == 1
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.out + captured.err
+            assert key in captured.out.splitlines()[-1]
 
 
 def _replace_one(config, path, value):
